@@ -17,6 +17,8 @@ Snapshot files use a fixed little-endian binary layout (magic "EUSS"):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -235,21 +237,37 @@ def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
 
 
 def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
-    """Read a snapshot written by write_snapshot."""
+    """Read a snapshot written by write_snapshot.
+
+    Raises ValueError naming the path for a file that is not a complete,
+    finite snapshot: bad magic or version, a length other than the header
+    implies, or non-finite values.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise ValueError(f"{path}: truncated snapshot header ({len(header)} bytes)")
         magic, version, N, m, time, manifest_hash = _HEADER.unpack(header)
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a snapshot file (bad magic {magic!r})")
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: format_version {version} unsupported")
+        if not math.isfinite(time):
+            raise ValueError(f"{path}: non-finite time {time!r}")
         K = 2 * N + 1
+        body = K * K * 2 * 2 * 8
+        size = os.fstat(fh.fileno()).st_size
+        expected = _HEADER.size + m * (_SEED.size + body)
+        if size != expected:
+            raise ValueError(f"{path}: {size} bytes, but its header (N={N}, m={m}) implies {expected}")
         fields = []
         seeds = []
         for _ in range(m):
             (seed,) = _SEED.unpack(fh.read(_SEED.size))
             seeds.append(seed)
-            raw = np.frombuffer(fh.read(K * K * 2 * 2 * 8), dtype="<f8").reshape(K, K, 2, 2)
+            raw = np.frombuffer(fh.read(body), dtype="<f8").reshape(K, K, 2, 2)
+            if not np.all(np.isfinite(raw)):
+                raise ValueError(f"{path}: non-finite coefficients in sample {seed}")
             coeffs = np.ascontiguousarray(
                 (raw[..., 0] + 1j * raw[..., 1]).transpose(2, 0, 1)
             )

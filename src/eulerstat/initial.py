@@ -30,7 +30,7 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
-    _embed,
+    _fold,
     from_physical,
     leray_project,
     scalar_from_physical,
@@ -215,17 +215,15 @@ def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.nd
     """Pointwise values u(x1, x2 + shift(x1)) on the M grid, exactly.
 
     shifts is the per-column displacement in internal (2 pi) coordinates;
-    the x2 shift is applied as a modal phase factor per column.
+    the x2 shift is applied as a modal phase factor per column, on the
+    k2 >= 0 half plane, before the real inverse transform along x2.
     """
     N = field.N
-    dft1 = _embed(field.coeffs, M)               # modes on M-point axes
-    mixed = np.fft.ifft(dft1, axis=1) * M        # (2, x1, k2-axis of length M)
-    k2 = np.arange(-N, N + 1)
-    idx = k2 % M
-    phase = np.exp(1j * np.outer(shifts, k2))    # (x1, k2)
-    mixed[:, :, idx] = mixed[:, :, idx] * phase[None, :, :]
-    grid = np.fft.ifft(mixed, axis=2) * M
-    return np.ascontiguousarray(np.real(grid).transpose(1, 2, 0))
+    mixed = _fold(field.coeffs[..., N:], M, -2)
+    np.fft.ifft(mixed, axis=-2, norm="forward", out=mixed)  # (2, x1, k2 = 0..N)
+    mixed *= np.exp(1j * np.outer(shifts, np.arange(N + 1)))
+    grid = np.fft.irfft(mixed, n=M, axis=-1, norm="forward")
+    return np.ascontiguousarray(grid.transpose(1, 2, 0))
 
 
 def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:

@@ -17,6 +17,20 @@ Two multiplier profiles are provided:
 
 Time stepping is the three-stage Shu-Osher SSP-RK3 with an adaptive step
 from a CFL bound on the padded grid plus an explicit-diffusion bound.
+
+The stages work on the k2 >= 0 half plane of the coefficients: each RHS
+synthesizes the velocity on the padded grid with real inverse FFTs, forms
+the three products u_i u_j there and analyzes them with real forward
+FFTs (see spectral). The result is rebuilt as an exactly Hermitian array
+once per step, with no re-projection. evolve synthesizes the padded
+velocity once per step and uses that grid for both max|u| in the step
+bound and the first RK stage.
+
+The padded grid has ceil(dealias * 2N) points per axis. The default
+dealias = 1.5 gives M = 3N, which is not fully alias-free: products reach
+|k| = 2N, which folds onto -N inside the retained band; M >= 3N+1 would
+be (the alias-free padding item of ROADMAP.md). The transforms take any
+M >= 2N+1.
 """
 
 from __future__ import annotations
@@ -28,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BlowUpError
-from .spectral import SpectralField, _embed, _extract, hermitize, modal_energy, wavenumbers
+from .spectral import SpectralField, _analyze_half, _full_plane, _synthesize, modal_energy, wavenumbers
 
 __all__ = [
     "SolverParams",
@@ -131,42 +145,37 @@ def damping_rates(params: SolverParams) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _workspace(params: SolverParams):
-    k1, k2, _ = wavenumbers(params.N)
-    return {
-        "k1": k1.astype(np.float64),
-        "k2": k2.astype(np.float64),
-        "damping": damping_rates(params),
-        "M": params.padded_grid,
-        "lam_max": float(np.max(damping_rates(params))),
-    }
-
-
-def _synthesize_padded(coeffs: np.ndarray, M: int) -> np.ndarray:
-    return np.real(np.fft.ifft2(_embed(coeffs, M), axes=(-2, -1))) * (M * M)
-
-
-def _rhs_coeffs(coeffs: np.ndarray, params: SolverParams) -> np.ndarray:
-    ws = _workspace(params)
+    """Read-only k2 >= 0 halves of the wavenumber and damping arrays."""
     N = params.N
+    k1, k2, ksq = wavenumbers(N)
+    damping = damping_rates(params)
+    halves = {
+        "k1": k1[:, N:].astype(np.float64),
+        "k2": k2[:, N:].astype(np.float64),
+        "inv_ksq": np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))[:, N:],
+        "damping": damping[:, N:],
+    }
+    for a in halves.values():
+        a.flags.writeable = False
+    return {**halves, "lam_max": float(np.max(damping))}
+
+
+def _rhs_half(half: np.ndarray, U: np.ndarray, params: SolverParams) -> np.ndarray:
+    """du/dt on the k2 >= 0 half plane, given U, the padded velocity grid of half."""
+    ws = _workspace(params)
     if params.enable_nonlinear:
-        M = ws["M"]
-        U = _synthesize_padded(coeffs, M)
-        flux = np.stack((U[0] * U[0], U[0] * U[1], U[1] * U[1]))
-        fhat = _extract(np.fft.fft2(flux, axes=(-2, -1)), N) / (M * M)
+        fhat = _analyze_half(np.stack((U[0] * U[0], U[0] * U[1], U[1] * U[1])), params.N)
         k1, k2 = ws["k1"], ws["k2"]
         div0 = 1j * (k1 * fhat[0] + k2 * fhat[1])
         div1 = 1j * (k1 * fhat[1] + k2 * fhat[2])
-        _, _, ksq = wavenumbers(N)
-        inv = np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))
-        kdot = (k1 * div0 + k2 * div1) * inv
-        out = np.empty_like(coeffs)
+        kdot = (k1 * div0 + k2 * div1) * ws["inv_ksq"]
+        out = np.empty_like(half)
         out[0] = -(div0 - k1 * kdot)
         out[1] = -(div1 - k2 * kdot)
-        out = hermitize(out)
     else:
-        out = np.zeros_like(coeffs)
-    out -= ws["damping"] * coeffs
-    out[:, N, N] = 0.0
+        out = np.zeros_like(half)
+    out -= ws["damping"] * half
+    out[:, params.N, 0] = 0.0
     return out
 
 
@@ -174,7 +183,25 @@ def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
     """Time derivative of the modal coefficients under the scheme."""
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    return SpectralField._wrap(params.N, _rhs_coeffs(u.coeffs, params))
+    half = u.coeffs[:, :, params.N :]
+    U = _synthesize(half, params.padded_grid)
+    return SpectralField._wrap(params.N, _full_plane(_rhs_half(half, U, params)))
+
+
+def _dt_bound(U: np.ndarray, params: SolverParams) -> float:
+    """adaptive_dt from U, the velocity on the padded grid."""
+    ws = _workspace(params)
+    candidates = []
+    if ws["lam_max"] > 0.0:
+        candidates.append(params.visc_safety * _RK3_REAL_STABILITY / ws["lam_max"])
+    if params.cfl > 0.0:
+        umax = float(np.sqrt(U[0] ** 2 + U[1] ** 2).max())
+        if umax > 0.0:
+            h = 2.0 * np.pi / (2 * params.N)
+            candidates.append(params.cfl * h / umax)
+    if not candidates:
+        raise ValueError("no finite step bound: zero damping and zero velocity")
+    return min(candidates)
 
 
 def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
@@ -187,29 +214,22 @@ def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    ws = _workspace(params)
-    candidates = []
-    if ws["lam_max"] > 0.0:
-        candidates.append(params.visc_safety * _RK3_REAL_STABILITY / ws["lam_max"])
-    if params.cfl > 0.0:
-        U = _synthesize_padded(u.coeffs, ws["M"])
-        umax = float(np.sqrt(U[0] ** 2 + U[1] ** 2).max())
-        if umax > 0.0:
-            h = 2.0 * np.pi / (2 * params.N)
-            candidates.append(params.cfl * h / umax)
-    if not candidates:
-        raise ValueError("no finite step bound: zero damping and zero velocity")
-    return min(candidates)
+    return _dt_bound(_synthesize(u.coeffs[:, :, params.N :], params.padded_grid), params)
 
 
-def _step_coeffs(coeffs: np.ndarray, dt: float, params: SolverParams) -> np.ndarray:
-    # Shu-Osher SSP-RK3.
-    u1 = coeffs + dt * _rhs_coeffs(coeffs, params)
-    u2 = 0.75 * coeffs + 0.25 * (u1 + dt * _rhs_coeffs(u1, params))
-    out = (coeffs + 2.0 * (u2 + dt * _rhs_coeffs(u2, params))) / 3.0
-    out = hermitize(out)
-    out[:, params.N, params.N] = 0.0
-    return out
+def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverParams) -> np.ndarray:
+    """One Shu-Osher SSP-RK3 step; U is the padded velocity grid of coeffs.
+
+    The stages run on the k2 >= 0 half plane; the result is rebuilt as an
+    exactly Hermitian array.
+    """
+    M = params.padded_grid
+    u0 = coeffs[:, :, params.N :]
+    u1 = u0 + dt * _rhs_half(u0, U, params)
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * _rhs_half(u1, _synthesize(u1, M), params))
+    out = (u0 + 2.0 * (u2 + dt * _rhs_half(u2, _synthesize(u2, M), params))) / 3.0
+    out[:, params.N, 0] = 0.0
+    return _full_plane(out)
 
 
 def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
@@ -218,7 +238,8 @@ def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    out = _step_coeffs(u.coeffs, dt, params)
+    U = _synthesize(u.coeffs[:, :, params.N :], params.padded_grid)
+    out = _step_coeffs(u.coeffs, U, dt, params)
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after time step")
     return SpectralField._wrap(params.N, out)
@@ -258,6 +279,8 @@ def evolve(
     output time in increasing order. Blow-ups raise BlowUpError carrying the
     failure time.
     """
+    if u0.N != params.N:
+        raise ValueError(f"field resolution {u0.N} does not match params.N={params.N}")
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     targets = sorted(set(float(t) for t in output_times))
@@ -274,25 +297,26 @@ def evolve(
             observer(0.0, u, ledger)
         pending.pop(0)
 
-    ws = _workspace(params)
-    damping = ws["damping"]
+    damping = damping_rates(params)
+    M = params.padded_grid
+    g = _dissipation_rate(u.coeffs, damping)
     while t < t_end:
-        dt = adaptive_dt(u, params)
+        # One synthesis per step: it bounds dt and is RK stage 1's velocity.
+        U = _synthesize(u.coeffs[:, :, params.N :], M)
         horizon = pending[0] if pending else t_end
-        dt = min(dt, horizon - t)
-        g_before = _dissipation_rate(u.coeffs, damping)
-        try:
-            u_new = step(u, dt, params)
-        except BlowUpError as err:
+        dt = min(_dt_bound(U, params), horizon - t)
+        coeffs = _step_coeffs(u.coeffs, U, dt, params)
+        if not np.all(np.isfinite(coeffs)):
             raise BlowUpError(
                 f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
                 time=t + dt,
-            ) from err
-        g_after = _dissipation_rate(u_new.coeffs, damping)
-        ledger.D += 0.5 * dt * (g_before + g_after)
-        ledger.E = modal_energy(u_new)
+            )
+        u = SpectralField._wrap(params.N, coeffs)
+        g_after = _dissipation_rate(coeffs, damping)
+        ledger.D += 0.5 * dt * (g + g_after)
+        g = g_after
+        ledger.E = modal_energy(u)
         t = t + dt
-        u = u_new
         ledger.history.append((t, ledger.E, ledger.D))
         if pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
             t = pending.pop(0)

@@ -15,6 +15,14 @@ Conventions used throughout the package:
   coeff(-k) = conj(coeff(k)); the k = 0 mode is pinned to zero
   (zero-mean fields, conservation of momentum).
 
+Transforms between modes and grids use one real-FFT path (numpy.fft with
+norm="forward") on the half plane k2 >= 0: _synthesize places the k2 >= 0
+modes at k1 mod M and applies a complex inverse FFT along x1 and a real
+one along x2; _analyze_half is the reverse, and _full_plane rebuilds the
+k2 < 0 half (and the k1 < 0 half of the k2 = 0 column) by conjugate
+symmetry, so analyzed coefficients are exactly Hermitian. Both accept any
+grid size M >= 2N+1; sample_at_grid folds modes first and so takes any M.
+
 All arithmetic is float64/complex128.
 """
 
@@ -146,21 +154,59 @@ class ScalarSpectralField:
         return complex(self.coeffs[self.N, self.N])
 
 
-def _embed(coeffs: np.ndarray, M: int) -> np.ndarray:
-    """Place modes |k|_inf <= N into an M-point DFT array (index k mod M)."""
-    N = (coeffs.shape[-1] - 1) // 2
-    out_shape = coeffs.shape[:-2] + (M, M)
-    out = np.zeros(out_shape, dtype=np.complex128)
-    idx = np.arange(-N, N + 1) % M
-    out[..., idx[:, None], idx[None, :]] = coeffs
+def _fold(a: np.ndarray, M: int, axis: int) -> np.ndarray:
+    """Sum the modes k = -N..N along axis into the slots k mod M of an M-point DFT axis.
+
+    For M >= 2N+1 no two modes share a slot and this is a plain embedding.
+    """
+    L = a.shape[axis]
+    N = (L - 1) // 2
+    shape = list(a.shape)
+    shape[axis] = M
+    out = np.zeros(shape, dtype=np.complex128)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    i = 0
+    while i < L:  # runs of consecutive slots, at most ceil(L/M) + 1 of them
+        r = (i - N) % M
+        n = min(L - i, M - r)
+        dst[r : r + n] += src[i : i + n]
+        i += n
     return out
 
 
-def _extract(dft: np.ndarray, N: int) -> np.ndarray:
-    """Inverse of _embed: read modes |k|_inf <= N out of an M-point DFT array."""
-    M = dft.shape[-1]
-    idx = np.arange(-N, N + 1) % M
-    return dft[..., idx[:, None], idx[None, :]]
+def _synthesize(half: np.ndarray, M: int) -> np.ndarray:
+    """Real values on the M x M grid of a Hermitian field given by its k2 >= 0 half.
+
+    half has shape (..., 2N+1, C): rows k1 = -N..N, which are folded onto
+    k1 mod M, and columns k2 = 0..C-1 with C <= M//2 + 1. The inverse
+    transform along x1 is complex, the one along x2 real, so the k2 < 0
+    half is implied by conjugate symmetry. Returns shape (..., M, M).
+    """
+    rows = _fold(half, M, -2)
+    np.fft.ifft(rows, axis=-2, norm="forward", out=rows)
+    return np.fft.irfft(rows, n=M, axis=-1, norm="forward")
+
+
+def _analyze_half(grid: np.ndarray, N: int) -> np.ndarray:
+    """Modes k1 = -N..N, k2 = 0..N of a real (..., M, M) grid, M >= 2N+1."""
+    M = grid.shape[-1]
+    cols = np.fft.rfft(grid, axis=-1, norm="forward")[..., : N + 1]
+    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    return np.concatenate((cols[..., M - N :, :], cols[..., : N + 1, :]), axis=-2)
+
+
+def _full_plane(half: np.ndarray) -> np.ndarray:
+    """The exactly Hermitian (..., 2N+1, 2N+1) array with the given k2 >= 0 half.
+
+    The k1 < 0 part of the k2 = 0 column is rebuilt (in half, in place)
+    from its k1 > 0 part and the mean mode made real; the k2 < 0 half
+    follows from coeff(-k) = conj(coeff(k)).
+    """
+    N = half.shape[-1] - 1
+    col = half[..., 0]
+    col[..., :N] = np.conj(col[..., :N:-1])
+    col[..., N] = col[..., N].real
+    return np.concatenate((np.conj(half[..., ::-1, :0:-1]), half), axis=-1)
 
 
 def to_physical(field: SpectralField, grid_points: int | None = None) -> np.ndarray:
@@ -172,15 +218,15 @@ def to_physical(field: SpectralField, grid_points: int | None = None) -> np.ndar
     M = 3 * field.N if grid_points is None else int(grid_points)
     if M < 2 * field.N + 1:
         raise ResolutionError(f"grid_points={M} < 2N+1={2 * field.N + 1}")
-    grid = np.fft.ifft2(_embed(field.coeffs, M), axes=(-2, -1)) * (M * M)
-    return np.ascontiguousarray(np.real(grid).transpose(1, 2, 0))
+    grid = _synthesize(field.coeffs[..., field.N :], M)
+    return np.ascontiguousarray(grid.transpose(1, 2, 0))
 
 
 def scalar_to_physical(field: ScalarSpectralField, grid_points: int | None = None) -> np.ndarray:
     M = 3 * field.N if grid_points is None else int(grid_points)
     if M < 2 * field.N + 1:
         raise ResolutionError(f"grid_points={M} < 2N+1={2 * field.N + 1}")
-    return np.real(np.fft.ifft2(_embed(field.coeffs, M)) * (M * M))
+    return _synthesize(field.coeffs[..., field.N :], M)
 
 
 def sample_at_grid(field: SpectralField, grid_points: int) -> np.ndarray:
@@ -193,13 +239,8 @@ def sample_at_grid(field: SpectralField, grid_points: int) -> np.ndarray:
     M = int(grid_points)
     if M < 1:
         raise ResolutionError("grid_points must be >= 1")
-    N = field.N
-    idx = np.arange(-N, N + 1) % M
-    folded = np.zeros((2, M, M), dtype=np.complex128)
-    for c in range(2):
-        np.add.at(folded[c], (idx[:, None], idx[None, :]), field.coeffs[c])
-    grid = np.fft.ifft2(folded, axes=(-2, -1)) * (M * M)
-    return np.ascontiguousarray(np.real(grid).transpose(1, 2, 0))
+    half = _fold(field.coeffs, M, -1)[..., : M // 2 + 1]
+    return np.ascontiguousarray(_synthesize(half, M).transpose(1, 2, 0))
 
 
 def _analyze(grid: np.ndarray, N: int) -> np.ndarray:
@@ -208,8 +249,7 @@ def _analyze(grid: np.ndarray, N: int) -> np.ndarray:
         raise ShapeError(f"grid must be square, got {grid.shape}")
     if M < 2 * N + 1:
         raise ResolutionError(f"grid size {M} cannot resolve modes up to N={N}")
-    dft = np.fft.fft2(grid, axes=(-2, -1)) / (M * M)
-    return hermitize(_extract(dft, N))
+    return _full_plane(_analyze_half(grid, N))
 
 
 def from_physical(grid: np.ndarray, N: int) -> SpectralField:

@@ -144,3 +144,50 @@ def bessel_j1_quadrature(x, panels=1, nodes=64):
         f = np.cos(theta[None, :] - np.outer(xx, np.sin(theta)))
         total += 0.5 * (b - a) * (f @ w)
     return total / np.pi
+
+
+def _complex_embed(coeffs, M):
+    """Full-plane M-point DFT array with mode k at (k1 mod M, k2 mod M), summing
+    modes that coincide (M < 2N+1 folds them)."""
+    N = (coeffs.shape[-1] - 1) // 2
+    out = np.zeros(coeffs.shape[:-2] + (M, M), dtype=complex)
+    idx = np.arange(-N, N + 1) % M
+    for i1, r1 in enumerate(idx):
+        for i2, r2 in enumerate(idx):
+            out[..., r1, r2] += coeffs[..., i1, i2]
+    return out
+
+
+def complex_synthesis(coeffs, M):
+    """Real part of the complex inverse FFT of the embedded modes, (..., M, M)."""
+    return np.real(np.fft.ifft2(_complex_embed(coeffs, M), axes=(-2, -1))) * (M * M)
+
+
+def complex_analysis(grid, N):
+    """Modes |k|_inf <= N of a real (..., M, M) grid by a complex FFT, hermitized."""
+    M = grid.shape[-1]
+    idx = np.arange(-N, N + 1) % M
+    dft = np.fft.fft2(grid, axes=(-2, -1)) / (M * M)
+    return hermitize(dft[..., idx[:, None], idx[None, :]])
+
+
+def complex_rhs(coeffs, params):
+    """The scheme's du/dt with complex FFTs on the full padded plane and a
+    Hermitian projection of the advection term."""
+    from eulerstat.solver import damping_rates
+
+    N, M = params.N, params.padded_grid
+    k1, k2, ksq = (a.astype(float) for a in wavenumbers(N))
+    out = np.zeros_like(coeffs)
+    if params.enable_nonlinear:
+        U = complex_synthesis(coeffs, M)
+        fhat = complex_analysis(np.stack((U[0] * U[0], U[0] * U[1], U[1] * U[1])), N)
+        div0 = 1j * (k1 * fhat[0] + k2 * fhat[1])
+        div1 = 1j * (k1 * fhat[1] + k2 * fhat[2])
+        kdot = (k1 * div0 + k2 * div1) * np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))
+        out[0] = -(div0 - k1 * kdot)
+        out[1] = -(div1 - k2 * kdot)
+        out = hermitize(out)
+    out -= damping_rates(params) * coeffs
+    out[:, N, N] = 0.0
+    return out

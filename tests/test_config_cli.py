@@ -223,6 +223,20 @@ def test_diagnose_no_flags_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["diagnose", *snaps]) == 2
 
 
+@pytest.mark.parametrize("cut", ["four_bytes", "truncated_body", "extended"])
+def test_diagnose_damaged_snapshot_exits_2(tmp_path, capsys, monkeypatch, cut):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, GOOD.replace("resolutions = 8 16", "resolutions = 8"))
+    assert main(["run", cfg]) == 0
+    path = tmp_path / "out" / "demo" / "demo_N0008_t00.euss"
+    raw = path.read_bytes()
+    path.write_bytes({"four_bytes": raw[:4], "truncated_body": raw[:-100], "extended": raw + b"x"}[cut])
+    capsys.readouterr()
+    assert main(["diagnose", str(path), "--structure"]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
 def test_full_pipeline_byte_determinism(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, GOOD)

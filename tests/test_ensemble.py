@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,34 @@ def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.euss"
     path.write_bytes(b"NOPE" + b"\x00" * 60)
     with pytest.raises(ValueError):
+        read_snapshot(path)
+
+
+def _damaged_copies(tmp_path):
+    rng = np.random.default_rng(3)
+    snap = snapshot_of([hermitian_random_field(4, rng) for _ in range(2)])
+    good = tmp_path / "good.euss"
+    write_snapshot(good, snap)
+    raw = good.read_bytes()
+    nan_body = bytearray(raw)
+    nan_body[48:56] = np.array([np.nan], dtype="<f8").tobytes()  # first sample, first real part
+    return {
+        "short": raw[:4],
+        "header_only": raw[:32],
+        "cut_in_seed": raw[:36],
+        "cut_in_body": raw[:-8],
+        "extended": raw + b"\x00",
+        "non_finite": bytes(nan_body),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["short", "header_only", "cut_in_seed", "cut_in_body", "extended", "non_finite"]
+)
+def test_read_rejects_damaged_file(tmp_path, kind):
+    path = tmp_path / f"{kind}.euss"
+    path.write_bytes(_damaged_copies(tmp_path)[kind])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
         read_snapshot(path)
 
 

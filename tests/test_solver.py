@@ -19,7 +19,7 @@ from eulerstat.spectral import (
     sobolev_norm,
     wavenumbers,
 )
-from oracles import band_limited_random_field
+from oracles import band_limited_random_field, complex_rhs, hermitian_random_field
 
 
 def single_mode_field(N, k, component, value):
@@ -83,6 +83,26 @@ def test_rhs_dissipation_at_2n():
 def test_rhs_resolution_mismatch():
     with pytest.raises(ValueError):
         rhs(SpectralField.zero(8), SolverParams(N=16))
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("extra", [0, 1])  # padded grid M = 3N (even) and 3N + 1 (odd)
+def test_rhs_matches_complex_fft_reference(N, extra):
+    p = SolverParams(N=N, dealias=(3 * N + extra) / (2 * N))
+    assert p.padded_grid == 3 * N + extra
+    u = hermitian_random_field(N, np.random.default_rng(N + extra), decay=0.0)  # full band
+    got = rhs(u, p).coeffs
+    ref = complex_rhs(u.coeffs, p)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(got, np.conj(got[:, ::-1, ::-1]))
+
+
+def test_step_output_is_exactly_hermitian():
+    N = 16
+    p = SolverParams(N=N)
+    u = hermitian_random_field(N, np.random.default_rng(10), decay=0.0)
+    v = step(u, 0.5 * adaptive_dt(u, p), p).coeffs
+    assert np.array_equal(v, np.conj(v[:, ::-1, ::-1]))
 
 
 def test_rhs_preserves_divergence_free():
@@ -181,6 +201,34 @@ def test_evolve_t_end_zero():
     u, ledger = evolve(u0, 0.0, SolverParams(N=12))
     assert np.array_equal(u.coeffs, u0.coeffs)
     assert ledger.E == ledger.E0 and ledger.D == 0.0
+
+
+def test_evolve_first_step_is_adaptive_dt():
+    # evolve takes max|u| from the stage-1 grid; the step must equal adaptive_dt bitwise
+    N = 16
+    p = SolverParams(N=N)
+    u0 = band_limited_random_field(N, 6, np.random.default_rng(11), amplitude=5.0)
+    dt = adaptive_dt(u0, p)
+    assert dt < 0.9 * 2.5 / np.max(damping_rates(p))  # the CFL bound is the active one
+    _, ledger = evolve(u0, 2.5 * dt, p)
+    assert ledger.history[1][0] == dt
+
+
+def test_evolve_rejects_resolution_mismatch():
+    u0 = band_limited_random_field(8, 4, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="does not match params.N"):
+        evolve(u0, 0.1, SolverParams(N=16))
+
+
+def test_evolve_blowup_reports_failure_time():
+    N = 8
+    c = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=complex)
+    c[0, N + 1, N] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(BlowUpError) as info:
+            evolve(SpectralField(N, c), 1.0, SolverParams(N=N))
+    assert info.value.time is not None and 0.0 < info.value.time <= 1.0
+    assert "blow-up at t=" in str(info.value)
 
 
 def test_evolve_hits_output_times_exactly():

@@ -21,7 +21,7 @@ from eulerstat.spectral import (
     vorticity,
     wavenumbers,
 )
-from oracles import hermitian_random_field
+from oracles import complex_analysis, complex_synthesis, hermitian_random_field
 
 
 def single_mode_field(N, k, component, value):
@@ -209,6 +209,34 @@ def test_sample_at_grid_matches_synthesis():
     full = to_physical(f, 30)
     sampled = sample_at_grid(f, 15)  # coarser than 2N+1: every other node of 30
     assert np.abs(sampled - full[::2, ::2, :]).max() < 1e-12
+
+
+@pytest.mark.parametrize("M", [17, 24, 25])
+def test_from_physical_matches_complex_fft_reference(M):
+    # an arbitrary real grid: its DFT is Hermitian only up to round-off
+    grid = np.random.default_rng(M).standard_normal((M, M, 2))
+    got = from_physical(grid, 8).coeffs
+    ref = complex_analysis(grid.transpose(2, 0, 1), 8)
+    ref[:, 8, 8] = 0.0
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(got, np.conj(got[:, ::-1, ::-1]))
+
+
+def test_scalar_from_physical_is_exactly_hermitian():
+    grid = np.random.default_rng(8).standard_normal((24, 24))
+    w = scalar_from_physical(grid, 8).coeffs
+    assert np.array_equal(w, np.conj(w[::-1, ::-1]))
+    assert w[8, 8].imag == 0.0
+
+
+@pytest.mark.parametrize("M", [1, 2, 4, 9, 16, 17, 24, 25])  # M < 2N+1 = 17 folds modes
+def test_synthesis_matches_complex_fft_reference(M):
+    f = hermitian_random_field(8, np.random.default_rng(M), decay=0.0)
+    ref = complex_synthesis(f.coeffs, M).transpose(1, 2, 0)
+    tol = 1e-13 * np.abs(ref).max()
+    assert np.abs(sample_at_grid(f, M) - ref).max() <= tol
+    if M >= 17:
+        assert np.abs(to_physical(f, M) - ref).max() <= tol
 
 
 def test_fields_are_immutable():
