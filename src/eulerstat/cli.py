@@ -241,6 +241,9 @@ def _snapshot_paths(cfg: ExperimentConfig, N: int):
 
 
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        _err(f"--workers must be >= 1, got {args.workers}")
+        return 2
     if os.path.isfile(args.config):
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -484,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment config or preset")
     p_run.add_argument("config", help="config file path or preset name")
     p_run.add_argument("--force", action="store_true", help="overwrite existing artifacts")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel sample workers")
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="parallel sample workers (>= 1; at most m are used)")
     p_run.add_argument("--large", action="store_true", help="lift desk-scale N/m caps")
     p_run.set_defaults(func=cmd_run)
 

@@ -12,11 +12,13 @@ Snapshot files use a fixed little-endian binary layout (magic "EUSS"):
 
     magic:4s  version:u32  N:u32  m:u32  time:f64  manifest_hash:u64
     then per sample: seed:u64, coefficients for k1 = -N..N (outer),
-    k2 = -N..N (inner), components 1 then 2, each as (f64 real, f64 imag).
+    k2 = -N..N (inner), components 1 then 2, each a little-endian complex128
+    (f64 real, f64 imag).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -45,6 +47,7 @@ FORMAT_VERSION = 1
 _MAGIC = b"EUSS"
 _HEADER = struct.Struct("<4sIIIdQ")
 _SEED = struct.Struct("<Q")
+_COEFF = np.dtype("<c16")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -104,19 +107,17 @@ class EnsembleSnapshot:
         return len(self.fields)
 
 
-def _evolve_one(args):
-    spec, solver, sample_index, output_times = args
+def _evolve_one(task):
+    """Evolve one sample; return (index, fields, ledger history) or its BlowUpError."""
+    spec, solver, sample_index, output_times = task
     u0 = generate_sample(spec, sample_index)
-    collected = {}
-
-    def observer(t, u, ledger):
-        collected[t] = u.coeffs
-
+    fields = []
     try:
-        _, ledger = evolve(u0, output_times[-1], solver, output_times=output_times, observer=observer)
+        _, ledger = evolve(u0, output_times[-1], solver, output_times=output_times,
+                           observer=lambda t, u, ledger: fields.append(u))
     except BlowUpError as err:
-        raise BlowUpError(str(err), time=err.time, sample_index=sample_index) from None
-    return sample_index, [collected[t] for t in output_times], ledger.history
+        return BlowUpError(str(err), time=err.time, sample_index=sample_index)
+    return sample_index, fields, ledger.history
 
 
 def run_ensemble(
@@ -128,64 +129,50 @@ def run_ensemble(
 ):
     """Run the full ensemble; return one EnsembleSnapshot per output time.
 
-    Samples are indexed 1..m. With tolerate_failures, samples whose
-    trajectories blow up are dropped (the snapshot's m shrinks and its
-    sample_seeds show which survived); otherwise the first failure aborts
-    the run with a BlowUpError carrying the sample index. energy_out, when
-    given a dict, receives the per-step (t, E, D) ledger history per sample.
+    Samples are indexed 1..m and evolved in this process, or in a pool of
+    min(workers, m) processes; results are taken in sample order either way.
+    With tolerate_failures, samples whose trajectories blow up are dropped
+    (the snapshot's m shrinks and its sample_seeds show which survived);
+    otherwise the first failure raises its BlowUpError, carrying the sample
+    index, and cancels the samples still queued. energy_out, when given a
+    dict, receives the per-step (t, E, D) ledger history per sample.
     """
     tasks = [
         (manifest.spec, manifest.solver, i, manifest.output_times)
         for i in range(1, manifest.m + 1)
     ]
-    results = {}
-    failures = []
-
-    def record(outcome_index, coeff_list, history):
-        results[outcome_index] = coeff_list
-        if energy_out is not None:
-            energy_out[outcome_index] = history
-
-    if workers <= 1:
-        for task in tasks:
-            try:
-                i, coeff_list, history = _evolve_one(task)
-            except BlowUpError as err:
+    workers = min(workers, manifest.m)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    seeds, per_sample = [], []
+    try:
+        outcomes = pool.map(_evolve_one, tasks) if pool else map(_evolve_one, tasks)
+        for outcome in outcomes:
+            if isinstance(outcome, BlowUpError):
                 if not tolerate_failures:
-                    raise
-                failures.append(err.sample_index)
+                    raise outcome
                 continue
-            record(i, coeff_list, history)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_evolve_one, task) for task in tasks]
-            for fut in futures:
-                try:
-                    i, coeff_list, history = fut.result()
-                except BlowUpError as err:
-                    if not tolerate_failures:
-                        raise
-                    failures.append(err.sample_index)
-                    continue
-                record(i, coeff_list, history)
+            i, fields, history = outcome
+            seeds.append(i)
+            per_sample.append(fields)
+            if energy_out is not None:
+                energy_out[i] = history
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    surviving = sorted(results)
-    if not surviving:
+    if not seeds:
         raise BlowUpError("all samples failed", sample_index=None)
-    snapshots = []
-    for j, t in enumerate(manifest.output_times):
-        fields = [SpectralField(manifest.spec.N, results[i][j]) for i in surviving]
-        snapshots.append(
-            EnsembleSnapshot(
-                time=t,
-                N=manifest.spec.N,
-                fields=fields,
-                sample_seeds=list(surviving),
-                params=manifest.solver,
-                manifest_hash=manifest_hash,
-            )
+    return [
+        EnsembleSnapshot(
+            time=t,
+            N=manifest.spec.N,
+            fields=list(fields),
+            sample_seeds=list(seeds),
+            params=manifest.solver,
+            manifest_hash=manifest_hash,
         )
-    return snapshots
+        for t, fields in zip(manifest.output_times, zip(*per_sample))
+    ]
 
 
 def mean_field(snapshot: EnsembleSnapshot) -> SpectralField:
@@ -214,26 +201,32 @@ def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -
 
 
 def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
-    """Serialize a snapshot in the EUSS binary layout (bit-exact round trip)."""
-    K = 2 * snapshot.N + 1
-    with open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                FORMAT_VERSION,
-                snapshot.N,
-                snapshot.m,
-                float(snapshot.time),
-                snapshot.manifest_hash,
+    """Serialize a snapshot in the EUSS binary layout (bit-exact round trip).
+
+    The file is written beside path as path + ".tmp" and renamed into place,
+    so path holds either its previous content or the complete snapshot.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(
+                _HEADER.pack(
+                    _MAGIC,
+                    FORMAT_VERSION,
+                    snapshot.N,
+                    snapshot.m,
+                    float(snapshot.time),
+                    snapshot.manifest_hash,
+                )
             )
-        )
-        for seed, f in zip(snapshot.sample_seeds, snapshot.fields):
-            fh.write(_SEED.pack(int(seed)))
-            block = np.empty((K, K, 2, 2), dtype="<f8")
-            arr = f.coeffs.transpose(1, 2, 0)  # (k1, k2, component)
-            block[..., 0] = arr.real
-            block[..., 1] = arr.imag
-            fh.write(block.tobytes())
+            for seed, f in zip(snapshot.sample_seeds, snapshot.fields):
+                fh.write(_SEED.pack(int(seed)))
+                fh.write(np.ascontiguousarray(f.coeffs.transpose(1, 2, 0), dtype=_COEFF))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
@@ -255,7 +248,7 @@ def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
         if not math.isfinite(time):
             raise ValueError(f"{path}: non-finite time {time!r}")
         K = 2 * N + 1
-        body = K * K * 2 * 2 * 8
+        body = K * K * 2 * _COEFF.itemsize
         size = os.fstat(fh.fileno()).st_size
         expected = _HEADER.size + m * (_SEED.size + body)
         if size != expected:
@@ -265,13 +258,10 @@ def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
         for _ in range(m):
             (seed,) = _SEED.unpack(fh.read(_SEED.size))
             seeds.append(seed)
-            raw = np.frombuffer(fh.read(body), dtype="<f8").reshape(K, K, 2, 2)
+            raw = np.frombuffer(fh.read(body), dtype=_COEFF).reshape(K, K, 2)
             if not np.all(np.isfinite(raw)):
                 raise ValueError(f"{path}: non-finite coefficients in sample {seed}")
-            coeffs = np.ascontiguousarray(
-                (raw[..., 0] + 1j * raw[..., 1]).transpose(2, 0, 1)
-            )
-            fields.append(SpectralField(N, coeffs))
+            fields.append(SpectralField._wrap(N, raw.transpose(2, 0, 1).copy()))
     return EnsembleSnapshot(
         time=time,
         N=N,

@@ -76,7 +76,6 @@ class InitialMeasureSpec:
     hurst : Hurst index in (0, 1) (fbm)
     sigma0 : root displacement scale of the fbm construction
     base_seed : 64-bit seed of the family; sample i uses stream (base_seed, i)
-    grid_points : synthesis grid used to sample the generator (default 3N)
     """
 
     family: str
@@ -89,7 +88,6 @@ class InitialMeasureSpec:
     hurst: float = 0.5
     sigma0: float = 1.0
     base_seed: int = 0
-    grid_points: int | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -104,10 +102,6 @@ class InitialMeasureSpec:
             raise ValueError("fbm requires 0 < hurst < 1")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-
-    @property
-    def synthesis_grid(self) -> int:
-        return 3 * self.N if self.grid_points is None else int(self.grid_points)
 
 
 @dataclass(frozen=True)
@@ -157,7 +151,7 @@ def flat_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralFi
         raise ValueError(f"spec.family is {spec.family!r}, not 'flat_sheet'")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
-    M = spec.synthesis_grid
+    M = 3 * spec.N
     xi = np.arange(M) / M
     shift = perturbation(draw, xi)                       # per x1 column
     x2_shifted = xi[None, :] + shift[:, None]            # (x1, x2)
@@ -239,7 +233,7 @@ def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> Spec
         raise ValueError("sinusoidal sheet requires rho > 0")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
-    M = spec.synthesis_grid
+    M = 3 * spec.N
     omega = scalar_from_physical(_sheet_vorticity_grid(spec, M), spec.N)
     base = velocity_from_vorticity(omega)
     xi = np.arange(M) / M
@@ -341,13 +335,13 @@ def fbm_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
     return leray_project(from_physical(grid, N))
 
 
-def taylor_green_field(N: int, grid_points: int | None = None) -> SpectralField:
+def taylor_green_field(N: int) -> SpectralField:
     """Stationary vortex array u = (sin x1 cos x2, -cos x1 sin x2).
 
     A steady solution of the 2D Euler equations (its advection term is a
     pure gradient), used as a deterministic solver check.
     """
-    M = 3 * N if grid_points is None else int(grid_points)
+    M = 3 * N
     x = 2.0 * np.pi * np.arange(M) / M
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     grid = np.stack((np.sin(X1) * np.cos(X2), -np.cos(X1) * np.sin(X2)), axis=-1)
@@ -355,7 +349,7 @@ def taylor_green_field(N: int, grid_points: int | None = None) -> SpectralField:
 
 
 def _taylor_green_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
-    return taylor_green_field(spec.N, spec.synthesis_grid)
+    return taylor_green_field(spec.N)
 
 
 _GENERATORS = {

@@ -109,6 +109,10 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
+    def __reduce__(self):
+        # Rebuild through __post_init__ so that unpickled coefficients are read-only.
+        return (SpectralField, (self.N, self.coeffs))
+
     @classmethod
     def _wrap(cls, N: int, coeffs: np.ndarray) -> "SpectralField":
         """Internal fast path: take ownership of a freshly built array."""

@@ -129,6 +129,15 @@ def test_run_desk_cap(tmp_path, capsys, monkeypatch):
     assert "--large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, GOOD)
+    assert main(["run", cfg, "--workers", workers]) == 2
+    assert "--workers must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_produces_artifacts_and_respects_force(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(tmp_path, GOOD)

@@ -1,4 +1,6 @@
+import multiprocessing
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +21,18 @@ from eulerstat.initial import InitialMeasureSpec, generate_sample
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import SpectralField, l2_norm, sample_at_grid
 from oracles import hermitian_random_field
+
+
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="monkeypatched generators reach pool workers only under fork",
+)
+
+
+def blown_up(spec):
+    """A field whose first step overflows, so evolve raises BlowUpError."""
+    c = np.full((2, 2 * spec.N + 1, 2 * spec.N + 1), 1e300, dtype=complex)
+    return SpectralField(spec.N, c)
 
 
 def small_manifest(N=12, m=3, family="fbm", times=(0.0, 0.05), **spec_kw):
@@ -72,6 +86,7 @@ def test_run_deterministic_across_runs_and_workers():
         for f1, f2, f3 in zip(s1.fields, s2.fields, s3.fields):
             assert np.array_equal(f1.coeffs, f2.coeffs)
             assert np.array_equal(f1.coeffs, f3.coeffs)
+            assert not f3.coeffs.flags.writeable
 
 
 def test_run_energy_decays_per_sample():
@@ -91,23 +106,62 @@ def test_run_records_energy_history():
     assert t == 0.0 and d == 0.0 and e > 0
 
 
-def test_failed_sample_policy(monkeypatch):
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_failed_sample_policy(monkeypatch, workers):
     manifest = small_manifest(m=3)
     real = generate_sample
 
     def exploding(spec, i):
-        if i == 2:
-            c = np.full((2, 2 * spec.N + 1, 2 * spec.N + 1), 1e300, dtype=complex)
-            return SpectralField(spec.N, c)
-        return real(spec, i)
+        return blown_up(spec) if i == 2 else real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", exploding)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            run_ensemble(manifest)
+            run_ensemble(manifest, workers=workers)
         assert err.value.sample_index == 2
-        snaps = run_ensemble(manifest, tolerate_failures=True)
+        snaps = run_ensemble(manifest, workers=workers, tolerate_failures=True)
     assert snaps[0].m == 2 and snaps[0].sample_seeds == [1, 3]
+
+
+@needs_fork
+def test_pooled_blow_up_cancels_queued_samples(monkeypatch, tmp_path):
+    m = 40
+    manifest = small_manifest(N=16, m=m, family="flat_sheet", rho=0.1, delta=0.025,
+                              times=(0.0, 0.4))
+    real = generate_sample
+
+    def marking(spec, i):
+        (tmp_path / f"started_{i}").touch()
+        return blown_up(spec) if i == 1 else real(spec, i)
+
+    monkeypatch.setattr(ens, "generate_sample", marking)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BlowUpError) as err:
+            run_ensemble(manifest, workers=2)
+    assert err.value.sample_index == 1
+    assert len(list(tmp_path.glob("started_*"))) < m // 2
+
+
+@pytest.mark.parametrize("m, workers, pool", [(3, 64, 3), (1, 64, None), (3, 2, 2)])
+def test_pool_size_capped_at_sample_count(monkeypatch, m, workers, pool):
+    created = []
+
+    class InProcessPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(ens, "ProcessPoolExecutor", InProcessPool)
+    snaps = run_ensemble(small_manifest(m=m, times=(0.0,)), workers=workers)
+    assert created == ([] if pool is None else [pool])
+    assert snaps[0].sample_seeds == list(range(1, m + 1))
 
 
 def test_mean_field_cases():
@@ -179,6 +233,19 @@ def test_snapshot_component_order(tmp_path):
     body = np.frombuffer(path.read_bytes()[40:], dtype="<f8").reshape(3, 3, 2, 2)
     assert body[2, 1, 0, 0] == 1.0 and body[2, 1, 0, 1] == 2.0
     assert body[2, 1, 1, 0] == 3.0 and body[2, 1, 1, 1] == -4.0
+
+
+def test_failed_write_leaves_existing_snapshot_intact(tmp_path):
+    rng = np.random.default_rng(4)
+    path = tmp_path / "snap.euss"
+    write_snapshot(path, snapshot_of([hermitian_random_field(4, rng)]))
+    before = path.read_bytes()
+    bad = snapshot_of([hermitian_random_field(4, rng) for _ in range(2)])
+    bad.sample_seeds[1] = -1  # not packable as u64
+    with pytest.raises(struct.error):
+        write_snapshot(path, bad)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.euss"]
 
 
 def test_read_rejects_bad_magic(tmp_path):
