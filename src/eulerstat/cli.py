@@ -245,8 +245,12 @@ def cmd_run(args) -> int:
         _err(f"--workers must be >= 1, got {args.workers}")
         return 2
     if os.path.isfile(args.config):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            _err(f"cannot read config {args.config!r}: {exc}")
+            return 2
     elif args.config in PRESETS:
         text = PRESETS[args.config]
     else:
@@ -262,8 +266,9 @@ def cmd_run(args) -> int:
     if env_seed is not None:
         try:
             cfg.base_seed = int(env_seed)
-        except ValueError:
-            _err(f"EULER_STAT_SEED must be an integer, got {env_seed!r}")
+            cfg.check()
+        except ValueError as exc:
+            _err(f"EULER_STAT_SEED={env_seed!r}: {exc}")
             return 2
 
     if not args.large:
@@ -461,17 +466,19 @@ def cmd_diagnose(args) -> int:
 def cmd_presets(_args) -> int:
     for name in sorted(PRESETS):
         cfg = parse_config(PRESETS[name])
+        spec = cfg.initial_spec(cfg.resolutions[0])
+        params = cfg.solver_params(cfg.resolutions[0])
         kind, x = cfg.rho_rule
         rho = f"{x:g}/N" if kind == "over_n" else f"{x:g}"
         samples = "N" if cfg.samples_rule[0] == "match_n" else str(cfg.samples_rule[1])
         extras = ""
         if cfg.family == "fbm":
-            extras = f" hurst={cfg.hurst:g}"
+            extras = f" hurst={spec.hurst:g}"
         if cfg.family == "sinusoidal_sheet":
-            extras = f" d={cfg.d:g} Q={cfg.quad_points}"
+            extras = f" d={spec.d:g} Q={spec.quad_points}"
         print(
-            f"{name}: family={cfg.family} rho={rho} delta={cfg.delta:g}{extras} "
-            f"eps={cfg.eps:g} N={','.join(str(n) for n in cfg.resolutions)} "
+            f"{name}: family={cfg.family} rho={rho} delta={spec.delta:g}{extras} "
+            f"eps={params.eps:g} N={','.join(str(n) for n in cfg.resolutions)} "
             f"m={samples} times={','.join(f'{t:g}' for t in cfg.output_times)}"
         )
     return 0

@@ -3,7 +3,11 @@
 Flat UTF-8 key-value format: `[section]` headers, `key = value` lines,
 `#` comments. Sections: [experiment], [initial], [solver], [run],
 [diagnostics]. Values that may scale with resolution (rho, samples) accept
-the forms `<float>/N` and `N`.
+the forms `<float>/N` and `N`. Unknown and repeated keys are rejected.
+
+The [initial] and [solver] parameters are declared once, in the key tables
+below; their defaults and range checks belong to InitialMeasureSpec and
+SolverParams, which parse_config builds for every resolution.
 
 Example::
 
@@ -32,9 +36,10 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
-from .initial import FAMILIES, InitialMeasureSpec
+from .initial import InitialMeasureSpec
 from .solver import SolverParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "canonical_manifest_text"]
@@ -48,106 +53,14 @@ class ConfigError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_KNOWN_SECTIONS = ("experiment", "initial", "solver", "run", "diagnostics")
-
-_DIAG_KEYS = ("structure", "spectrum", "wasserstein", "cauchy", "mean_variance", "time_regularity")
-
-
-@dataclass
-class ExperimentConfig:
-    """Parsed experiment description, before per-resolution resolution."""
-
-    name: str = "experiment"
-    base_seed: int = 0
-    output_dir: str = "out"
-    family: str = "flat_sheet"
-    rho_rule: tuple = ("const", 0.0)     # ("const", x) or ("over_n", x) for x/N
-    delta: float = 0.0
-    q: int = 10
-    d: float = 0.2
-    quad_points: int = 400
-    hurst: float = 0.5
-    sigma0: float = 1.0
-    s: int = 1
-    eps: float = 1.0 / 20.0
-    multiplier: str = "standard"
-    theta: float | None = None
-    m_n: float | None = None
-    cfl: float = 0.5
-    visc_safety: float = 0.9
-    dealias: float = 1.5
-    resolutions: tuple = (64,)
-    samples_rule: tuple = ("match_n",)   # ("match_n",) or ("fixed", m)
-    output_times: tuple = (0.0,)
-    tolerate_failures: bool = False
-    diagnostics: dict = dataclass_field(default_factory=dict)
-
-    def rho(self, N: int) -> float:
-        kind, x = self.rho_rule
-        return x / N if kind == "over_n" else x
-
-    def samples(self, N: int) -> int:
-        return N if self.samples_rule[0] == "match_n" else int(self.samples_rule[1])
-
-    def initial_spec(self, N: int) -> InitialMeasureSpec:
-        return InitialMeasureSpec(
-            family=self.family,
-            N=N,
-            rho=self.rho(N),
-            delta=self.delta,
-            q=self.q,
-            d=self.d,
-            quad_points=self.quad_points,
-            hurst=self.hurst,
-            sigma0=self.sigma0,
-            base_seed=self.base_seed,
-        )
-
-    def solver_params(self, N: int) -> SolverParams:
-        return SolverParams(
-            N=N,
-            s=self.s,
-            eps=self.eps,
-            m_n=self.m_n,
-            multiplier=self.multiplier,
-            theta=self.theta,
-            cfl=self.cfl,
-            visc_safety=self.visc_safety,
-            dealias=self.dealias,
-        )
-
-
-def _parse_sections(text: str):
-    sections = {}
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip().lower()
-            if current not in _KNOWN_SECTIONS:
-                raise ConfigError(f"unknown section [{current}]", lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
-        if current is None:
-            raise ConfigError("key outside any [section]", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        sections[current][key.lower()] = (value, lineno)
-    return sections
-
-
-def _get(sections, section, key, default=None):
-    return sections.get(section, {}).get(key, (default, None))
-
-
 def _as_float(value, line, key):
     try:
-        return float(value)
+        x = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}", line) from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be finite, got {value!r}", line)
+    return x
 
 
 def _as_int(value, line, key):
@@ -155,6 +68,10 @@ def _as_int(value, line, key):
         return int(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {value!r}", line) from None
+
+
+def _as_str(value, line, key):
+    return value
 
 
 def _as_bool(value, line, key):
@@ -166,76 +83,153 @@ def _as_bool(value, line, key):
     raise ConfigError(f"{key} must be on/off, got {value!r}", line)
 
 
+# (config key, InitialMeasureSpec / SolverParams field, parser), in manifest order.
+_INITIAL_KEYS = (
+    ("delta", "delta", _as_float),
+    ("q", "q", _as_int),
+    ("d", "d", _as_float),
+    ("quadrature_points", "quad_points", _as_int),
+    ("hurst", "hurst", _as_float),
+    ("sigma0", "sigma0", _as_float),
+)
+_SOLVER_KEYS = (
+    ("s", "s", _as_int),
+    ("eps", "eps", _as_float),
+    ("multiplier", "multiplier", _as_str),
+    ("theta", "theta", _as_float),
+    ("m_n", "m_n", _as_float),
+    ("cfl", "cfl", _as_float),
+    ("visc_safety", "visc_safety", _as_float),
+    ("dealias", "dealias", _as_float),
+)
+
+_DIAG_KEYS = ("structure", "spectrum", "wasserstein", "cauchy", "mean_variance", "time_regularity")
+
+_KEYS = {
+    "experiment": ("name", "base_seed", "output_dir"),
+    "initial": ("family", "rho", *(key for key, _, _ in _INITIAL_KEYS)),
+    "solver": tuple(key for key, _, _ in _SOLVER_KEYS),
+    "run": ("resolutions", "samples", "output_times", "tolerate_failures"),
+    "diagnostics": _DIAG_KEYS,
+}
+
+
+@dataclass
+class ExperimentConfig:
+    """Parsed experiment description, before per-resolution resolution.
+
+    `initial` and `solver` hold the InitialMeasureSpec and SolverParams
+    fields the config sets; every other field keeps its dataclass default.
+    """
+
+    name: str = "experiment"
+    base_seed: int = 0
+    output_dir: str = "out"
+    family: str = "flat_sheet"
+    rho_rule: tuple = ("const", 0.0)     # ("const", x) or ("over_n", x) for x/N
+    resolutions: tuple = (64,)
+    samples_rule: tuple = ("match_n",)   # ("match_n",) or ("fixed", m)
+    output_times: tuple = (0.0,)
+    tolerate_failures: bool = False
+    diagnostics: dict = dataclass_field(default_factory=dict)
+    initial: dict = dataclass_field(default_factory=dict)
+    solver: dict = dataclass_field(default_factory=dict)
+
+    def rho(self, N: int) -> float:
+        kind, x = self.rho_rule
+        return x / N if kind == "over_n" else x
+
+    def samples(self, N: int) -> int:
+        return N if self.samples_rule[0] == "match_n" else int(self.samples_rule[1])
+
+    def initial_spec(self, N: int) -> InitialMeasureSpec:
+        return InitialMeasureSpec(
+            family=self.family, N=N, rho=self.rho(N), base_seed=self.base_seed, **self.initial
+        )
+
+    def solver_params(self, N: int) -> SolverParams:
+        return SolverParams(N=N, **self.solver)
+
+    def check(self, family_line=None) -> None:
+        """Build the spec and params of every resolution.
+
+        Raises ConfigError naming the first N whose values are out of range;
+        initial-data errors are anchored to `family_line`.
+        """
+        for N in self.resolutions:
+            try:
+                self.initial_spec(N)
+            except ValueError as exc:
+                raise ConfigError(f"N={N}: {exc}", family_line) from None
+            try:
+                self.solver_params(N)
+            except ValueError as exc:
+                raise ConfigError(f"N={N}: {exc}") from None
+
+
+def _parse_sections(text: str):
+    sections = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip().lower()
+            if current not in _KEYS:
+                raise ConfigError(f"unknown section [{current}]", lineno)
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
+        if current is None:
+            raise ConfigError("key outside any [section]", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in _KEYS[current]:
+            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
+        if key in sections[current]:
+            first = sections[current][key][1]
+            raise ConfigError(f"duplicate key {key!r} in [{current}] (first on line {first})", lineno)
+        sections[current][key] = (value, lineno)
+    return sections
+
+
+def _get(sections, section, key, default=None):
+    return sections.get(section, {}).get(key, (default, None))
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a config file; raise ConfigError with line anchors."""
     sections = _parse_sections(text)
     cfg = ExperimentConfig()
 
-    value, line = _get(sections, "experiment", "name")
-    if value is not None:
-        cfg.name = value
-    value, line = _get(sections, "experiment", "base_seed")
-    if value is not None:
-        cfg.base_seed = _as_int(value, line, "base_seed")
-    value, line = _get(sections, "experiment", "output_dir")
-    if value is not None:
-        cfg.output_dir = value
+    for key, parse in (("name", _as_str), ("base_seed", _as_int), ("output_dir", _as_str)):
+        value, line = _get(sections, "experiment", key)
+        if value is not None:
+            setattr(cfg, key, parse(value, line, key))
 
-    value, line = _get(sections, "initial", "family")
+    value, family_line = _get(sections, "initial", "family")
     if value is not None:
-        fam = value.strip().lower()
-        if fam not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {value!r}", line)
-        cfg.family = fam
+        cfg.family = value.lower()
     value, line = _get(sections, "initial", "rho")
     if value is not None:
-        v = value.strip()
-        if v.endswith("/N"):
-            cfg.rho_rule = ("over_n", _as_float(v[:-2], line, "rho"))
+        if value.endswith("/N"):
+            cfg.rho_rule = ("over_n", _as_float(value[:-2], line, "rho"))
         else:
-            cfg.rho_rule = ("const", _as_float(v, line, "rho"))
-    for key, attr, conv in (
-        ("delta", "delta", _as_float),
-        ("d", "d", _as_float),
-        ("hurst", "hurst", _as_float),
-        ("sigma0", "sigma0", _as_float),
+            cfg.rho_rule = ("const", _as_float(value, line, "rho"))
+    for section, table, values in (
+        ("initial", _INITIAL_KEYS, cfg.initial),
+        ("solver", _SOLVER_KEYS, cfg.solver),
     ):
-        value, line = _get(sections, "initial", key)
-        if value is not None:
-            setattr(cfg, attr, conv(value, line, key))
-    value, line = _get(sections, "initial", "q")
-    if value is not None:
-        cfg.q = _as_int(value, line, "q")
-    value, line = _get(sections, "initial", "quadrature_points")
-    if value is not None:
-        cfg.quad_points = _as_int(value, line, "quadrature_points")
-
-    for key, attr, conv in (
-        ("eps", "eps", _as_float),
-        ("cfl", "cfl", _as_float),
-        ("visc_safety", "visc_safety", _as_float),
-        ("dealias", "dealias", _as_float),
-        ("theta", "theta", _as_float),
-        ("m_n", "m_n", _as_float),
-    ):
-        value, line = _get(sections, "solver", key)
-        if value is not None:
-            setattr(cfg, attr, conv(value, line, key))
-    value, line = _get(sections, "solver", "s")
-    if value is not None:
-        cfg.s = _as_int(value, line, "s")
-    value, line = _get(sections, "solver", "multiplier")
-    if value is not None:
-        if value not in ("standard", "power"):
-            raise ConfigError(f"multiplier must be standard or power, got {value!r}", line)
-        cfg.multiplier = value
+        for key, attr, parse in table:
+            value, line = _get(sections, section, key)
+            if value is not None:
+                values[attr] = parse(value, line, key)
 
     value, line = _get(sections, "run", "resolutions")
     if value is not None:
-        try:
-            res = tuple(int(tok) for tok in value.split())
-        except ValueError:
-            raise ConfigError(f"resolutions must be integers, got {value!r}", line) from None
+        res = tuple(_as_int(tok, line, "resolutions") for tok in value.split())
         if not res:
             raise ConfigError("resolutions must not be empty", line)
         if any(b <= a for a, b in zip(res, res[1:])):
@@ -245,20 +239,16 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.resolutions = res
     value, line = _get(sections, "run", "samples")
     if value is not None:
-        v = value.strip()
-        if v.upper() == "N":
+        if value.upper() == "N":
             cfg.samples_rule = ("match_n",)
         else:
-            m = _as_int(v, line, "samples")
+            m = _as_int(value, line, "samples")
             if m < 1:
                 raise ConfigError("samples must be >= 1", line)
             cfg.samples_rule = ("fixed", m)
     value, line = _get(sections, "run", "output_times")
     if value is not None:
-        try:
-            times = tuple(float(tok) for tok in value.split())
-        except ValueError:
-            raise ConfigError(f"output_times must be numbers, got {value!r}", line) from None
+        times = tuple(_as_float(tok, line, "output_times") for tok in value.split())
         if not times or times[0] < 0 or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError("output_times must be nonnegative and strictly increasing", line)
         cfg.output_times = times
@@ -266,10 +256,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if value is not None:
         cfg.tolerate_failures = _as_bool(value, line, "tolerate_failures")
 
-    for key in sections.get("diagnostics", {}):
-        if key not in _DIAG_KEYS:
-            _, line = sections["diagnostics"][key]
-            raise ConfigError(f"unknown diagnostic {key!r}", line)
     for key in ("structure", "cauchy", "mean_variance"):
         value, line = _get(sections, "diagnostics", key)
         if value is not None and _as_bool(value, line, key):
@@ -287,17 +273,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if value is not None:
         cfg.diagnostics["time_regularity"] = _as_float(value, line, "time_regularity")
 
-    # family-specific sanity, anchored to the family line when possible
-    _, fam_line = _get(sections, "initial", "family")
-    if cfg.family == "sinusoidal_sheet":
-        if cfg.rho_rule == ("const", 0.0):
-            raise ConfigError("sinusoidal_sheet requires rho > 0 (e.g. rho = 5/N)", fam_line)
-    if cfg.family == "fbm" and not 0.0 < cfg.hurst < 1.0:
-        raise ConfigError("fbm requires 0 < hurst < 1", fam_line)
+    cfg.check(family_line)
     return cfg
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "default"
     if isinstance(x, float):
         return f"{x:.17g}"
     return str(x)
@@ -307,35 +289,25 @@ def canonical_manifest_text(cfg: ExperimentConfig, N: int, prng_id: str, version
     """Resolved, canonically ordered manifest for one resolution.
 
     This text is what snapshot files fingerprint (FNV-1a 64); it records
-    every parameter the run depended on, including the PRNG algorithm.
+    every parameter the run depended on, read from the InitialMeasureSpec
+    and SolverParams the run uses, including the PRNG algorithm.
     """
+    spec, params = cfg.initial_spec(N), cfg.solver_params(N)
     kind, x = cfg.rho_rule
     lines = [
         "[experiment]",
         f"name = {cfg.name}",
-        f"base_seed = {cfg.base_seed}",
+        f"base_seed = {spec.base_seed}",
         "",
         "[initial]",
-        f"family = {cfg.family}",
-        f"rho = {_fmt(cfg.rho(N))}",
+        f"family = {spec.family}",
+        f"rho = {_fmt(spec.rho)}",
         f"rho_rule = {_fmt(x)}{'/N' if kind == 'over_n' else ''}",
-        f"delta = {_fmt(cfg.delta)}",
-        f"q = {cfg.q}",
-        f"d = {_fmt(cfg.d)}",
-        f"quadrature_points = {cfg.quad_points}",
-        f"hurst = {_fmt(cfg.hurst)}",
-        f"sigma0 = {_fmt(cfg.sigma0)}",
+        *(f"{key} = {_fmt(getattr(spec, attr))}" for key, attr, _ in _INITIAL_KEYS),
         "",
         "[solver]",
-        f"n = {N}",
-        f"s = {cfg.s}",
-        f"eps = {_fmt(cfg.eps)}",
-        f"multiplier = {cfg.multiplier}",
-        f"theta = {_fmt(cfg.theta) if cfg.theta is not None else 'default'}",
-        f"m_n = {_fmt(cfg.m_n) if cfg.m_n is not None else 'default'}",
-        f"cfl = {_fmt(cfg.cfl)}",
-        f"visc_safety = {_fmt(cfg.visc_safety)}",
-        f"dealias = {_fmt(cfg.dealias)}",
+        f"n = {params.N}",
+        *(f"{key} = {_fmt(getattr(params, attr))}" for key, attr, _ in _SOLVER_KEYS),
         "",
         "[run]",
         f"samples = {cfg.samples(N)}",

@@ -102,6 +102,12 @@ class InitialMeasureSpec:
             raise ValueError("fbm requires 0 < hurst < 1")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
+        if self.q < 0:
+            raise ValueError("q must be nonnegative")
+        if self.quad_points < 1:
+            raise ValueError("quad_points must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
 
 
 @dataclass(frozen=True)

@@ -96,6 +96,18 @@ class SolverParams:
             raise ValueError("s must be an integer >= 1")
         if self.multiplier not in ("standard", "power"):
             raise ValueError(f"unknown multiplier profile {self.multiplier!r}")
+        if self.eps < 0:
+            raise ValueError("eps must be nonnegative")
+        if self.theta is not None and not self.theta > 0:
+            raise ValueError("theta must be positive")
+        if self.m_n is not None and self.m_n < 0:
+            raise ValueError("m_n must be nonnegative")
+        if self.cfl < 0:
+            raise ValueError("cfl must be nonnegative")
+        if self.cfl == 0 and not (self.eps > 0 and math.sqrt(2 * self.N**2) > self.cutoff):
+            raise ValueError("cfl = 0 needs damping (eps > 0, cutoff below N sqrt(2)) to bound dt")
+        if not self.visc_safety > 0:
+            raise ValueError("visc_safety must be positive")
         if self.dealias * 2 * self.N < 2 * self.N + 1:
             raise ValueError("dealias factor too small to resolve the retained band")
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from eulerstat.cli import PRESETS, main
-from eulerstat.config import ConfigError, canonical_manifest_text, parse_config
+from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
 from eulerstat.ensemble import fnv1a64, read_snapshot
+from eulerstat.initial import PRNG_ID
 
 GOOD = """\
 [experiment]
@@ -63,12 +64,53 @@ def test_parse_rho_over_n_and_samples_n():
         ("key_without_section = 1\n", 1),
         ("[diagnostics]\nwobble = on\n", 2),
         ("[nonsense]\n", 1),
+        ("[initial]\nfamily = flat_sheet\nfamilly = fbm\n", 3),
+        ("[solver]\neps = 0.05\n\nepsilon = 0.3\n", 4),
+        ("[run]\nresolution = 16\n", 2),
+        ("[run]\nsample = 3\n", 2),
+        ("[experiment]\nnmae = x\n", 2),
+        ("[run]\nsamples = 2\nresolutions = 8\nsamples = 3\n", 4),
+        ("[run]\nsamples = 2\n[run]\nsamples = 3\n", 4),
+        ("[solver]\ncfl = nan\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("[solver]\nvisc_safety = 0\n", None),
+        ("[solver]\nvisc_safety = -0.5\n", None),
+        ("[solver]\nmultiplier = power\ntheta = 0\n", None),
+        ("[solver]\ns = 0\n", None),
+        ("[solver]\ndealias = 0.5\n", None),
+        ("[solver]\nmultiplier = wavy\n", None),
+        ("[experiment]\nbase_seed = -3\n", None),
+        ("[initial]\nq = -1\n", None),
+        ("[initial]\n\nfamily = flat_sheet\ndelta = -1\n", 3),
+        ("[initial]\nfamily = sinusoidal_sheet\nrho = 5/N\nquadrature_points = 0\n", 2),
+        ("[initial]\nfamily = sinusoidal_sheet\n", 2),
+        ("[initial]\nfamily = fbm\nhurst = 1\n", 2),
+    ],
+)
+def test_out_of_range_values_name_the_resolution(text, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text + "[run]\nresolutions = 8 16\n")
+    assert err.value.line == line
+    assert "N=8" in str(err.value)
+
+
+def test_range_checks_cover_every_resolution():
+    # dealias * 2N >= 2N + 1 holds at N = 16 (33.6 >= 33), not at N = 8 (16.8 < 17)
+    parse_config("[solver]\ndealias = 1.05\n[run]\nresolutions = 16\n")
+    with pytest.raises(ConfigError, match="N=8"):
+        parse_config("[solver]\ndealias = 1.05\n[run]\nresolutions = 8 16\n")
+    with pytest.raises(ConfigError, match="N=8"):
+        ExperimentConfig(resolutions=(16, 8), solver={"dealias": 1.05}).check()
 
 
 def test_canonical_manifest_hash_stable():
@@ -85,14 +127,49 @@ def test_presets_parse_and_match_quoted_parameters():
         cfg = parse_config(text)
         assert cfg.name == name
     sin = parse_config(PRESETS["sinusoidal_sheet"])
-    assert sin.d == 0.2 and sin.quad_points == 400 and sin.eps == 0.01
-    assert sin.rho_rule == ("over_n", 5.0) and sin.delta == 0.003125
+    spec = sin.initial_spec(64)
+    assert spec.d == 0.2 and spec.quad_points == 400 and sin.solver_params(64).eps == 0.01
+    assert sin.rho_rule == ("over_n", 5.0) and spec.delta == 0.003125
     fbm = parse_config(PRESETS["fbm_h05"])
-    assert fbm.hurst == 0.5
+    assert fbm.initial_spec(64).hurst == 0.5
     flat = parse_config(PRESETS["flat_sheet_smooth"])
-    assert flat.delta == 0.025 and flat.rho_rule == ("const", 0.1)
+    assert flat.initial_spec(64).delta == 0.025 and flat.rho_rule == ("const", 0.1)
     sweep = parse_config(PRESETS["flat_sheet_delta_sweep3"])
-    assert sweep.delta == 0.05 / 8
+    assert sweep.initial_spec(64).delta == 0.05 / 8
+
+
+# fnv1a64 of every preset's manifest text, recorded before the config key
+# tables replaced the per-key parser; the hash goes into every .euss header.
+GOLDEN_MANIFEST_HASHES = {
+    ("fbm_h015", 64): 0xe9ed3786a9560558,
+    ("fbm_h015", 128): 0xc6d20aadeeef940a,
+    ("fbm_h05", 64): 0xd90099e1314087d2,
+    ("fbm_h05", 128): 0xdadcc34a847ca20c,
+    ("fbm_h075", 64): 0x5fc4af53808d6c0a,
+    ("fbm_h075", 128): 0x6145da1082859724,
+    ("flat_sheet_delta_sweep0", 64): 0xd36db7a6b974c22d,
+    ("flat_sheet_delta_sweep1", 64): 0x9b0b476b512dc9fc,
+    ("flat_sheet_delta_sweep2", 64): 0x6254ef6eb6999c48,
+    ("flat_sheet_delta_sweep3", 64): 0xe2b504224023c17c,
+    ("flat_sheet_delta_sweep4", 64): 0xd5e39e74483915dc,
+    ("flat_sheet_delta_sweep5", 64): 0x2e059735196d768a,
+    ("flat_sheet_discontinuous", 64): 0x247ec96bfd409773,
+    ("flat_sheet_discontinuous", 128): 0x117ff6e27a58e97d,
+    ("flat_sheet_smooth", 64): 0xc1b753b79d63d1b6,
+    ("flat_sheet_smooth", 128): 0xeada00c84f2c2d0c,
+    ("sinusoidal_sheet", 64): 0xdfdd3d56e8141a4d,
+    ("sinusoidal_sheet", 128): 0x4f2c653fdc1611bf,
+    ("taylor_green_check", 32): 0xe349ca2591ef137d,
+}
+
+
+def test_golden_manifest_hashes():
+    got = {}
+    for name, text in PRESETS.items():
+        cfg = parse_config(text)
+        for N in cfg.resolutions:
+            got[name, N] = fnv1a64(canonical_manifest_text(cfg, N, PRNG_ID, "0.1.0").encode())
+    assert got == GOLDEN_MANIFEST_HASHES
 
 
 def test_presets_listing_stable(capsys):
@@ -115,6 +192,59 @@ def test_run_invalid_config_exits_2(tmp_path, capsys, monkeypatch):
     bad = _write_config(tmp_path, "[run]\nresolutions = 7\n")
     assert main(["run", bad]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+def _bad_config(experiment="", initial="family = flat_sheet\n", solver="", run=""):
+    return (
+        f"[experiment]\nname = bad\noutput_dir = out/bad\n{experiment}"
+        f"[initial]\n{initial}[solver]\n{solver}"
+        f"[run]\nresolutions = 8\nsamples = 1\noutput_times = 0 0.05\n{run}"
+    ).encode()
+
+
+# visc_safety = 0 is left to test_out_of_range_values_name_the_resolution:
+# unchecked, it makes dt = 0 and the run never ends.
+@pytest.mark.parametrize(
+    "raw,env_seed",
+    [
+        pytest.param(_bad_config(initial="familly = fbm\n"), None, id="familly"),
+        pytest.param(_bad_config(solver="epsilon = 0.3\n"), None, id="epsilon"),
+        pytest.param(_bad_config(run="resolution = 16\n"), None, id="resolution"),
+        pytest.param(_bad_config(run="sample = 3\n"), None, id="sample"),
+        pytest.param(_bad_config(experiment="nmae = x\n"), None, id="nmae"),
+        pytest.param(_bad_config(run="samples = 2\n"), None, id="duplicate_samples"),
+        pytest.param(_bad_config(solver="visc_safety = -0.5\n"), None, id="visc_safety_neg"),
+        pytest.param(_bad_config(solver="multiplier = power\ntheta = 0\n"), None, id="theta_0"),
+        pytest.param(
+            _bad_config(initial="family = sinusoidal_sheet\nrho = 5/N\nquadrature_points = 0\n"),
+            None, id="quadrature_points_0",
+        ),
+        pytest.param(_bad_config(initial="family = flat_sheet\nq = -1\n"), None, id="q_neg"),
+        pytest.param(_bad_config(experiment="base_seed = -3\n"), None, id="base_seed_neg"),
+        pytest.param(_bad_config(solver="s = 0\n"), None, id="s_0"),
+        pytest.param(_bad_config(solver="dealias = 0.5\n"), None, id="dealias_half"),
+        pytest.param(_bad_config(initial="family = flat_sheet\ndelta = -1\n"), None, id="delta_neg"),
+        pytest.param(_bad_config(solver="eps = 0\ncfl = 0\n"), None, id="no_step_bound"),
+        pytest.param(
+            _bad_config(solver="multiplier = power\nm_n = 1000\ncfl = 0\n"), None,
+            id="no_damped_mode",
+        ),
+        pytest.param(_bad_config(), "-4", id="env_seed_neg"),
+        pytest.param(b"\xff\xfe[run]\n", None, id="not_utf8"),
+    ],
+)
+def test_run_bad_input_exits_2_cleanly(tmp_path, capsys, monkeypatch, raw, env_seed):
+    monkeypatch.chdir(tmp_path)
+    if env_seed is None:
+        monkeypatch.delenv("EULER_STAT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("EULER_STAT_SEED", env_seed)
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(raw)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys, monkeypatch):

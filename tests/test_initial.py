@@ -117,6 +117,28 @@ def test_sinusoidal_requires_mollification():
         InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=0.0)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(family="flat_sheet", delta=-1.0),
+        dict(family="flat_sheet", rho=-0.1),
+        dict(family="flat_sheet", q=-1),
+        dict(family="sinusoidal_sheet", rho=0.1, quad_points=0),
+        dict(family="flat_sheet", base_seed=-3),
+        dict(family="fbm", hurst=0.0),
+        dict(family="nope"),
+    ],
+)
+def test_spec_validation(bad):
+    with pytest.raises(ValueError):
+        InitialMeasureSpec(N=16, **bad)
+
+
+def test_spec_accepts_boundary_values():
+    InitialMeasureSpec(family="flat_sheet", N=16, q=0, delta=0.0, base_seed=0)
+    InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=0.1, quad_points=1)
+
+
 def test_fbm_sample_invariants():
     spec = InitialMeasureSpec(family="fbm", N=16, hurst=0.5, base_seed=3)
     u = fbm_sample(spec, 2)

@@ -285,3 +285,21 @@ def test_params_validation():
         SolverParams(N=8, s=0)
     with pytest.raises(ValueError):
         SolverParams(N=8, multiplier="nope")
+    for bad in (
+        dict(eps=-0.01),
+        dict(cfl=-0.1),
+        dict(cfl=0.0, eps=0.0),
+        dict(cfl=0.0, multiplier="power", m_n=8 * 2**0.5),
+        dict(visc_safety=0.0),
+        dict(visc_safety=-0.5),
+        dict(multiplier="power", theta=0.0),
+        dict(multiplier="power", theta=-1.0),
+        dict(multiplier="power", m_n=-2.0),
+        dict(dealias=0.5),
+    ):
+        with pytest.raises(ValueError):
+            SolverParams(N=8, **bad)
+    SolverParams(N=8, eps=0.0)
+    SolverParams(N=8, cfl=0.0)
+    SolverParams(N=8, multiplier="power", theta=0.5, m_n=0.0)
+    SolverParams(N=8, cfl=0.0, multiplier="power", m_n=11.3)
