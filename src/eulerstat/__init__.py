@@ -6,7 +6,13 @@ structure functions, energy spectra and Wasserstein distances between
 correlation marginals.
 """
 
-from .errors import BlowUpError, InconsistencyError, ResolutionError, ShapeError
+from .errors import (
+    BlowUpError,
+    InconsistencyError,
+    ResolutionError,
+    ShapeError,
+    SnapshotFormatError,
+)
 from .spectral import (
     ScalarSpectralField,
     SpectralField,

@@ -351,22 +351,45 @@ def cmd_diagnose(args) -> int:
     except (OSError, ValueError) as exc:
         _err(str(exc))
         return 2
+
+    # Every check that can fail runs before the first file is written.
+    selected = (args.structure, args.spectrum is not None, args.wasserstein is not None,
+                args.cauchy, args.mean_variance, args.time_regularity is not None)
+    if not any(selected):
+        _err("no diagnostic selected; pass --structure, --spectrum, ... (see --help)")
+        return 2
+    pairs = []
+    if args.wasserstein is not None or args.cauchy:
+        for pa, sa in loaded:
+            for pb, sb in loaded:
+                if sb.N == 2 * sa.N and abs(sa.time - sb.time) <= 1e-12 * max(1.0, sa.time):
+                    pairs.append((pa, sa, pb, sb))
+        if not pairs:
+            _err("no (N, 2N) snapshot pair at a common time among the inputs")
+            return 2
+    if args.wasserstein is not None:
+        for pa, sa, pb, sb in pairs:
+            if sa.m != sb.m:
+                _err(f"{pa} and {pb} have different sample counts")
+                return 2
+    by_n = {}
+    if args.time_regularity is not None:
+        for path, snap in loaded:
+            by_n.setdefault(snap.N, []).append(snap)
+        if not any(len(s) >= 2 for s in by_n.values()):
+            _err("time regularity needs >= 2 snapshots of the same resolution")
+            return 2
+
     out_dir = args.out or os.path.dirname(os.path.abspath(args.snapshots[0]))
     os.makedirs(out_dir, exist_ok=True)
-    wrote_any = False
     summary_rows = []
-
-    def emit(path):
-        nonlocal wrote_any
-        wrote_any = True
-        print(f"wrote {path}")
 
     if args.structure:
         for path, snap in loaded:
             curve = structure_function(snap)
             dest = os.path.join(out_dir, f"{_stem(path)}_structure.csv")
             write_curve_csv(curve, dest)
-            emit(dest)
+            print(f"wrote {dest}")
             try:
                 fit = fit_exponent(curve, *default_fit_range(snap.N))
                 summary_rows.append(
@@ -384,27 +407,14 @@ def cmd_diagnose(args) -> int:
                 curve = compensated_spectrum(curve, args.spectrum)
             dest = os.path.join(out_dir, f"{_stem(path)}_spectrum.csv")
             write_curve_csv(curve, dest)
-            emit(dest)
-
-    pairs = []
-    if args.wasserstein is not None or args.cauchy:
-        for pa, sa in loaded:
-            for pb, sb in loaded:
-                if sb.N == 2 * sa.N and abs(sa.time - sb.time) <= 1e-12 * max(1.0, sa.time):
-                    pairs.append((pa, sa, pb, sb))
-        if not pairs:
-            _err("no (N, 2N) snapshot pair at a common time among the inputs")
-            return 2
+            print(f"wrote {dest}")
 
     if args.wasserstein is not None:
         for pa, sa, pb, sb in pairs:
-            if sa.m != sb.m:
-                _err(f"{pa} and {pb} have different sample counts")
-                return 2
             report = marginal_w1(sa, sb, args.wasserstein)
             dest = os.path.join(out_dir, f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv")
             write_report_csv(report, dest)
-            emit(dest)
+            print(f"wrote {dest}")
 
     if args.cauchy:
         for pa, sa, pb, sb in pairs:
@@ -414,7 +424,7 @@ def cmd_diagnose(args) -> int:
                 fh.write(f"mean,{cauchy_rate(sa, sb, 'mean'):.17g}\n")
                 if sa.m == sb.m:
                     fh.write(f"variance,{cauchy_rate(sa, sb, 'variance'):.17g}\n")
-            emit(dest)
+            print(f"wrote {dest}")
 
     if args.mean_variance:
         for path, snap in loaded:
@@ -426,28 +436,21 @@ def cmd_diagnose(args) -> int:
                     fh.write(f"# {tag},{snap.time:.17g},{snap.N},{snap.m}\n")
                     for row in grid:
                         fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-                emit(dest)
+                print(f"wrote {dest}")
 
-    if args.time_regularity is not None:
-        by_n = {}
-        for path, snap in loaded:
-            by_n.setdefault(snap.N, []).append(snap)
-        for N, snaps in sorted(by_n.items()):
-            if len(snaps) < 2:
-                continue
-            snaps.sort(key=lambda s: s.time)
-            common = min(s.m for s in snaps)
-            dest = os.path.join(out_dir, f"time_regularity_N{N:04d}.csv")
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(f"# time_regularity_L{args.time_regularity:g},{snaps[-1].time:.17g},{N},{common}\n")
-                for j in range(common):
-                    traj = [(s.time, s.fields[j]) for s in snaps]
-                    ratio = time_regularity_ratio(traj, L=args.time_regularity)
-                    fh.write(f"{snaps[0].sample_seeds[j]},{ratio:.17g}\n")
-            emit(dest)
-        if not any(len(s) >= 2 for s in by_n.values()):
-            _err("time regularity needs >= 2 snapshots of the same resolution")
-            return 2
+    for N, snaps in sorted(by_n.items()):
+        if len(snaps) < 2:
+            continue
+        snaps.sort(key=lambda s: s.time)
+        common = min(s.m for s in snaps)
+        dest = os.path.join(out_dir, f"time_regularity_N{N:04d}.csv")
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(f"# time_regularity_L{args.time_regularity:g},{snaps[-1].time:.17g},{N},{common}\n")
+            for j in range(common):
+                traj = [(s.time, s.fields[j]) for s in snaps]
+                ratio = time_regularity_ratio(traj, L=args.time_regularity)
+                fh.write(f"{snaps[0].sample_seeds[j]},{ratio:.17g}\n")
+        print(f"wrote {dest}")
 
     if summary_rows:
         dest = os.path.join(out_dir, "summary.csv")
@@ -455,11 +458,7 @@ def cmd_diagnose(args) -> int:
             fh.write("# file,quantity,exponent,intercept,residual,r_min,r_max\n")
             for row in summary_rows:
                 fh.write(row + "\n")
-        emit(dest)
-
-    if not wrote_any:
-        _err("no diagnostic selected; pass --structure, --spectrum, ... (see --help)")
-        return 2
+        print(f"wrote {dest}")
     return 0
 
 

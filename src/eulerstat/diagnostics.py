@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import j1 as _bessel_j1
 
 from .ensemble import EnsembleSnapshot, mean_field, variance_field
 from .spectral import SpectralField, sobolev_norm, truncate_to, wavenumbers
@@ -83,6 +82,8 @@ def increment_kernel(x) -> np.ndarray:
     W(x) = 2 (1 - 2 J1(x)/x), continued by W(0) = 0. A short series is used
     for small x to avoid cancellation.
     """
+    from scipy.special import j1  # imported here: scipy.special costs ~0.3 s at startup
+
     xx = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.empty_like(xx)
     small = np.abs(xx) < 0.05
@@ -91,7 +92,7 @@ def increment_kernel(x) -> np.ndarray:
     # W = x^2/4 - x^4/96 + x^6/4608 - ...
     out[small] = x2 / 4.0 - x2 * x2 / 96.0 + x2 * x2 * x2 / 4608.0
     xl = xx[~small]
-    out[~small] = 2.0 * (1.0 - 2.0 * _bessel_j1(xl) / xl)
+    out[~small] = 2.0 * (1.0 - 2.0 * j1(xl) / xl)
     if np.ndim(x) == 0:
         return float(out[0])
     return out.reshape(np.shape(x))

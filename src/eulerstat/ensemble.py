@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowUpError, ShapeError
+from .errors import BlowUpError, ShapeError, SnapshotFormatError
 from .initial import InitialMeasureSpec, generate_sample
 from .solver import SolverParams, evolve
 from .spectral import SpectralField, sample_at_grid
@@ -232,27 +232,29 @@ def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
 def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
     """Read a snapshot written by write_snapshot.
 
-    Raises ValueError naming the path for a file that is not a complete,
-    finite snapshot: bad magic or version, a length other than the header
-    implies, or non-finite values.
+    Raises SnapshotFormatError (a ValueError) naming the path for a file
+    that is not a complete, finite snapshot: bad magic or version, a length
+    other than the header implies, or non-finite values.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
-            raise ValueError(f"{path}: truncated snapshot header ({len(header)} bytes)")
+            raise SnapshotFormatError(f"{path}: truncated snapshot header ({len(header)} bytes)")
         magic, version, N, m, time, manifest_hash = _HEADER.unpack(header)
         if magic != _MAGIC:
-            raise ValueError(f"{path}: not a snapshot file (bad magic {magic!r})")
+            raise SnapshotFormatError(f"{path}: not a snapshot file (bad magic {magic!r})")
         if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: format_version {version} unsupported")
+            raise SnapshotFormatError(f"{path}: format_version {version} unsupported")
         if not math.isfinite(time):
-            raise ValueError(f"{path}: non-finite time {time!r}")
+            raise SnapshotFormatError(f"{path}: non-finite time {time!r}")
         K = 2 * N + 1
         body = K * K * 2 * _COEFF.itemsize
         size = os.fstat(fh.fileno()).st_size
         expected = _HEADER.size + m * (_SEED.size + body)
         if size != expected:
-            raise ValueError(f"{path}: {size} bytes, but its header (N={N}, m={m}) implies {expected}")
+            raise SnapshotFormatError(
+                f"{path}: {size} bytes, but its header (N={N}, m={m}) implies {expected}"
+            )
         fields = []
         seeds = []
         for _ in range(m):
@@ -260,7 +262,7 @@ def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
             seeds.append(seed)
             raw = np.frombuffer(fh.read(body), dtype=_COEFF).reshape(K, K, 2)
             if not np.all(np.isfinite(raw)):
-                raise ValueError(f"{path}: non-finite coefficients in sample {seed}")
+                raise SnapshotFormatError(f"{path}: non-finite coefficients in sample {seed}")
             fields.append(SpectralField._wrap(N, raw.transpose(2, 0, 1).copy()))
     return EnsembleSnapshot(
         time=time,

@@ -13,6 +13,10 @@ class InconsistencyError(ValueError):
     """Input violates a mathematical precondition (e.g. nonzero mean vorticity)."""
 
 
+class SnapshotFormatError(ValueError):
+    """A file is not a complete, finite snapshot of the current format."""
+
+
 class BlowUpError(RuntimeError):
     """The time integration produced non-finite coefficients.
 

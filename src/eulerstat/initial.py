@@ -7,8 +7,10 @@ Divergence-free random velocity fields on the torus:
   randomly perturbed by a small trigonometric polynomial.
 - sinusoidal_sheet: vorticity concentrated on the curve y = d sin(2 pi x),
   mollified with a third-order B-spline bump of radius rho and evaluated by
-  quadrature along the curve; the velocity is recovered by inverting the
-  curl, then the interface is randomly perturbed as above.
+  quadrature along the curve, over the band of the grid within rho of it;
+  the velocity is recovered by inverting the curl, then the interface is
+  randomly perturbed as above. The unperturbed velocity depends on no
+  sample, so each process builds it once and its samples share it.
 - fbm: each velocity component an independent fractional Brownian surface
   of Hurst index H, generated by midpoint displacement (diamond-square).
 - taylor_green: the deterministic stationary vortex array, as a solver check.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,28 +190,49 @@ def bspline_bump(r) -> np.ndarray:
     return (80.0 / (7.0 * np.pi)) * np.where(rr < 1.0, val, 0.0)
 
 
-def _sheet_vorticity_grid(spec: InitialMeasureSpec, M: int) -> np.ndarray:
+def _sheet_vorticity_grid(M: int, rho: float, Q: int, d: float) -> np.ndarray:
     """Mollified sinusoidal-sheet vorticity on an M x M unit-coordinate grid.
 
     The line measure on the curve (xi, g(xi)), g(xi) = d sin(2 pi xi), is
     convolved with psi_rho(x) = rho^-2 psi(|x|/rho) by the arclength
     quadrature (rho/Q) sum_i psi_rho(x - (xi_i, g(xi_i))) sqrt(1 + g'(xi_i)^2)
     with xi_i = x1 + i rho/Q sweeping the mollifier support, i in [-Q, Q].
+
+    psi vanishes for r >= 1, so an offset reaches only the rows x2 within
+    rho of g(xi_i). Per column it visits W = 2 ceil(rho M) + 1 rows centred
+    on the row nearest g(xi_i) (the whole column when that exceeds M): a
+    row j with |j/M - g| < rho lies within rho M + 1/2 of that row, so
+    within ceil(rho M) of it. The terms skipped are exact zeros and each
+    grid point sums its terms in offset order, so the result has the bits
+    of the sum over the full grid.
     """
-    rho, Q, d = spec.rho, spec.quad_points, spec.d
     xi = np.arange(M) / M
     omega = np.zeros((M, M))
-    x2_row = xi[None, :]
+    W = min(M, 2 * math.ceil(rho * M) + 1)
+    window = np.arange(W) - W // 2
+    cols = np.arange(M)[:, None]
     for i in range(-Q, Q + 1):
         dx1 = -i * rho / Q                       # x1 - xi_i, constant per offset
         xi_i = xi + i * rho / Q                  # per x1 column
         g = d * np.sin(2.0 * np.pi * xi_i)
         gp = 2.0 * np.pi * d * np.cos(2.0 * np.pi * xi_i)
-        dx2 = (x2_row - g[:, None] + 0.5) % 1.0 - 0.5
+        rows = (np.rint(g * M).astype(np.intp)[:, None] + window) % M   # (x1, W)
+        dx2 = (xi[rows] - g[:, None] + 0.5) % 1.0 - 0.5
         r = np.sqrt(dx1 * dx1 + dx2 * dx2) / rho
-        omega += bspline_bump(r) * np.sqrt(1.0 + gp * gp)[:, None]
+        omega[cols, rows] += bspline_bump(r) * np.sqrt(1.0 + gp * gp)[:, None]
     omega *= rho / Q / (rho * rho)               # quadrature weight and psi_rho scaling
     return omega - omega.mean()
+
+
+@lru_cache(maxsize=1)
+def _sheet_base(N: int, rho: float, Q: int, d: float) -> SpectralField:
+    """The unperturbed sheet velocity: the curl inverted from the sheet vorticity.
+
+    It depends on no sample, so a process builds it once per parameter set
+    (the last one is kept); the field is read-only, so samples share it.
+    """
+    M = 3 * N
+    return velocity_from_vorticity(scalar_from_physical(_sheet_vorticity_grid(M, rho, Q, d), N))
 
 
 def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.ndarray:
@@ -229,9 +253,9 @@ def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.nd
 def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
     """One random sinusoidal-sheet field.
 
-    Builds the mollified sheet vorticity (mean removed), inverts the curl to
-    a divergence-free velocity, shifts x2 by the random perturbation, and
-    projects.
+    Takes the unperturbed sheet velocity (the curl inverted from the
+    mollified sheet vorticity, mean removed; built once per process),
+    shifts x2 by the random perturbation, and projects.
     """
     if spec.family != "sinusoidal_sheet":
         raise ValueError(f"spec.family is {spec.family!r}, not 'sinusoidal_sheet'")
@@ -240,8 +264,7 @@ def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> Spec
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
     M = 3 * spec.N
-    omega = scalar_from_physical(_sheet_vorticity_grid(spec, M), spec.N)
-    base = velocity_from_vorticity(omega)
+    base = _sheet_base(spec.N, spec.rho, spec.quad_points, spec.d)
     xi = np.arange(M) / M
     shifts = 2.0 * np.pi * perturbation(draw, xi)
     grid = _evaluate_shifted(base, shifts, M)

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they validate: the structure
 function oracle integrates over the displacement ball by stratified Monte
 Carlo (no Bessel functions anywhere), W1 is minimized by factorial
-enumeration, and the Bessel kernel itself is checked against a quadrature
-of the integral representation of J1.
+enumeration, the Bessel kernel itself is checked against a quadrature
+of the integral representation of J1, and the sinusoidal-sheet vorticity
+is summed over the whole grid rather than the mollifier band.
 """
 
 import itertools
@@ -191,3 +192,23 @@ def complex_rhs(coeffs, params):
     out -= damping_rates(params) * coeffs
     out[:, N, N] = 0.0
     return out
+
+
+def dense_sheet_vorticity_grid(M, rho, Q, d):
+    """The mollified sinusoidal-sheet vorticity summed over every grid point
+    at every quadrature offset, zeros of the bump included."""
+    from eulerstat.initial import bspline_bump
+
+    xi = np.arange(M) / M
+    omega = np.zeros((M, M))
+    x2_row = xi[None, :]
+    for i in range(-Q, Q + 1):
+        dx1 = -i * rho / Q
+        xi_i = xi + i * rho / Q
+        g = d * np.sin(2.0 * np.pi * xi_i)
+        gp = 2.0 * np.pi * d * np.cos(2.0 * np.pi * xi_i)
+        dx2 = (x2_row - g[:, None] + 0.5) % 1.0 - 0.5
+        r = np.sqrt(dx1 * dx1 + dx2 * dx2) / rho
+        omega += bspline_bump(r) * np.sqrt(1.0 + gp * gp)[:, None]
+    omega *= rho / Q / (rho * rho)
+    return omega - omega.mean()

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import eulerstat
 from eulerstat.cli import PRESETS, main
 from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
-from eulerstat.ensemble import fnv1a64, read_snapshot
+from eulerstat.ensemble import EnsembleSnapshot, fnv1a64, read_snapshot, write_snapshot
 from eulerstat.initial import PRNG_ID
+from eulerstat.solver import SolverParams
+from oracles import hermitian_random_field
 
 GOOD = """\
 [experiment]
@@ -187,6 +194,14 @@ def _write_config(tmp_path, text):
     return str(path)
 
 
+def test_cli_import_leaves_scipy_unloaded():
+    src = os.path.dirname(os.path.dirname(eulerstat.__file__))
+    code = "import sys, eulerstat.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_run_invalid_config_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bad = _write_config(tmp_path, "[run]\nresolutions = 7\n")
@@ -360,6 +375,25 @@ def test_diagnose_no_flags_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["run", cfg]) == 0
     snaps = sorted(str(p) for p in (tmp_path / "out" / "demo").glob("*.euss"))
     assert main(["diagnose", *snaps]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--wasserstein", "1"], ["--time-regularity", "2"]])
+def test_diagnose_failure_writes_nothing(tmp_path, capsys, flag):
+    # N = 8 with m = 2 and N = 16 with m = 3, one time each: W1 needs equal
+    # sample counts, time regularity two times of one resolution.
+    rng = np.random.default_rng(5)
+    paths = []
+    for N, m in ((8, 2), (16, 3)):
+        path = tmp_path / f"s_N{N:04d}.euss"
+        write_snapshot(path, EnsembleSnapshot(
+            time=0.0, N=N, fields=[hermitian_random_field(N, rng) for _ in range(m)],
+            sample_seeds=list(range(1, m + 1)), params=SolverParams(N=N)))
+        paths.append(str(path))
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for out in ([], ["--out", str(tmp_path / "diag")]):
+        assert main(["diagnose", *paths, "--structure", "--spectrum", "0", *flag, *out]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cut", ["four_bytes", "truncated_body", "extended"])

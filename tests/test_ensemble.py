@@ -16,8 +16,8 @@ from eulerstat.ensemble import (
     variance_field,
     write_snapshot,
 )
-from eulerstat.errors import BlowUpError
-from eulerstat.initial import InitialMeasureSpec, generate_sample
+from eulerstat.errors import BlowUpError, SnapshotFormatError
+from eulerstat.initial import InitialMeasureSpec, _sheet_base, generate_sample
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import SpectralField, l2_norm, sample_at_grid
 from oracles import hermitian_random_field
@@ -87,6 +87,18 @@ def test_run_deterministic_across_runs_and_workers():
             assert np.array_equal(f1.coeffs, f2.coeffs)
             assert np.array_equal(f1.coeffs, f3.coeffs)
             assert not f3.coeffs.flags.writeable
+
+
+def test_sinusoidal_sheet_run_deterministic_across_workers():
+    manifest = small_manifest(N=12, m=4, family="sinusoidal_sheet", rho=5 / 12, delta=0.003125,
+                              quad_points=20)
+    _sheet_base.cache_clear()  # the pool workers build their own base
+    pooled = run_ensemble(manifest, workers=2)
+    serial = run_ensemble(manifest, workers=1)
+    for s1, s2 in zip(serial, pooled):
+        assert s1.sample_seeds == s2.sample_seeds == [1, 2, 3, 4]
+        for f1, f2 in zip(s1.fields, s2.fields):
+            assert f1.coeffs.tobytes() == f2.coeffs.tobytes()
 
 
 def test_run_energy_decays_per_sample():
@@ -251,7 +263,7 @@ def test_failed_write_leaves_existing_snapshot_intact(tmp_path):
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.euss"
     path.write_bytes(b"NOPE" + b"\x00" * 60)
-    with pytest.raises(ValueError):
+    with pytest.raises(SnapshotFormatError):
         read_snapshot(path)
 
 
@@ -261,9 +273,12 @@ def _damaged_copies(tmp_path):
     good = tmp_path / "good.euss"
     write_snapshot(good, snap)
     raw = good.read_bytes()
+    nan = np.array([np.nan], dtype="<f8").tobytes()
     nan_body = bytearray(raw)
-    nan_body[48:56] = np.array([np.nan], dtype="<f8").tobytes()  # first sample, first real part
+    nan_body[48:56] = nan  # first sample, first real part
     return {
+        "bad_version": raw[:4] + struct.pack("<I", 2) + raw[8:],
+        "non_finite_time": raw[:16] + nan + raw[24:],
         "short": raw[:4],
         "header_only": raw[:32],
         "cut_in_seed": raw[:36],
@@ -274,12 +289,14 @@ def _damaged_copies(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind", ["short", "header_only", "cut_in_seed", "cut_in_body", "extended", "non_finite"]
+    "kind",
+    ["bad_version", "non_finite_time", "short", "header_only", "cut_in_seed", "cut_in_body",
+     "extended", "non_finite"],
 )
 def test_read_rejects_damaged_file(tmp_path, kind):
     path = tmp_path / f"{kind}.euss"
     path.write_bytes(_damaged_copies(tmp_path)[kind])
-    with pytest.raises(ValueError, match=re.escape(str(path))):
+    with pytest.raises(SnapshotFormatError, match=re.escape(str(path))):
         read_snapshot(path)
 
 

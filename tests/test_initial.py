@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import eulerstat.initial as initial
 from eulerstat.initial import (
     InitialMeasureSpec,
     PerturbationDraw,
@@ -17,6 +18,7 @@ from eulerstat.initial import (
     taylor_green_field,
 )
 from eulerstat.spectral import SpectralField, l2_norm, max_divergence, to_physical, vorticity
+from oracles import dense_sheet_vorticity_grid
 
 
 def test_perturbation_zero_amplitude():
@@ -115,6 +117,77 @@ def test_sinusoidal_sheet_invariants():
 def test_sinusoidal_requires_mollification():
     with pytest.raises(ValueError):
         InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=0.0)
+
+
+# rho * 3N of 1.5, 3, 15 and 7 rows; 0.45 needs all but one row at N = 8,
+# and 0.49 needs more rows than the grid has, so the window is the column.
+SHEET_RHOS = {
+    "half_over_N": lambda N: 0.5 / N,
+    "one_over_N": lambda N: 1 / N,
+    "five_over_N": lambda N: 5 / N,
+    "seven_rows": lambda N: 7 / (3 * N),
+    "0.45": lambda N: 0.45,
+    "0.49": lambda N: 0.49,
+}
+
+
+@pytest.mark.parametrize("d", [0.0, 0.2, 0.5])
+@pytest.mark.parametrize("rho", SHEET_RHOS.values(), ids=SHEET_RHOS.keys())
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_banded_sheet_grid_matches_dense_sum(N, rho, d):
+    M, r = 3 * N, rho(N)
+    banded = initial._sheet_vorticity_grid(M, r, 6, d)
+    assert banded.tobytes() == dense_sheet_vorticity_grid(M, r, 6, d).tobytes()
+
+
+@pytest.fixture
+def counted_sheet_grids(monkeypatch):
+    """Clears the sheet base cache and counts the vorticity grids built."""
+    calls = []
+    real = initial._sheet_vorticity_grid
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(initial, "_sheet_vorticity_grid", counted)
+    initial._sheet_base.cache_clear()
+    yield calls
+    initial._sheet_base.cache_clear()
+
+
+def _sheet_spec(**kw):
+    return InitialMeasureSpec(**{
+        "family": "sinusoidal_sheet", "N": 12, "rho": 5 / 12, "delta": 0.003125,
+        "quad_points": 20, "base_seed": 3, **kw,
+    })
+
+
+def test_sheet_base_built_once_per_spec(counted_sheet_grids):
+    spec = _sheet_spec()
+    for i in (1, 2, 3):
+        sinusoidal_sheet_sample(spec, i)
+    assert len(counted_sheet_grids) == 1
+    changes = [dict(N=16), dict(rho=3 / 12), dict(quad_points=21), dict(d=0.3)]
+    for count, change in enumerate(changes, start=2):
+        sinusoidal_sheet_sample(_sheet_spec(**change), 1)
+        assert len(counted_sheet_grids) == count
+
+
+def test_sheet_base_is_read_only():
+    base = initial._sheet_base(12, 5 / 12, 20, 0.2)
+    assert not base.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        base.coeffs[0, 0, 0] = 1.0
+
+
+def test_sheet_sample_same_bytes_cold_and_warm(counted_sheet_grids):
+    spec = _sheet_spec()
+    cold = sinusoidal_sheet_sample(spec, 2).coeffs.tobytes()
+    sinusoidal_sheet_sample(spec, 1)
+    warm = sinusoidal_sheet_sample(spec, 2).coeffs.tobytes()
+    assert len(counted_sheet_grids) == 1
+    assert cold == warm
 
 
 @pytest.mark.parametrize(
