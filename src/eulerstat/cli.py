@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 configuration/usage error, 3 solver blow-up.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -44,7 +45,7 @@ from .ensemble import (
 )
 from .errors import BlowUpError
 from .initial import PRNG_ID
-from .spectral import sample_at_grid
+from .spectral import sample_at_grid, synthesis_grid
 from .transport import marginal_w1, write_report_csv
 from .diagnostics import cauchy_rate
 
@@ -65,10 +66,6 @@ family = taylor_green
 resolutions = 32
 samples = 1
 output_times = 0 1
-
-[diagnostics]
-structure = on
-spectrum = 0
 """,
     "flat_sheet_smooth": """\
 [experiment]
@@ -85,13 +82,6 @@ delta = 0.025
 resolutions = 64 128
 samples = N
 output_times = 0 0.4
-
-[diagnostics]
-structure = on
-spectrum = 3
-wasserstein = 1
-cauchy = on
-mean_variance = on
 """,
     "flat_sheet_discontinuous": """\
 [experiment]
@@ -108,11 +98,6 @@ delta = 0.025
 resolutions = 64 128
 samples = N
 output_times = 0 0.4
-
-[diagnostics]
-structure = on
-spectrum = 2
-wasserstein = 1
 """,
     "sinusoidal_sheet": """\
 [experiment]
@@ -134,13 +119,6 @@ eps = 0.01
 resolutions = 64 128
 samples = N
 output_times = 0 0.6 1.2
-
-[diagnostics]
-structure = on
-spectrum = 2.2
-wasserstein = 1
-cauchy = on
-mean_variance = on
 """,
     "fbm_h015": """\
 [experiment]
@@ -156,11 +134,6 @@ hurst = 0.15
 resolutions = 64 128
 samples = N
 output_times = 0 1
-
-[diagnostics]
-structure = on
-spectrum = 1.3
-wasserstein = 1
 """,
     "fbm_h05": """\
 [experiment]
@@ -176,11 +149,6 @@ hurst = 0.5
 resolutions = 64 128
 samples = N
 output_times = 0 1
-
-[diagnostics]
-structure = on
-spectrum = 2.0
-wasserstein = 1
 """,
     "fbm_h075": """\
 [experiment]
@@ -196,11 +164,6 @@ hurst = 0.75
 resolutions = 64 128
 samples = N
 output_times = 0 1
-
-[diagnostics]
-structure = on
-spectrum = 2.5
-wasserstein = 1
 """,
 }
 
@@ -222,11 +185,6 @@ delta = {_delta!r}
 resolutions = 64
 samples = N
 output_times = 0 0.4
-
-[diagnostics]
-structure = on
-spectrum = 2
-wasserstein = 1
 """
 
 
@@ -358,6 +316,13 @@ def cmd_diagnose(args) -> int:
     if not any(selected):
         _err("no diagnostic selected; pass --structure, --spectrum, ... (see --help)")
         return 2
+    if args.wasserstein not in (None, 1, 2, 3):
+        _err(f"--wasserstein must be 1, 2 or 3, got {args.wasserstein}")
+        return 2
+    for flag, value in (("--spectrum", args.spectrum), ("--time-regularity", args.time_regularity)):
+        if value is not None and not math.isfinite(value):
+            _err(f"{flag} must be finite, got {value}")
+            return 2
     pairs = []
     if args.wasserstein is not None or args.cauchy:
         for pa, sa in loaded:
@@ -379,6 +344,10 @@ def cmd_diagnose(args) -> int:
         if not any(len(s) >= 2 for s in by_n.values()):
             _err("time regularity needs >= 2 snapshots of the same resolution")
             return 2
+        for N, snaps in sorted(by_n.items()):
+            if len({s.time for s in snaps}) < len(snaps):
+                _err(f"time regularity needs distinct times, but two N={N} inputs share one")
+                return 2
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.snapshots[0]))
     os.makedirs(out_dir, exist_ok=True)
@@ -428,7 +397,7 @@ def cmd_diagnose(args) -> int:
 
     if args.mean_variance:
         for path, snap in loaded:
-            mean_grid = sample_at_grid(mean_field(snap), 3 * snap.N)
+            mean_grid = sample_at_grid(mean_field(snap), synthesis_grid(snap.N))
             var_grid = variance_field(snap)
             for tag, grid in (("mean_u1", mean_grid[:, :, 0]), ("variance", var_grid)):
                 dest = os.path.join(out_dir, f"{_stem(path)}_{tag}.csv")

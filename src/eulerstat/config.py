@@ -1,9 +1,11 @@
 """Experiment configuration files.
 
 Flat UTF-8 key-value format: `[section]` headers, `key = value` lines,
-`#` comments. Sections: [experiment], [initial], [solver], [run],
-[diagnostics]. Values that may scale with resolution (rho, samples) accept
-the forms `<float>/N` and `N`. Unknown and repeated keys are rejected.
+`#` comments. Four sections, [experiment], [initial], [solver] and [run],
+describe the run only; `eulerstat diagnose` flags choose what is measured
+from its snapshots. Values that may scale with resolution (rho, samples)
+accept the forms `<float>/N` and `N`. Unknown sections and unknown or
+repeated keys are rejected.
 
 The [initial] and [solver] parameters are declared once, in the key tables
 below; their defaults and range checks belong to InitialMeasureSpec and
@@ -28,10 +30,6 @@ Example::
     resolutions = 64 128
     samples = N
     output_times = 0 0.4
-
-    [diagnostics]
-    structure = on
-    spectrum = 2
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 
+from .ensemble import FORMAT_VERSION
 from .initial import InitialMeasureSpec
 from .solver import SolverParams
 
@@ -103,14 +102,11 @@ _SOLVER_KEYS = (
     ("dealias", "dealias", _as_float),
 )
 
-_DIAG_KEYS = ("structure", "spectrum", "wasserstein", "cauchy", "mean_variance", "time_regularity")
-
 _KEYS = {
     "experiment": ("name", "base_seed", "output_dir"),
     "initial": ("family", "rho", *(key for key, _, _ in _INITIAL_KEYS)),
     "solver": tuple(key for key, _, _ in _SOLVER_KEYS),
     "run": ("resolutions", "samples", "output_times", "tolerate_failures"),
-    "diagnostics": _DIAG_KEYS,
 }
 
 
@@ -131,7 +127,6 @@ class ExperimentConfig:
     samples_rule: tuple = ("match_n",)   # ("match_n",) or ("fixed", m)
     output_times: tuple = (0.0,)
     tolerate_failures: bool = False
-    diagnostics: dict = dataclass_field(default_factory=dict)
     initial: dict = dataclass_field(default_factory=dict)
     solver: dict = dataclass_field(default_factory=dict)
 
@@ -256,23 +251,6 @@ def parse_config(text: str) -> ExperimentConfig:
     if value is not None:
         cfg.tolerate_failures = _as_bool(value, line, "tolerate_failures")
 
-    for key in ("structure", "cauchy", "mean_variance"):
-        value, line = _get(sections, "diagnostics", key)
-        if value is not None and _as_bool(value, line, key):
-            cfg.diagnostics[key] = True
-    value, line = _get(sections, "diagnostics", "spectrum")
-    if value is not None:
-        cfg.diagnostics["spectrum"] = _as_float(value, line, "spectrum")
-    value, line = _get(sections, "diagnostics", "wasserstein")
-    if value is not None:
-        k = _as_int(value, line, "wasserstein")
-        if k not in (1, 2, 3):
-            raise ConfigError("wasserstein order must be 1, 2 or 3", line)
-        cfg.diagnostics["wasserstein"] = k
-    value, line = _get(sections, "diagnostics", "time_regularity")
-    if value is not None:
-        cfg.diagnostics["time_regularity"] = _as_float(value, line, "time_regularity")
-
     cfg.check(family_line)
     return cfg
 
@@ -317,7 +295,7 @@ def canonical_manifest_text(cfg: ExperimentConfig, N: int, prng_id: str, version
         "[provenance]",
         f"prng = {prng_id}",
         f"package_version = {version}",
-        "format_version = 1",
+        f"format_version = {FORMAT_VERSION}",
         "",
     ]
     return "\n".join(lines)

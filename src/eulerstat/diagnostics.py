@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import EnsembleSnapshot, mean_field, variance_field
-from .spectral import SpectralField, sobolev_norm, truncate_to, wavenumbers
+from .spectral import SpectralField, sobolev_norm, synthesis_grid, truncate_to, wavenumbers
 
 __all__ = [
     "ScalarCurve",
@@ -226,7 +226,7 @@ def cauchy_rate(snapA: EnsembleSnapshot, snapB: EnsembleSnapshot, statistic="mea
         coarse = truncate_to(mean_field(snapB), snapA.N)
         return _modal_l2(coarse.coeffs - mean_field(snapA).coeffs)
     if statistic == "variance":
-        M = 3 * snapA.N
+        M = synthesis_grid(snapA.N)
         diff = variance_field(snapB, M) - variance_field(snapA, M)
         return float(2.0 * np.pi * np.sqrt(np.mean(diff ** 2)))
     j = int(statistic)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BlowUpError, ShapeError, SnapshotFormatError
 from .initial import InitialMeasureSpec, generate_sample
 from .solver import SolverParams, evolve
-from .spectral import SpectralField, sample_at_grid
+from .spectral import SpectralField, sample_at_grid, synthesis_grid
 
 __all__ = [
     "RunManifest",
@@ -67,7 +67,6 @@ class RunManifest:
     m: int
     output_times: tuple
     solver: SolverParams
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.m < 1:
@@ -186,9 +185,9 @@ def mean_field(snapshot: EnsembleSnapshot) -> SpectralField:
 def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -> np.ndarray:
     """Pointwise population variance across samples, summed over components.
 
-    Returns an (M, M) grid, M defaulting to the 3N synthesis grid.
+    Returns an (M, M) grid, M defaulting to synthesis_grid(N) = 3N.
     """
-    M = 3 * snapshot.N if grid_points is None else int(grid_points)
+    M = synthesis_grid(snapshot.N) if grid_points is None else int(grid_points)
     s1 = np.zeros((M, M, 2))
     s2 = np.zeros((M, M, 2))
     for f in snapshot.fields:
@@ -229,7 +228,7 @@ def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
         raise
 
 
-def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
+def read_snapshot(path) -> EnsembleSnapshot:
     """Read a snapshot written by write_snapshot.
 
     Raises SnapshotFormatError (a ValueError) naming the path for a file
@@ -269,6 +268,6 @@ def read_snapshot(path, params: SolverParams | None = None) -> EnsembleSnapshot:
         N=N,
         fields=fields,
         sample_seeds=seeds,
-        params=params if params is not None else SolverParams(N=N),
+        params=SolverParams(N=N),
         manifest_hash=manifest_hash,
     )

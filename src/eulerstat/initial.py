@@ -37,6 +37,7 @@ from .spectral import (
     from_physical,
     leray_project,
     scalar_from_physical,
+    synthesis_grid,
     velocity_from_vorticity,
 )
 
@@ -160,7 +161,7 @@ def flat_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralFi
         raise ValueError(f"spec.family is {spec.family!r}, not 'flat_sheet'")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
-    M = 3 * spec.N
+    M = synthesis_grid(spec.N)
     xi = np.arange(M) / M
     shift = perturbation(draw, xi)                       # per x1 column
     x2_shifted = xi[None, :] + shift[:, None]            # (x1, x2)
@@ -231,7 +232,7 @@ def _sheet_base(N: int, rho: float, Q: int, d: float) -> SpectralField:
     It depends on no sample, so a process builds it once per parameter set
     (the last one is kept); the field is read-only, so samples share it.
     """
-    M = 3 * N
+    M = synthesis_grid(N)
     return velocity_from_vorticity(scalar_from_physical(_sheet_vorticity_grid(M, rho, Q, d), N))
 
 
@@ -263,7 +264,7 @@ def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> Spec
         raise ValueError("sinusoidal sheet requires rho > 0")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
-    M = 3 * spec.N
+    M = synthesis_grid(spec.N)
     base = _sheet_base(spec.N, spec.rho, spec.quad_points, spec.d)
     xi = np.arange(M) / M
     shifts = 2.0 * np.pi * perturbation(draw, xi)
@@ -370,7 +371,7 @@ def taylor_green_field(N: int) -> SpectralField:
     A steady solution of the 2D Euler equations (its advection term is a
     pure gradient), used as a deterministic solver check.
     """
-    M = 3 * N
+    M = synthesis_grid(N)
     x = 2.0 * np.pi * np.arange(M) / M
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     grid = np.stack((np.sin(X1) * np.cos(X2), -np.cos(X1) * np.sin(X2)), axis=-1)

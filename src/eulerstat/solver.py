@@ -222,7 +222,8 @@ def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
     dt_adv = cfl * h / max|u| with h = 2pi/(2N) and max|u| the largest
     velocity magnitude on the padded synthesis grid; dt_visc =
     visc_safety * 2.5 / lam_max. A zero field (or cfl = 0) leaves only
-    the viscous bound.
+    the viscous bound. evolve reuses the padded grid it already built; this
+    entry point is for one field (tests, the per-layer benchmark).
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
@@ -245,7 +246,11 @@ def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverPar
 
 
 def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
-    """One SSP-RK3 step of size dt. Raises BlowUpError on non-finite output."""
+    """One SSP-RK3 step of size dt. Raises BlowUpError on non-finite output.
+
+    evolve reuses the padded grid it built for the step bound; this entry
+    point is for one field (tests, the per-layer benchmark).
+    """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     if dt < 0:

@@ -51,7 +51,7 @@ __all__ = [
     "l2_norm",
     "modal_energy",
     "truncate_to",
-    "hermitize",
+    "synthesis_grid",
 ]
 
 
@@ -77,12 +77,6 @@ def _validate_modal_shape(coeffs: np.ndarray, vector: bool) -> int:
     if n1 != n2 or n1 % 2 == 0:
         raise ShapeError(f"modal array must be odd square, got {coeffs.shape}")
     return (n1 - 1) // 2
-
-
-def hermitize(coeffs: np.ndarray) -> np.ndarray:
-    """Project onto Hermitian-symmetric arrays: c(k) <- (c(k) + conj(c(-k)))/2."""
-    flipped = coeffs[..., ::-1, ::-1]
-    return 0.5 * (coeffs + np.conj(flipped))
 
 
 @dataclass(frozen=True)
@@ -130,9 +124,6 @@ class SpectralField:
     def coeff(self, k1: int, k2: int, component: int) -> complex:
         """Single coefficient accessor, k in signed wavenumber convention."""
         return complex(self.coeffs[component, k1 + self.N, k2 + self.N])
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -213,13 +204,18 @@ def _full_plane(half: np.ndarray) -> np.ndarray:
     return np.concatenate((np.conj(half[..., ::-1, :0:-1]), half), axis=-1)
 
 
+def synthesis_grid(N: int) -> int:
+    """3N, the default physical grid per axis; the solver pads separately (padded_grid)."""
+    return 3 * N
+
+
 def to_physical(field: SpectralField, grid_points: int | None = None) -> np.ndarray:
     """Synthesize the field on an equispaced grid.
 
-    grid_points defaults to 3N; must be >= 2N+1 so that the synthesis is
-    alias-free and invertible. Returns a real (M, M, 2) array.
+    grid_points defaults to synthesis_grid(N) = 3N; must be >= 2N+1 so that
+    the synthesis is alias-free and invertible. Returns a real (M, M, 2) array.
     """
-    M = 3 * field.N if grid_points is None else int(grid_points)
+    M = synthesis_grid(field.N) if grid_points is None else int(grid_points)
     if M < 2 * field.N + 1:
         raise ResolutionError(f"grid_points={M} < 2N+1={2 * field.N + 1}")
     grid = _synthesize(field.coeffs[..., field.N :], M)
@@ -227,7 +223,7 @@ def to_physical(field: SpectralField, grid_points: int | None = None) -> np.ndar
 
 
 def scalar_to_physical(field: ScalarSpectralField, grid_points: int | None = None) -> np.ndarray:
-    M = 3 * field.N if grid_points is None else int(grid_points)
+    M = synthesis_grid(field.N) if grid_points is None else int(grid_points)
     if M < 2 * field.N + 1:
         raise ResolutionError(f"grid_points={M} < 2N+1={2 * field.N + 1}")
     return _synthesize(field.coeffs[..., field.N :], M)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import EnsembleSnapshot
-from .spectral import sample_at_grid
+from .spectral import sample_at_grid, synthesis_grid
 
 __all__ = [
     "PointCloud",
@@ -212,7 +212,7 @@ def marginal_w1(
         raise ValueError(f"snapshot times differ: {snapA.time} vs {snapB.time}")
     if snapA.m != snapB.m:
         raise ValueError(f"sample counts differ ({snapA.m} vs {snapB.m})")
-    M = 3 * min(snapA.N, snapB.N) if grid_points is None else int(grid_points)
+    M = synthesis_grid(min(snapA.N, snapB.N)) if grid_points is None else int(grid_points)
     used_seed = None
     if x_tuples is None:
         T = DEFAULT_TUPLE_COUNTS[k] if num_tuples is None else int(num_tuples)

@@ -13,7 +13,13 @@ import math
 
 import numpy as np
 
-from eulerstat.spectral import SpectralField, hermitize, leray_project, wavenumbers
+from eulerstat.spectral import SpectralField, leray_project, wavenumbers
+
+
+def hermitize(coeffs):
+    """Project onto Hermitian-symmetric arrays: c(k) <- (c(k) + conj(c(-k)))/2."""
+    flipped = coeffs[..., ::-1, ::-1]
+    return 0.5 * (coeffs + np.conj(flipped))
 
 
 def hermitian_random_field(N, rng, decay=1.0, amplitude=1.0):

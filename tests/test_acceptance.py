@@ -209,10 +209,6 @@ delta = 0.025
 resolutions = 8 16
 samples = 4
 output_times = 0 0.1
-
-[diagnostics]
-structure = on
-spectrum = 2
 """
 
     def run(tag, workers):

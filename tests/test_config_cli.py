@@ -35,10 +35,6 @@ cfl = 0.5
 resolutions = 8 16
 samples = 2
 output_times = 0 0.05
-
-[diagnostics]
-structure = on
-spectrum = 2
 """
 
 
@@ -49,7 +45,6 @@ def test_parse_full_config():
     assert cfg.resolutions == (8, 16)
     assert cfg.samples(8) == 2 and cfg.samples(16) == 2
     assert cfg.output_times == (0.0, 0.05)
-    assert cfg.diagnostics == {"structure": True, "spectrum": 2.0}
 
 
 def test_parse_rho_over_n_and_samples_n():
@@ -69,7 +64,7 @@ def test_parse_rho_over_n_and_samples_n():
         ("[run]\n\noutput_times = 0.4 0.1\n", 3),
         ("[solver]\neps = fast\n", 2),
         ("key_without_section = 1\n", 1),
-        ("[diagnostics]\nwobble = on\n", 2),
+        ("[diagnostics]\nwobble = on\n", 1),
         ("[nonsense]\n", 1),
         ("[initial]\nfamily = flat_sheet\nfamilly = fbm\n", 3),
         ("[solver]\neps = 0.05\n\nepsilon = 0.3\n", 4),
@@ -246,6 +241,7 @@ def _bad_config(experiment="", initial="family = flat_sheet\n", solver="", run="
         ),
         pytest.param(_bad_config(), "-4", id="env_seed_neg"),
         pytest.param(b"\xff\xfe[run]\n", None, id="not_utf8"),
+        pytest.param(_bad_config() + b"[diagnostics]\nstructure = on\n", None, id="diagnostics_section"),
     ],
 )
 def test_run_bad_input_exits_2_cleanly(tmp_path, capsys, monkeypatch, raw, env_seed):
@@ -377,23 +373,58 @@ def test_diagnose_no_flags_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["diagnose", *snaps]) == 2
 
 
+def _write_snapshots(tmp_path, specs):
+    """One snapshot file per (N, m, time) of random fields; returns the paths."""
+    rng = np.random.default_rng(5)
+    paths = []
+    for N, m, t in specs:
+        path = tmp_path / f"s_N{N:04d}_t{t:g}.euss"
+        write_snapshot(path, EnsembleSnapshot(
+            time=t, N=N, fields=[hermitian_random_field(N, rng) for _ in range(m)],
+            sample_seeds=list(range(1, m + 1)), params=SolverParams(N=N)))
+        paths.append(str(path))
+    return paths
+
+
+def _assert_diagnose_writes_nothing(tmp_path, capsys, args):
+    before = sorted(p.name for p in tmp_path.iterdir())
+    for out in ([], ["--out", str(tmp_path / "diag")]):
+        assert main(["diagnose", *args, *out]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and "Traceback" not in err
+    return err
+
+
 @pytest.mark.parametrize("flag", [["--wasserstein", "1"], ["--time-regularity", "2"]])
 def test_diagnose_failure_writes_nothing(tmp_path, capsys, flag):
     # N = 8 with m = 2 and N = 16 with m = 3, one time each: W1 needs equal
     # sample counts, time regularity two times of one resolution.
-    rng = np.random.default_rng(5)
-    paths = []
-    for N, m in ((8, 2), (16, 3)):
-        path = tmp_path / f"s_N{N:04d}.euss"
-        write_snapshot(path, EnsembleSnapshot(
-            time=0.0, N=N, fields=[hermitian_random_field(N, rng) for _ in range(m)],
-            sample_seeds=list(range(1, m + 1)), params=SolverParams(N=N)))
-        paths.append(str(path))
-    before = sorted(p.name for p in tmp_path.iterdir())
-    for out in ([], ["--out", str(tmp_path / "diag")]):
-        assert main(["diagnose", *paths, "--structure", "--spectrum", "0", *flag, *out]) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == before
-    assert "Traceback" not in capsys.readouterr().err
+    paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (16, 3, 0.0)))
+    _assert_diagnose_writes_nothing(tmp_path, capsys, [*paths, "--structure", "--spectrum", "0", *flag])
+
+
+@pytest.mark.parametrize("flag", [
+    ["--wasserstein", "4"],
+    ["--wasserstein", "0"],
+    ["--spectrum", "nan"],
+    ["--spectrum", "inf"],
+    ["--time-regularity", "nan"],
+    ["--time-regularity", "inf"],
+])
+def test_diagnose_bad_flag_value_writes_nothing(tmp_path, capsys, flag):
+    # Inputs every diagnostic accepts: an (8, 16) pair with equal m and two
+    # times at N = 8, so only the flag value is at fault.
+    paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (8, 2, 0.1), (16, 2, 0.0)))
+    err = _assert_diagnose_writes_nothing(tmp_path, capsys, [*paths, "--structure", *flag])
+    assert flag[0] in err
+
+
+def test_diagnose_time_regularity_rejects_repeated_time(tmp_path, capsys):
+    paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (8, 2, 0.1)))
+    err = _assert_diagnose_writes_nothing(
+        tmp_path, capsys, [paths[0], *paths, "--structure", "--time-regularity", "2"])
+    assert "N=8" in err
 
 
 @pytest.mark.parametrize("cut", ["four_bytes", "truncated_body", "extended"])

@@ -6,7 +6,6 @@ from eulerstat.spectral import (
     ScalarSpectralField,
     SpectralField,
     from_physical,
-    hermitize,
     l2_norm,
     leray_project,
     max_divergence,
@@ -21,7 +20,7 @@ from eulerstat.spectral import (
     vorticity,
     wavenumbers,
 )
-from oracles import complex_analysis, complex_synthesis, hermitian_random_field
+from oracles import complex_analysis, complex_synthesis, hermitian_random_field, hermitize
 
 
 def single_mode_field(N, k, component, value):
