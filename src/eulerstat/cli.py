@@ -36,11 +36,13 @@ from .diagnostics import (
 )
 from .ensemble import (
     RunManifest,
+    atomic_open,
     fnv1a64,
     mean_field,
     read_snapshot,
     run_ensemble,
     variance_field,
+    write_csv,
     write_snapshot,
 )
 from .errors import BlowUpError
@@ -120,52 +122,25 @@ resolutions = 64 128
 samples = N
 output_times = 0 0.6 1.2
 """,
-    "fbm_h015": """\
-[experiment]
-name = fbm_h015
-base_seed = 1234
-output_dir = out/fbm_h015
-
-[initial]
-family = fbm
-hurst = 0.15
-
-[run]
-resolutions = 64 128
-samples = N
-output_times = 0 1
-""",
-    "fbm_h05": """\
-[experiment]
-name = fbm_h05
-base_seed = 1234
-output_dir = out/fbm_h05
-
-[initial]
-family = fbm
-hurst = 0.5
-
-[run]
-resolutions = 64 128
-samples = N
-output_times = 0 1
-""",
-    "fbm_h075": """\
-[experiment]
-name = fbm_h075
-base_seed = 1234
-output_dir = out/fbm_h075
-
-[initial]
-family = fbm
-hurst = 0.75
-
-[run]
-resolutions = 64 128
-samples = N
-output_times = 0 1
-""",
 }
+
+# Fractional Brownian velocity fields at three Hurst indices.
+for _tag, _hurst in (("h015", 0.15), ("h05", 0.5), ("h075", 0.75)):
+    PRESETS[f"fbm_{_tag}"] = f"""\
+[experiment]
+name = fbm_{_tag}
+base_seed = 1234
+output_dir = out/fbm_{_tag}
+
+[initial]
+family = fbm
+hurst = {_hurst!r}
+
+[run]
+resolutions = 64 128
+samples = N
+output_times = 0 1
+"""
 
 # Perturbation-amplitude sweep: delta = 0.05 / 2^j on the rough sheet.
 for _j in range(6):
@@ -249,13 +224,16 @@ def cmd_run(args) -> int:
         _err(f"output_dir {cfg.output_dir!r} is not writable: {exc}")
         return 2
 
+    # Every resolution is checked before the first one runs.
     for N in cfg.resolutions:
         snap_paths, manifest_path, energy_path = _snapshot_paths(cfg, N)
-        existing = [p for p in snap_paths + [manifest_path] if os.path.exists(p)]
+        existing = [p for p in snap_paths + [manifest_path, energy_path] if os.path.exists(p)]
         if existing and not args.force:
             _err(f"artifacts exist for N={N} (e.g. {existing[0]}); use --force to overwrite")
             return 2
 
+    for N in cfg.resolutions:
+        snap_paths, manifest_path, energy_path = _snapshot_paths(cfg, N)
         manifest_text = canonical_manifest_text(cfg, N, PRNG_ID, __version__)
         mhash = fnv1a64(manifest_text.encode("utf-8"))
         manifest = RunManifest(
@@ -279,23 +257,13 @@ def cmd_run(args) -> int:
         for path, snap in zip(snap_paths, snapshots):
             write_snapshot(path, snap)
             print(f"wrote {path}")
-        with open(manifest_path, "w", encoding="utf-8") as fh:
+        with atomic_open(manifest_path) as fh:
             fh.write(manifest_text)
-        first = min(energy_out)
-        with open(energy_path, "w", encoding="utf-8") as fh:
-            fh.write(f"# energy,{cfg.output_times[-1]:.17g},{N},{manifest.m}\n")
-            for t, e, d in energy_out[first]:
-                fh.write(f"{t:.17g},{e:.17g},{d:.17g}\n")
+        header = ("energy", cfg.output_times[-1], N, manifest.m)
+        write_csv(energy_path, header, energy_out[min(energy_out)])
         print(f"wrote {manifest_path}")
         print(f"wrote {energy_path}")
     return 0
-
-
-def _load_snapshots(paths):
-    loaded = []
-    for p in paths:
-        loaded.append((p, read_snapshot(p)))
-    return loaded
 
 
 def _stem(path: str) -> str:
@@ -304,8 +272,17 @@ def _stem(path: str) -> str:
 
 
 def cmd_diagnose(args) -> int:
+    # Read a file named twice once; refuse two files whose outputs would share names.
+    by_real, by_stem = {}, {}
+    for p in args.snapshots:
+        by_real.setdefault(os.path.realpath(p), p)
+    for p in by_real.values():
+        other = by_stem.setdefault(_stem(p), p)
+        if other != p:
+            _err(f"{other} and {p} would both write outputs named {_stem(p)}")
+            return 2
     try:
-        loaded = _load_snapshots(args.snapshots)
+        loaded = [(p, read_snapshot(p)) for p in by_real.values()]
     except (OSError, ValueError) as exc:
         _err(str(exc))
         return 2
@@ -361,13 +338,10 @@ def cmd_diagnose(args) -> int:
             print(f"wrote {dest}")
             try:
                 fit = fit_exponent(curve, *default_fit_range(snap.N))
-                summary_rows.append(
-                    f"{_stem(path)},structure_exponent,{fit.exponent:.17g},"
-                    f"{fit.intercept:.17g},{fit.residual:.17g},"
-                    f"{fit.fit_range[0]:.17g},{fit.fit_range[1]:.17g}"
-                )
+                summary_rows.append((_stem(path), "structure_exponent", fit.exponent,
+                                     fit.intercept, fit.residual, *fit.fit_range))
             except ValueError:
-                summary_rows.append(f"{_stem(path)},structure_exponent,nan,nan,nan,nan,nan")
+                summary_rows.append((_stem(path), "structure_exponent", *["nan"] * 5))
 
     if args.spectrum is not None:
         for path, snap in loaded:
@@ -388,11 +362,10 @@ def cmd_diagnose(args) -> int:
     if args.cauchy:
         for pa, sa, pb, sb in pairs:
             dest = os.path.join(out_dir, f"{_stem(pa)}__{_stem(pb)}_cauchy.csv")
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(f"# cauchy,{sa.time:.17g},{sa.N},{sa.m}\n")
-                fh.write(f"mean,{cauchy_rate(sa, sb, 'mean'):.17g}\n")
-                if sa.m == sb.m:
-                    fh.write(f"variance,{cauchy_rate(sa, sb, 'variance'):.17g}\n")
+            rows = [("mean", cauchy_rate(sa, sb, "mean"))]
+            if sa.m == sb.m:
+                rows.append(("variance", cauchy_rate(sa, sb, "variance")))
+            write_csv(dest, ("cauchy", sa.time, sa.N, sa.m), rows)
             print(f"wrote {dest}")
 
     if args.mean_variance:
@@ -401,10 +374,7 @@ def cmd_diagnose(args) -> int:
             var_grid = variance_field(snap)
             for tag, grid in (("mean_u1", mean_grid[:, :, 0]), ("variance", var_grid)):
                 dest = os.path.join(out_dir, f"{_stem(path)}_{tag}.csv")
-                with open(dest, "w", encoding="utf-8") as fh:
-                    fh.write(f"# {tag},{snap.time:.17g},{snap.N},{snap.m}\n")
-                    for row in grid:
-                        fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+                write_csv(dest, (tag, snap.time, snap.N, snap.m), grid)
                 print(f"wrote {dest}")
 
     for N, snaps in sorted(by_n.items()):
@@ -413,20 +383,19 @@ def cmd_diagnose(args) -> int:
         snaps.sort(key=lambda s: s.time)
         common = min(s.m for s in snaps)
         dest = os.path.join(out_dir, f"time_regularity_N{N:04d}.csv")
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(f"# time_regularity_L{args.time_regularity:g},{snaps[-1].time:.17g},{N},{common}\n")
-            for j in range(common):
-                traj = [(s.time, s.fields[j]) for s in snaps]
-                ratio = time_regularity_ratio(traj, L=args.time_regularity)
-                fh.write(f"{snaps[0].sample_seeds[j]},{ratio:.17g}\n")
+        rows = []
+        for j in range(common):
+            traj = [(s.time, s.fields[j]) for s in snaps]
+            ratio = time_regularity_ratio(traj, L=args.time_regularity)
+            rows.append((snaps[0].sample_seeds[j], ratio))
+        header = (f"time_regularity_L{args.time_regularity:g}", snaps[-1].time, N, common)
+        write_csv(dest, header, rows)
         print(f"wrote {dest}")
 
     if summary_rows:
         dest = os.path.join(out_dir, "summary.csv")
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write("# file,quantity,exponent,intercept,residual,r_min,r_max\n")
-            for row in summary_rows:
-                fh.write(row + "\n")
+        header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
+        write_csv(dest, header, summary_rows)
         print(f"wrote {dest}")
     return 0
 

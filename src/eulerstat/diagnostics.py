@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot, mean_field, variance_field
+from .ensemble import EnsembleSnapshot, mean_field, variance_field, write_csv
 from .spectral import SpectralField, sobolev_norm, synthesis_grid, truncate_to, wavenumbers
 
 __all__ = [
@@ -258,7 +258,4 @@ def time_regularity_ratio(trajectory, L: float = 2.0) -> float:
 
 def write_curve_csv(curve: ScalarCurve, path) -> None:
     """CSV: header '# kind,time,N,m', then 'abscissa,value' rows (17 sig digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {curve.kind},{curve.time:.17g},{curve.N},{curve.m}\n")
-        for a, v in zip(curve.abscissa, curve.values):
-            fh.write(f"{a:.17g},{v:.17g}\n")
+    write_csv(path, (curve.kind, curve.time, curve.N, curve.m), zip(curve.abscissa, curve.values))

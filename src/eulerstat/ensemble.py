@@ -14,6 +14,9 @@ Snapshot files use a fixed little-endian binary layout (magic "EUSS"):
     then per sample: seed:u64, coefficients for k1 = -N..N (outer),
     k2 = -N..N (inner), components 1 then 2, each a little-endian complex128
     (f64 real, f64 imag).
+
+Every file the command line writes goes through atomic_open (written to
+path + ".tmp", then renamed into place); its CSV tables through write_csv.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ __all__ = [
     "write_snapshot",
     "read_snapshot",
     "fnv1a64",
+    "atomic_open",
+    "write_csv",
 ]
 
 FORMAT_VERSION = 1
@@ -199,33 +204,49 @@ def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -
     return np.maximum(var, 0.0).sum(axis=2)
 
 
-def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
-    """Serialize a snapshot in the EUSS binary layout (bit-exact round trip).
-
-    The file is written beside path as path + ".tmp" and renamed into place,
-    so path holds either its previous content or the complete snapshot.
-    """
+@contextlib.contextmanager
+def atomic_open(path, mode="w"):
+    """Open path + ".tmp" for writing; rename it onto path at the end, or remove it on error."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(
-                _HEADER.pack(
-                    _MAGIC,
-                    FORMAT_VERSION,
-                    snapshot.N,
-                    snapshot.m,
-                    float(snapshot.time),
-                    snapshot.manifest_hash,
-                )
-            )
-            for seed, f in zip(snapshot.sample_seeds, snapshot.fields):
-                fh.write(_SEED.pack(int(seed)))
-                fh.write(np.ascontiguousarray(f.coeffs.transpose(1, 2, 0), dtype=_COEFF))
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """CSV via atomic_open: '# ' + header cells, then one line per row.
+
+    Cells are joined by ','; float cells are written .17g, others with str().
+    """
+    def line(cells):
+        return ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells) + "\n"
+
+    with atomic_open(path) as fh:
+        fh.write("# " + line(header))
+        fh.writelines(map(line, rows))
+
+
+def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
+    """Serialize a snapshot in the EUSS binary layout (bit-exact round trip), atomically."""
+    with atomic_open(path, "wb") as fh:
+        fh.write(
+            _HEADER.pack(
+                _MAGIC,
+                FORMAT_VERSION,
+                snapshot.N,
+                snapshot.m,
+                float(snapshot.time),
+                snapshot.manifest_hash,
+            )
+        )
+        for seed, f in zip(snapshot.sample_seeds, snapshot.fields):
+            fh.write(_SEED.pack(int(seed)))
+            fh.write(np.ascontiguousarray(f.coeffs.transpose(1, 2, 0), dtype=_COEFF))
 
 
 def read_snapshot(path) -> EnsembleSnapshot:

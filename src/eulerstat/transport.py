@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot
+from .ensemble import EnsembleSnapshot, write_csv
 from .spectral import sample_at_grid, synthesis_grid
 
 __all__ = [
@@ -251,12 +251,7 @@ def marginal_w1(
 
 def write_report_csv(report: MarginalDistanceReport, path) -> None:
     """CSV with one row per tuple and a trailing summary row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# wasserstein_k{report.k},{report.time:.17g},{report.N_a},{report.N_b},"
-            f"{report.m},{report.num_x_tuples},{report.seed},{report.volume_factor:.17g}\n"
-        )
-        for coords, dist in report.per_tuple:
-            flat = ",".join(f"{c:.17g}" for xy in coords for c in xy)
-            fh.write(f"{flat},{dist:.17g}\n")
-        fh.write(f"summary,{report.value:.17g}\n")
+    header = (f"wasserstein_k{report.k}", report.time, report.N_a, report.N_b,
+              report.m, report.num_x_tuples, report.seed, report.volume_factor)
+    rows = [(*(c for xy in coords for c in xy), dist) for coords, dist in report.per_tuple]
+    write_csv(path, header, rows + [("summary", report.value)])

@@ -303,6 +303,43 @@ def test_run_produces_artifacts_and_respects_force(tmp_path, capsys, monkeypatch
     assert main(["run", cfg, "--force"]) == 0
 
 
+@pytest.mark.parametrize("leftover", ["demo_N0008_energy.csv", "demo_N0016_energy.csv",
+                                      "demo_N0016.manifest"])
+def test_run_refuses_any_leftover_before_running(tmp_path, capsys, monkeypatch, leftover):
+    # A leftover of the second resolution must stop the run before the first runs.
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, GOOD)
+    out = tmp_path / "out" / "demo"
+    out.mkdir(parents=True)
+    (out / leftover).write_text("kept\n")
+    assert main(["run", cfg]) == 2
+    assert leftover in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == [leftover]
+    assert (out / leftover).read_text() == "kept\n"
+
+
+def test_every_output_is_renamed_into_place(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    replaced = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(os.path.abspath(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    cfg = _write_config(tmp_path, GOOD)
+    assert main(["run", cfg]) == 0
+    run_dir, diag_dir = tmp_path / "out" / "demo", tmp_path / "diag"
+    snaps = sorted(str(p) for p in run_dir.glob("*.euss"))
+    assert main(["diagnose", *snaps, "--structure", "--spectrum", "2", "--wasserstein", "1",
+                 "--cauchy", "--mean-variance", "--time-regularity", "2", "--out", str(diag_dir)]) == 0
+    written = [str(p) for d in (run_dir, diag_dir) for p in d.iterdir()]
+    assert sorted(written) == sorted(replaced)
+    assert len(set(replaced)) == len(replaced)
+    assert not [p for p in written if p.endswith(".tmp")]
+
+
 def test_run_taylor_green_preset(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", "taylor_green_check"]) == 0
@@ -422,9 +459,59 @@ def test_diagnose_bad_flag_value_writes_nothing(tmp_path, capsys, flag):
 
 def test_diagnose_time_regularity_rejects_repeated_time(tmp_path, capsys):
     paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (8, 2, 0.1)))
+    copy = tmp_path / "copy_N0008_t0.euss"
+    copy.write_bytes((tmp_path / "s_N0008_t0.euss").read_bytes())
     err = _assert_diagnose_writes_nothing(
-        tmp_path, capsys, [paths[0], *paths, "--structure", "--time-regularity", "2"])
+        tmp_path, capsys, [str(copy), *paths, "--structure", "--time-regularity", "2"])
     assert "N=8" in err
+
+
+def test_diagnose_reads_a_repeated_input_once(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").mkdir()
+    _write_snapshots(tmp_path / "a", ((8, 2, 0.0), (16, 2, 0.0)))
+    args = ["a/s_N0008_t0.euss", "./a/s_N0008_t0.euss", "a/s_N0016_t0.euss"]
+    assert main(["diagnose", *args, "--cauchy", "--structure", "--out", "d"]) == 0
+    wrote = capsys.readouterr().out.splitlines()
+    assert len(wrote) == len(set(wrote)) == 4  # 2 structure, 1 Cauchy, summary
+    rows = (tmp_path / "d" / "summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["s_N0008_t0", "s_N0016_t0"]
+
+
+@pytest.mark.parametrize("out", [[], ["--out", "d"]])
+def test_diagnose_rejects_inputs_sharing_a_stem(tmp_path, capsys, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    for run in ("runA", "runB"):
+        (tmp_path / run).mkdir()
+        _write_snapshots(tmp_path / run, ((8, 2, 0.0),))
+    before = sorted(tmp_path.rglob("*"))
+    args = ["runA/s_N0008_t0.euss", "runB/s_N0008_t0.euss"]
+    assert main(["diagnose", *args, "--structure", *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and args[0] in err and args[1] in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_interrupted_diagnose_leaves_previous_csv_intact(tmp_path, capsys, monkeypatch):
+    paths = _write_snapshots(tmp_path, ((8, 3, 0.0), (8, 3, 0.1)))
+    args = ["diagnose", *paths, "--time-regularity", "2"]
+    assert main(args) == 0
+    dest = tmp_path / "time_regularity_N0008.csv"
+    before = dest.read_bytes()
+    calls = []
+    real_ratio = eulerstat.cli.time_regularity_ratio
+
+    def interrupted(*a, **kw):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_ratio(*a, **kw)
+
+    monkeypatch.setattr(eulerstat.cli, "time_regularity_ratio", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    assert dest.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("cut", ["four_bytes", "truncated_body", "extended"])

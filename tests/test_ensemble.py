@@ -14,6 +14,7 @@ from eulerstat.ensemble import (
     read_snapshot,
     run_ensemble,
     variance_field,
+    write_csv,
     write_snapshot,
 )
 from eulerstat.errors import BlowUpError, SnapshotFormatError
@@ -258,6 +259,27 @@ def test_failed_write_leaves_existing_snapshot_intact(tmp_path):
         write_snapshot(path, bad)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["snap.euss"]
+
+
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("kind", 0.1, 8, None), [(1, np.float64(1 / 3), "x"), (2.0, float("nan"))])
+    assert path.read_text() == "# kind,0.10000000000000001,8,None\n1,0.33333333333333331,x\n2,nan\n"
+
+
+def test_interrupted_csv_write_leaves_existing_file_intact(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("kind",), [(1.0,)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (2.0,)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_csv(path, ("kind",), rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 def test_read_rejects_bad_magic(tmp_path):
