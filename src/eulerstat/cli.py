@@ -281,13 +281,8 @@ def cmd_diagnose(args) -> int:
         if other != p:
             _err(f"{other} and {p} would both write outputs named {_stem(p)}")
             return 2
-    try:
-        loaded = [(p, read_snapshot(p)) for p in by_real.values()]
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return 2
-
-    # Every check that can fail runs before the first file is written.
+    # Every check that can fail runs before the first file is written, and
+    # the checks that need no input run before the first one is read.
     selected = (args.structure, args.spectrum is not None, args.wasserstein is not None,
                 args.cauchy, args.mean_variance, args.time_regularity is not None)
     if not any(selected):
@@ -300,6 +295,12 @@ def cmd_diagnose(args) -> int:
         if value is not None and not math.isfinite(value):
             _err(f"{flag} must be finite, got {value}")
             return 2
+    try:
+        loaded = [(p, read_snapshot(p)) for p in by_real.values()]
+    except (OSError, ValueError) as exc:
+        _err(str(exc))
+        return 2
+
     pairs = []
     if args.wasserstein is not None or args.cauchy:
         for pa, sa in loaded:
@@ -317,12 +318,17 @@ def cmd_diagnose(args) -> int:
     by_n = {}
     if args.time_regularity is not None:
         for path, snap in loaded:
-            by_n.setdefault(snap.N, []).append(snap)
+            by_n.setdefault(snap.N, []).append((path, snap))
         if not any(len(s) >= 2 for s in by_n.values()):
             _err("time regularity needs >= 2 snapshots of the same resolution")
             return 2
-        for N, snaps in sorted(by_n.items()):
-            if len({s.time for s in snaps}) < len(snaps):
+        for N, entries in sorted(by_n.items()):
+            if len({s.manifest_hash for _, s in entries}) > 1:
+                names = ", ".join(p for p, _ in entries)
+                _err(f"time regularity needs one experiment per resolution, but the N={N} "
+                     f"inputs come from different manifests: {names}")
+                return 2
+            if len({s.time for _, s in entries}) < len(entries):
                 _err(f"time regularity needs distinct times, but two N={N} inputs share one")
                 return 2
 
@@ -377,10 +383,10 @@ def cmd_diagnose(args) -> int:
                 write_csv(dest, (tag, snap.time, snap.N, snap.m), grid)
                 print(f"wrote {dest}")
 
-    for N, snaps in sorted(by_n.items()):
-        if len(snaps) < 2:
+    for N, entries in sorted(by_n.items()):
+        if len(entries) < 2:
             continue
-        snaps.sort(key=lambda s: s.time)
+        snaps = sorted((s for _, s in entries), key=lambda s: s.time)
         common = min(s.m for s in snaps)
         dest = os.path.join(out_dir, f"time_regularity_N{N:04d}.csv")
         rows = []

@@ -466,6 +466,36 @@ def test_diagnose_time_regularity_rejects_repeated_time(tmp_path, capsys):
     assert "N=8" in err
 
 
+def test_diagnose_time_regularity_rejects_mixed_experiments(tmp_path, capsys):
+    # two N = 8 snapshots at distinct times, but written by different runs
+    rng = np.random.default_rng(6)
+    paths = []
+    for t, mhash in ((0.0, 11), (0.1, 12)):
+        path = tmp_path / f"run{mhash}_N0008_t{t:g}.euss"
+        write_snapshot(path, EnsembleSnapshot(
+            time=t, N=8, fields=[hermitian_random_field(8, rng) for _ in range(2)],
+            sample_seeds=[1, 2], params=SolverParams(N=8), manifest_hash=mhash))
+        paths.append(str(path))
+    err = _assert_diagnose_writes_nothing(
+        tmp_path, capsys, [*paths, "--structure", "--time-regularity", "2"])
+    assert "N=8" in err and paths[0] in err and paths[1] in err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ([], "no diagnostic selected"),
+    (["--wasserstein", "4"], "--wasserstein"),
+    (["--spectrum", "nan"], "--spectrum"),
+    (["--time-regularity", "inf"], "--time-regularity"),
+])
+def test_diagnose_checks_flags_before_reading(tmp_path, capsys, monkeypatch, flag, message):
+    monkeypatch.setattr(eulerstat.cli, "read_snapshot", lambda path: pytest.fail("read " + path))
+    missing = str(tmp_path / "missing.euss")
+    assert main(["diagnose", missing, *flag]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "missing.euss" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_diagnose_reads_a_repeated_input_once(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "a").mkdir()

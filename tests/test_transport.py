@@ -1,7 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eulerstat
+from eulerstat import transport
 from eulerstat.ensemble import EnsembleSnapshot
+from eulerstat.initial import InitialMeasureSpec, generate_sample
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import SpectralField, sample_at_grid
 from eulerstat.transport import (
@@ -168,3 +178,227 @@ def test_report_csv(tmp_path):
     assert len(lines) == 1 + 4 + 1
     assert lines[-1].split(",")[0] == "summary"
     assert float(lines[-1].split(",")[1]) == report.value
+
+
+def hungarian_w1(A, B):
+    """Reference: the integer Hungarian on the whole cost matrix."""
+    diff = A[:, None, :] - B[None, :, :]
+    cost = np.sqrt(np.sum(diff * diff, axis=2))
+    cols = transport._hungarian(transport._integer_costs(cost))
+    return math.fsum(cost[np.arange(len(A)), cols]) / len(A)
+
+
+def integer_total(cost, cols):
+    ints = transport._integer_costs(cost)
+    return sum(ints[i][c] for i, c in enumerate(cols))
+
+
+def count_fallbacks(monkeypatch):
+    calls = []
+    real = transport._hungarian
+
+    def counted(cost_int):
+        calls.append(len(cost_int))
+        return real(cost_int)
+
+    monkeypatch.setattr(transport, "_hungarian", counted)
+    return calls
+
+
+@st.composite
+def tied_clouds(draw):
+    """Small clouds with exact ties: duplicate points in A, in B or in both,
+    all points equal, or points on an integer lattice (equal distances)."""
+    m = draw(st.integers(1, 7))
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["dup_a", "dup_b", "dup_both", "all_equal", "lattice"]))
+    if kind == "lattice":
+        coord = st.integers(-2, 2).map(float)
+    else:
+        coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    point = st.lists(coord, min_size=d, max_size=d)
+    A = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    B = np.array(draw(st.lists(point, min_size=m, max_size=m)))
+    if kind == "all_equal":
+        A[:] = A[0]
+        B[:] = A[0]
+    if kind in ("dup_a", "dup_both"):
+        A = A[draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+    if kind in ("dup_b", "dup_both"):
+        B = B[draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))]
+    return A, B
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tied_clouds())
+def test_w1_with_ties_matches_bruteforce(clouds):
+    A, B = clouds
+    assert w1_exact(PointCloud(A), PointCloud(B)) == w1_bruteforce(A, B)
+
+
+def test_certificate_accepts_optimum_and_rejects_swap():
+    rng = np.random.default_rng(10)
+    for m, dup in ((6, False), (9, False), (9, True), (16, True)):
+        A = rng.standard_normal((m, 2))
+        B = rng.standard_normal((m, 2))
+        if dup:
+            A[1], B[2] = A[0], B[0]
+        cost = transport._cost_matrices(A[None], B[None])
+        best = transport._hungarian(transport._integer_costs(cost[0]))
+        assert transport._certify(cost, np.array([best])).tolist() == [True]
+        worse = None
+        for i in range(m):
+            for j in range(i):
+                cols = list(best)
+                cols[i], cols[j] = cols[j], cols[i]
+                if integer_total(cost[0], cols) > integer_total(cost[0], best):
+                    worse = cols
+                    break
+            if worse:
+                break
+        assert transport._certify(cost, np.array([worse])).tolist() == [False]
+
+
+def test_certificate_checks_near_zero_reduced_costs_exactly():
+    # The identity costs 2 + 2^-60, the swap 2. In doubles 1 - 2^-60 rounds
+    # to 1, so the losing exchange cycle weighs 0 in float arithmetic and
+    # only the exact integer check can see that it is negative.
+    cost = np.array([[[2.0 ** -60, 1.0], [1.0, 2.0]]])
+    assert transport._certify(cost, np.array([[0, 1]])).tolist() == [False]
+    assert transport._certify(cost, np.array([[1, 0]])).tolist() == [True]
+
+
+def test_certificate_rejects_bellman_ford_parent_cycle(monkeypatch):
+    # On rows 0 and 1 the identity costs 2, the swap 2 - 2^-53; row 2 sits
+    # apart. Bellman-Ford relaxes row 0 through row 1 to -2^-53, and
+    # -2^-53 - 1 rounds back to -1, so the float iteration settles with
+    # each of rows 0 and 1 the other's parent.
+    cost = np.array([[[0.0, 1.0, 10.0], [1.0 - 2.0 ** -53, 2.0, 10.0], [10.0, 10.0, 0.0]]])
+    tree_calls = []
+    real = transport._tree_potentials
+
+    def spied(*args):
+        tree_calls.append(real(*args))
+        return tree_calls[-1]
+
+    monkeypatch.setattr(transport, "_tree_potentials", spied)
+    assert transport._certify(cost, np.array([[0, 1, 2]])).tolist() == [False]
+    assert tree_calls == [None]
+    assert transport._certify(cost, np.array([[1, 0, 2]])).tolist() == [True]
+
+
+def test_certificate_rejects_non_permutation():
+    # every row on one column: each exchange cycle weighs exactly 0
+    rng = np.random.default_rng(11)
+    cost = transport._cost_matrices(rng.standard_normal((1, 5, 2)), rng.standard_normal((1, 5, 2)))
+    assert transport._certify(cost, np.zeros((1, 5), dtype=np.int64)).tolist() == [False]
+
+
+def test_generic_clouds_never_fall_back(monkeypatch):
+    rng = np.random.default_rng(12)
+    clouds = [(rng.standard_normal((32, 2)), rng.standard_normal((32, 2))) for _ in range(50)]
+    expected = [hungarian_w1(A, B) for A, B in clouds]
+    calls = count_fallbacks(monkeypatch)
+    assert [w1_exact(PointCloud(A), PointCloud(B)) for A, B in clouds] == expected
+    assert calls == []
+
+
+def test_cost_matrices_match_numpy_sum():
+    rng = np.random.default_rng(13)
+    for d in range(0, 10):
+        A = rng.standard_normal((3, 9, d)) * rng.uniform(0.1, 10.0, size=d)
+        B = rng.standard_normal((3, 9, d))
+        cost = transport._cost_matrices(A, B)
+        for t in range(3):
+            diff = A[t][:, None, :] - B[t][None, :, :]
+            assert cost[t].tobytes() == np.sqrt(np.sum(diff * diff, axis=2)).tobytes()
+
+
+def test_extreme_scales_match_bruteforce(monkeypatch):
+    # inside the certified cost range the certificate decides; outside it
+    # every tuple goes to the integer Hungarian
+    calls = count_fallbacks(monkeypatch)
+    rng = np.random.default_rng(14)
+    A = rng.standard_normal((6, 2))
+    B = rng.standard_normal((6, 2))
+    for exponent, falls_back in ((-300, False), (300, False), (-450, True), (450, True)):
+        del calls[:]
+        sA, sB = np.ldexp(A, exponent), np.ldexp(B, exponent)
+        assert w1_exact(PointCloud(sA), PointCloud(sB)) == w1_bruteforce(sA, sB)
+        assert (calls != []) == falls_back
+
+
+def rough_sheet_snapshot(N, m, seed):
+    spec = InitialMeasureSpec(family="flat_sheet", N=N, rho=0.0, delta=0.025, base_seed=seed)
+    return snapshot_of([generate_sample(spec, i) for i in range(1, m + 1)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_marginal_matches_integer_hungarian_on_rough_sheet(k):
+    # rho = 0 sheets sampled at grid nodes repeat whole fields, so every
+    # cloud holds duplicate points
+    a = rough_sheet_snapshot(8, 16, 1)
+    b = rough_sheet_snapshot(16, 16, 2)
+    report = marginal_w1(a, b, k, num_tuples=12)
+    M = 24
+    valsA = np.stack([sample_at_grid(f, M) for f in a.fields])
+    valsB = np.stack([sample_at_grid(f, M) for f in b.fields])
+    tuples = draw_x_tuples(transport.DEFAULT_DIAGNOSTIC_SEED, 12, k, M)
+    duplicates = 0
+    for tup, (_, dist) in zip(tuples, report.per_tuple):
+        A = np.concatenate([valsA[:, i1, i2, :] for i1, i2 in tup], axis=1)
+        B = np.concatenate([valsB[:, i1, i2, :] for i1, i2 in tup], axis=1)
+        duplicates += len(np.unique(A, axis=0)) < len(A)
+        assert dist == hungarian_w1(A, B)
+    assert duplicates > 0
+
+
+def test_marginal_chunks_do_not_change_values(monkeypatch):
+    rng = np.random.default_rng(15)
+    a = snapshot_of([hermitian_random_field(6, rng) for _ in range(5)])
+    b = snapshot_of([hermitian_random_field(6, rng) for _ in range(5)])
+    whole = marginal_w1(a, b, 2, num_tuples=10)
+    monkeypatch.setattr(transport, "_CHUNK_BYTES", 3 * 8 * 5 * 5)
+    chunked = marginal_w1(a, b, 2, num_tuples=10)
+    assert chunked.per_tuple == whole.per_tuple
+    assert chunked.value == whole.value
+
+
+def test_w1_dimension_and_finiteness_checks():
+    with pytest.raises(ValueError, match="dimensions differ"):
+        w1_exact(PointCloud(np.zeros((3, 2))), PointCloud(np.zeros((3, 3))))
+    with pytest.raises(ValueError, match="sizes differ"):
+        w1_exact(PointCloud(np.zeros((3, 2))), PointCloud(np.zeros((4, 2))))
+    with pytest.raises(ValueError, match="non-finite"):
+        PointCloud(np.array([[0.0, np.inf]]))
+
+
+def test_marginal_rejects_non_finite_values():
+    rng = np.random.default_rng(16)
+    good = [hermitian_random_field(6, rng) for _ in range(3)]
+    coeffs = np.array(good[0].coeffs)
+    coeffs[0] = np.nan
+    bad = [SpectralField(6, coeffs)] + good[1:]
+    with pytest.raises(ValueError, match="non-finite"):
+        marginal_w1(snapshot_of(good), snapshot_of(bad), 1, num_tuples=4)
+
+
+def test_w1_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(eulerstat.__file__))
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from eulerstat.ensemble import EnsembleSnapshot\n"
+        "from eulerstat.solver import SolverParams\n"
+        "from eulerstat.spectral import SpectralField\n"
+        "from eulerstat.transport import PointCloud, marginal_w1, w1_exact\n"
+        "rng = np.random.default_rng(0)\n"
+        "w1_exact(PointCloud(rng.standard_normal((8, 2))), PointCloud(rng.standard_normal((8, 2))))\n"
+        "f = [SpectralField(4, rng.standard_normal((2, 9, 9)) + 0j) for _ in range(3)]\n"
+        "s = EnsembleSnapshot(time=0.0, N=4, fields=f, sample_seeds=[1, 2, 3], params=SolverParams(N=4))\n"
+        "marginal_w1(s, s, 2, num_tuples=4)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
