@@ -22,6 +22,7 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
@@ -173,6 +174,15 @@ def _snapshot_paths(cfg: ExperimentConfig, N: int):
     return snaps, f"{base}.manifest", f"{base}_energy.csv"
 
 
+def _make_writable_dir(path: str) -> None:
+    """Create directory path if needed and prove a file can be written in it (OSError if not)."""
+    os.makedirs(path, exist_ok=True)
+    probe = os.path.join(path, ".write_probe")
+    with open(probe, "w"):
+        pass
+    os.remove(probe)
+
+
 def cmd_run(args) -> int:
     if args.workers < 1:
         _err(f"--workers must be >= 1, got {args.workers}")
@@ -215,11 +225,7 @@ def cmd_run(args) -> int:
             return 2
 
     try:
-        os.makedirs(cfg.output_dir, exist_ok=True)
-        probe = os.path.join(cfg.output_dir, ".write_probe")
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
+        _make_writable_dir(cfg.output_dir)
     except OSError as exc:
         _err(f"output_dir {cfg.output_dir!r} is not writable: {exc}")
         return 2
@@ -281,8 +287,8 @@ def cmd_diagnose(args) -> int:
         if other != p:
             _err(f"{other} and {p} would both write outputs named {_stem(p)}")
             return 2
-    # Every check that can fail runs before the first file is written, and
-    # the checks that need no input run before the first one is read.
+    # Checks that name the offending flag or input run first; those that
+    # need no input run before the first one is read.
     selected = (args.structure, args.spectrum is not None, args.wasserstein is not None,
                 args.cauchy, args.mean_variance, args.time_regularity is not None)
     if not any(selected):
@@ -332,77 +338,72 @@ def cmd_diagnose(args) -> int:
                 _err(f"time regularity needs distinct times, but two N={N} inputs share one")
                 return 2
 
-    out_dir = args.out or os.path.dirname(os.path.abspath(args.snapshots[0]))
-    os.makedirs(out_dir, exist_ok=True)
-    summary_rows = []
-
-    if args.structure:
-        for path, snap in loaded:
-            curve = structure_function(snap)
-            dest = os.path.join(out_dir, f"{_stem(path)}_structure.csv")
-            write_curve_csv(curve, dest)
-            print(f"wrote {dest}")
-            try:
-                fit = fit_exponent(curve, *default_fit_range(snap.N))
-                summary_rows.append((_stem(path), "structure_exponent", fit.exponent,
-                                     fit.intercept, fit.residual, *fit.fit_range))
-            except ValueError:
-                summary_rows.append((_stem(path), "structure_exponent", *["nan"] * 5))
-
-    if args.spectrum is not None:
-        for path, snap in loaded:
-            curve = energy_spectrum(snap)
-            if args.spectrum != 0.0:
-                curve = compensated_spectrum(curve, args.spectrum)
-            dest = os.path.join(out_dir, f"{_stem(path)}_spectrum.csv")
-            write_curve_csv(curve, dest)
-            print(f"wrote {dest}")
-
-    if args.wasserstein is not None:
-        for pa, sa, pb, sb in pairs:
-            report = marginal_w1(sa, sb, args.wasserstein)
-            dest = os.path.join(out_dir, f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv")
-            write_report_csv(report, dest)
-            print(f"wrote {dest}")
-
-    if args.cauchy:
-        for pa, sa, pb, sb in pairs:
-            dest = os.path.join(out_dir, f"{_stem(pa)}__{_stem(pb)}_cauchy.csv")
-            rows = [("mean", cauchy_rate(sa, sb, "mean"))]
-            if sa.m == sb.m:
-                rows.append(("variance", cauchy_rate(sa, sb, "variance")))
-            write_csv(dest, ("cauchy", sa.time, sa.N, sa.m), rows)
-            print(f"wrote {dest}")
-
-    if args.mean_variance:
-        for path, snap in loaded:
-            mean_grid = sample_at_grid(mean_field(snap), synthesis_grid(snap.N))
-            var_grid = variance_field(snap)
-            for tag, grid in (("mean_u1", mean_grid[:, :, 0]), ("variance", var_grid)):
-                dest = os.path.join(out_dir, f"{_stem(path)}_{tag}.csv")
-                write_csv(dest, (tag, snap.time, snap.N, snap.m), grid)
-                print(f"wrote {dest}")
-
-    for N, entries in sorted(by_n.items()):
-        if len(entries) < 2:
-            continue
-        snaps = sorted((s for _, s in entries), key=lambda s: s.time)
-        common = min(s.m for s in snaps)
-        dest = os.path.join(out_dir, f"time_regularity_N{N:04d}.csv")
-        rows = []
-        for j in range(common):
-            traj = [(s.time, s.fields[j]) for s in snaps]
-            ratio = time_regularity_ratio(traj, L=args.time_regularity)
-            rows.append((snaps[0].sample_seeds[j], ratio))
-        header = (f"time_regularity_L{args.time_regularity:g}", snaps[-1].time, N, common)
-        write_csv(dest, header, rows)
-        print(f"wrote {dest}")
+    # Compute every table before writing any: a failure while computing
+    # leaves no partial outputs, and --out is not created until then.
+    outputs, summary_rows = [], []          # (file name, writer taking the path)
+    try:
+        if args.structure:
+            for path, snap in loaded:
+                curve = structure_function(snap)
+                outputs.append((f"{_stem(path)}_structure.csv", partial(write_curve_csv, curve)))
+                try:
+                    fit = fit_exponent(curve, *default_fit_range(snap.N))
+                    summary_rows.append((_stem(path), "structure_exponent", fit.exponent,
+                                         fit.intercept, fit.residual, *fit.fit_range))
+                except ValueError:
+                    summary_rows.append((_stem(path), "structure_exponent", *["nan"] * 5))
+        if args.spectrum is not None:
+            for path, snap in loaded:
+                curve = energy_spectrum(snap)
+                if args.spectrum != 0.0:
+                    curve = compensated_spectrum(curve, args.spectrum)
+                outputs.append((f"{_stem(path)}_spectrum.csv", partial(write_curve_csv, curve)))
+        if args.wasserstein is not None:
+            for pa, sa, pb, sb in pairs:
+                report = marginal_w1(sa, sb, args.wasserstein)
+                outputs.append((f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv",
+                                partial(write_report_csv, report)))
+        if args.cauchy:
+            for pa, sa, pb, sb in pairs:
+                rows = [("mean", cauchy_rate(sa, sb, "mean"))]
+                if sa.m == sb.m:
+                    rows.append(("variance", cauchy_rate(sa, sb, "variance")))
+                outputs.append((f"{_stem(pa)}__{_stem(pb)}_cauchy.csv",
+                                partial(write_csv, header=("cauchy", sa.time, sa.N, sa.m), rows=rows)))
+        if args.mean_variance:
+            for path, snap in loaded:
+                # a copy: a view of u1 would hold the whole (M, M, 2) grid until written
+                mean_u1 = sample_at_grid(mean_field(snap), synthesis_grid(snap.N))[:, :, 0].copy()
+                for tag, grid in (("mean_u1", mean_u1), ("variance", variance_field(snap))):
+                    outputs.append((f"{_stem(path)}_{tag}.csv",
+                                    partial(write_csv, header=(tag, snap.time, snap.N, snap.m), rows=grid)))
+        for N, entries in sorted(by_n.items()):
+            if len(entries) < 2:
+                continue
+            snaps = sorted((s for _, s in entries), key=lambda s: s.time)
+            common = min(s.m for s in snaps)
+            rows = [(snaps[0].sample_seeds[j], time_regularity_ratio(
+                [(s.time, s.fields[j]) for s in snaps], L=args.time_regularity)) for j in range(common)]
+            header = (f"time_regularity_L{args.time_regularity:g}", snaps[-1].time, N, common)
+            outputs.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
 
     if summary_rows:
-        dest = os.path.join(out_dir, "summary.csv")
         header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
-        write_csv(dest, header, summary_rows)
-        print(f"wrote {dest}")
+        outputs.append(("summary.csv", partial(write_csv, header=header, rows=summary_rows)))
+
+    out_dir = args.out or os.path.dirname(os.path.abspath(args.snapshots[0]))
+    try:
+        _make_writable_dir(out_dir)
+        for name, write in outputs:
+            dest = os.path.join(out_dir, name)
+            write(dest)
+            print(f"wrote {dest}")
+    except OSError as exc:
+        _err(f"output directory {out_dir!r} is not writable: {exc}")
+        return 2
     return 0
 
 

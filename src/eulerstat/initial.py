@@ -260,8 +260,6 @@ def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> Spec
     """
     if spec.family != "sinusoidal_sheet":
         raise ValueError(f"spec.family is {spec.family!r}, not 'sinusoidal_sheet'")
-    if not spec.rho > 0:
-        raise ValueError("sinusoidal sheet requires rho > 0")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
     M = synthesis_grid(spec.N)
@@ -272,8 +270,7 @@ def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> Spec
     return leray_project(from_physical(grid, spec.N))
 
 
-def fbm_surface(rng: np.random.Generator, levels: int, hurst: float, sigma0: float = 1.0,
-                level_rngs=None) -> np.ndarray:
+def fbm_surface(level_rngs, levels: int, hurst: float, sigma0: float = 1.0) -> np.ndarray:
     """Fractional Brownian surface on a (2^levels + 1)^2 grid by midpoint displacement.
 
     Corner values are drawn standard normal (times sigma0); refinement level
@@ -281,26 +278,22 @@ def fbm_surface(rng: np.random.Generator, levels: int, hurst: float, sigma0: flo
     step fills cell centers from the four cell corners, the square step
     fills edge midpoints from their (3 or 4) lattice neighbors.
 
-    level_rngs, when given, supplies one generator per level (index 0 for
-    the corners, then one per refinement), which keeps coarse levels
-    identical across surfaces of different depth.
+    level_rngs supplies one generator per level (index 0 for the corners,
+    then one per refinement), which keeps coarse levels identical across
+    surfaces of different depth.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError("hurst must lie in (0, 1)")
     n = 2 ** levels
     surf = np.zeros((n + 1, n + 1))
-
-    def _rng(level):
-        return level_rngs[level] if level_rngs is not None else rng
-
-    corners = _rng(0).standard_normal(4) * sigma0
+    corners = level_rngs[0].standard_normal(4) * sigma0
     surf[0, 0], surf[0, n], surf[n, 0], surf[n, n] = corners
 
     step = n
     for level in range(1, levels + 1):
         half = step // 2
         sigma = sigma0 * 2.0 ** (-level * hurst)
-        gen = _rng(level)
+        gen = level_rngs[level]
         # diamond: cell centers from the four cell corners
         c00 = surf[0:n:step, 0:n:step]
         c01 = surf[0:n:step, step::step]
@@ -359,7 +352,7 @@ def fbm_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
         level_rngs = [
             sample_rng(spec.base_seed, sample_index, comp, lvl) for lvl in range(levels + 1)
         ]
-        surf = fbm_surface(None, levels, spec.hurst, spec.sigma0, level_rngs=level_rngs)
+        surf = fbm_surface(level_rngs, levels, spec.hurst, spec.sigma0)
         period = _periodize(surf[: P + 1, : P + 1])
         grid[:, :, comp] = period - period.mean()
     return leray_project(from_physical(grid, N))

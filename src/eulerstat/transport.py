@@ -87,24 +87,11 @@ def _integer_costs(cost: np.ndarray):
     """Encode a matrix of nonnegative doubles as exact integers.
 
     cost[i][j] = M * 2^e with M a 53-bit integer; shifting every entry to
-    the smallest exponent present gives integers with the same ordering
-    and exactly proportional sums.
+    the smallest exponent present (`_scaled_int`) gives integers with the
+    same ordering and exactly proportional sums.
     """
-    mant, expo = np.frexp(cost)
-    e = expo - 53
-    nz = cost > 0
-    e_min = int(e[nz].min()) if np.any(nz) else 0
-    n = cost.shape[0]
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if cost[i, j] == 0.0:
-                row.append(0)
-            else:
-                row.append(int(mant[i, j] * 9007199254740992.0) << int(e[i, j] - e_min))
-        rows.append(row)
-    return rows
+    e_min = _ulp_exponent(float(np.min(cost, where=cost > 0, initial=np.inf)))
+    return [[_scaled_int(x, e_min) for x in row] for row in cost.tolist()]
 
 
 def _hungarian(cost_int) -> list:
@@ -258,9 +245,14 @@ def _candidate_assignments(cost: np.ndarray) -> np.ndarray:
     return col4row.reshape(T, m)
 
 
+def _ulp_exponent(smallest: float) -> int:
+    """e_min of `_scaled_int` for a matrix whose smallest positive entry is
+    smallest (inf if there is none)."""
+    return math.frexp(smallest)[1] - 53 if smallest != math.inf else 0
+
+
 def _scaled_int(x: float, e_min: int) -> int:
-    """x / 2^e_min as an exact integer (x >= 0, zero or at least 2^e_min * 2^52),
-    the encoding `_integer_costs` uses."""
+    """x / 2^e_min as an exact integer (x >= 0, zero or at least 2^e_min * 2^52)."""
     if x == 0.0:
         return 0
     mant, e = math.frexp(x)
@@ -334,7 +326,7 @@ def _certify(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
     ok = is_permutation & ~moved.any(axis=1)
 
     smallest = np.min(cost, axis=(1, 2), where=cost > 0, initial=np.inf).tolist()
-    e_mins = [math.frexp(s)[1] - 53 if s != math.inf else 0 for s in smallest]
+    e_mins = [_ulp_exponent(s) for s in smallest]
     par_cost = cost[tt, np.maximum(parent, 0), cols]
     potentials = [None] * T
     q = np.zeros((T, m))
@@ -375,11 +367,13 @@ def _certify(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _w1_chunk(A: np.ndarray, B: np.ndarray) -> list:
     """Exact W1 between A[t] and B[t] for each t; A, B are (T, m, d) arrays of
-    finite points."""
+    finite points (ValueError if a distance between them overflows)."""
     cost = _cost_matrices(A, B)
     T, m, _ = cost.shape
     lo, hi = _COST_RANGE
-    in_range = (np.isfinite(cost) & ((cost == 0) | ((cost >= lo) & (cost <= hi)))).all(axis=(1, 2))
+    if not np.isfinite(cost).all():
+        raise ValueError("distances between points overflow float64")
+    in_range = ((cost == 0) | ((cost >= lo) & (cost <= hi))).all(axis=(1, 2))
     cols = np.zeros((T, m), dtype=np.int64)
     certified = np.zeros(T, dtype=bool)
     if in_range.any():

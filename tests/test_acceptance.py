@@ -138,7 +138,7 @@ def test_c08_fbm_increment_statistics():
     acc = np.zeros(len(lags))
     for s in range(64):
         rngs = [sample_rng(123, s, 0, lvl) for lvl in range(depth + 1)]
-        surf = fbm_surface(None, depth, hurst, level_rngs=rngs)
+        surf = fbm_surface(rngs, depth, hurst)
         for j, h in enumerate(lags):
             d1 = surf[h:, :] - surf[:-h, :]
             d2 = surf[:, h:] - surf[:, :-h]

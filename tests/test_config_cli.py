@@ -11,6 +11,7 @@ from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_t
 from eulerstat.ensemble import EnsembleSnapshot, fnv1a64, read_snapshot, write_snapshot
 from eulerstat.initial import PRNG_ID
 from eulerstat.solver import SolverParams
+from eulerstat.spectral import SpectralField
 from oracles import hermitian_random_field
 
 GOOD = """\
@@ -520,6 +521,40 @@ def test_diagnose_rejects_inputs_sharing_a_stem(tmp_path, capsys, monkeypatch, o
     err = capsys.readouterr().err
     assert err.startswith("eulerstat: ") and args[0] in err and args[1] in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_diagnose_overflowing_values_write_nothing(tmp_path, capsys):
+    # Finite coefficients whose grid values overflow: read_snapshot accepts
+    # them and the structure tables compute, then W1 rejects the values.
+    paths = []
+    for N in (8, 16):
+        c = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=complex)
+        c[:, N + 1:N + 4, N + 1:N + 4] = 1e307          # k in {1, 2, 3}^2 ...
+        c += c[:, ::-1, ::-1]                           # ... and -k: 18e307 at x = 0
+        path = tmp_path / f"huge_N{N:04d}_t0.euss"
+        write_snapshot(path, EnsembleSnapshot(time=0.0, N=N, fields=[SpectralField(N, c)] * 2,
+                                              sample_seeds=[1, 2], params=SolverParams(N=N)))
+        paths.append(str(path))
+    before = sorted(tmp_path.rglob("*"))
+    for out in ([], ["--out", str(tmp_path / "diag")]):
+        assert main(["diagnose", *paths, "--structure", "--wasserstein", "1", *out]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+    err = capsys.readouterr().err
+    assert "eulerstat: " in err and "non-finite" in err    # after any overflow warnings
+
+
+@pytest.mark.parametrize("below", [False, True])
+def test_diagnose_out_under_a_file_exits_2(tmp_path, capsys, below):
+    paths = _write_snapshots(tmp_path, ((8, 2, 0.0),))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if below else blocker
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["diagnose", *paths, "--structure", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and str(out) in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
 
 
 def test_interrupted_diagnose_leaves_previous_csv_intact(tmp_path, capsys, monkeypatch):

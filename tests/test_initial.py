@@ -229,8 +229,8 @@ def test_fbm_surface_refinement_consistency():
     # deeper surfaces refine shallower ones on the shared coarse lattice
     rngs_a = [sample_rng(11, 0, 0, l) for l in range(6)]
     rngs_b = [sample_rng(11, 0, 0, l) for l in range(7)]
-    a = fbm_surface(None, 5, 0.4, level_rngs=rngs_a)
-    b = fbm_surface(None, 6, 0.4, level_rngs=rngs_b)
+    a = fbm_surface(rngs_a, 5, 0.4)
+    b = fbm_surface(rngs_b, 6, 0.4)
     assert np.array_equal(b[::2, ::2], a)
 
 
@@ -241,7 +241,7 @@ def test_fbm_increment_scaling_coarse():
     nseeds = 8
     for s in range(nseeds):
         rngs = [sample_rng(123, s, 0, l) for l in range(10)]
-        surf = fbm_surface(None, 9, 0.5, level_rngs=rngs)
+        surf = fbm_surface(rngs, 9, 0.5)
         for j, h in enumerate(lags):
             d1 = surf[h:, :] - surf[:-h, :]
             d2 = surf[:, h:] - surf[:, :-h]

@@ -371,6 +371,8 @@ def test_w1_dimension_and_finiteness_checks():
         w1_exact(PointCloud(np.zeros((3, 2))), PointCloud(np.zeros((4, 2))))
     with pytest.raises(ValueError, match="non-finite"):
         PointCloud(np.array([[0.0, np.inf]]))
+    with pytest.raises(ValueError, match="overflow"):           # finite points, infinite distance
+        w1_exact(PointCloud(np.array([[1e200, 0.0]])), PointCloud(np.array([[-1e200, 0.0]])))
 
 
 def test_marginal_rejects_non_finite_values():
