@@ -109,14 +109,30 @@ def default_fit_range(N: int) -> tuple:
     return (r_max / 10.0, r_max)
 
 
+def _check_finite(values: np.ndarray, what: str, snapshot: EnsembleSnapshot) -> None:
+    """Raise ValueError naming what and the snapshot unless every value is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"non-finite {what} at N={snapshot.N}, t={snapshot.time:g}: "
+            "the coefficients are too large"
+        )
+
+
 def _radial_power(snapshot: EnsembleSnapshot):
-    """Mean modal power per integer |k|^2: (ksq values, power sums)."""
+    """Mean modal power per integer |k|^2: (ksq values, power sums).
+
+    Raises ValueError when a shell power is not finite, as happens when
+    finite coefficients overflow on squaring. structure_function and
+    energy_spectrum likewise reject sums of finite powers that overflow.
+    """
     _, _, ksq = wavenumbers(snapshot.N)
     flat_ksq = ksq.ravel()
     acc = np.zeros(int(flat_ksq.max()) + 1)
-    for f in snapshot.fields:
-        p = (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2).ravel()
-        acc += np.bincount(flat_ksq, weights=p, minlength=acc.size)
+    with np.errstate(over="ignore"):
+        for f in snapshot.fields:
+            p = (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2).ravel()
+            acc += np.bincount(flat_ksq, weights=p, minlength=acc.size)
+    _check_finite(acc, "shell power", snapshot)
     acc /= snapshot.m
     nz = np.nonzero(acc)[0]
     nz = nz[nz > 0]
@@ -131,8 +147,10 @@ def structure_function(snapshot: EnsembleSnapshot, r_values=None) -> ScalarCurve
     ksq_vals, power = _radial_power(snapshot)
     kmag = np.sqrt(ksq_vals)
     s2 = np.empty(r.shape)
-    for j, rj in enumerate(r):
-        s2[j] = (2.0 * np.pi) ** 2 * np.dot(increment_kernel(kmag * rj), power)
+    with np.errstate(over="ignore"):
+        for j, rj in enumerate(r):
+            s2[j] = (2.0 * np.pi) ** 2 * np.dot(increment_kernel(kmag * rj), power)
+    _check_finite(s2, "structure function", snapshot)
     return ScalarCurve(
         abscissa=r,
         values=np.sqrt(np.maximum(s2, 0.0)),
@@ -162,6 +180,7 @@ def energy_spectrum(snapshot: EnsembleSnapshot, K_max: int | None = None) -> Sca
     ksq_vals, power = _radial_power(snapshot)
     shells = np.ceil(np.sqrt(ksq_vals)).astype(int)
     e = np.bincount(shells, weights=0.5 * power, minlength=full + 1)
+    _check_finite(e, "energy spectrum", snapshot)
     K = np.arange(1, K_max + 1, dtype=np.float64)
     return ScalarCurve(
         abscissa=K,

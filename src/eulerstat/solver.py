@@ -26,6 +26,17 @@ once per step, with no re-projection. evolve synthesizes the padded
 velocity once per step and uses that grid for both max|u| in the step
 bound and the first RK stage.
 
+An RK step allocates no padded-grid-sized array. Each SolverParams has
+one set of buffers in the _workspace cache (two params at most): the
+padded velocity grid and its synthesis rows, the products u_i u_j (also
+|u|^2 for the step bound) and their real spectrum. At N = 128 a set
+takes 10.5 MiB, at N = 512 168 MiB. The modal-size arrays of the RHS
+(the gathered modes, the divergence terms, the stage fields) are still
+allocated. A synthesized grid is valid only until the next synthesis with
+the same params; rhs, step and evolve return fresh arrays. Two threads
+must not call rhs, step, adaptive_dt or evolve at once in one process:
+calls with equal params share one buffer set.
+
 The padded grid has ceil(dealias * 2N) points per axis. The default
 dealias = 1.5 gives M = 3N, which is not fully alias-free: products reach
 |k| = 2N, which folds onto -N inside the retained band; M >= 3N+1 would
@@ -110,6 +121,15 @@ class SolverParams:
             raise ValueError("visc_safety must be positive")
         if self.dealias * 2 * self.N < 2 * self.N + 1:
             raise ValueError("dealias factor too small to resolve the retained band")
+        # damping_rates forms eps_N and |k|^(2s) separately, and |k|^2 peaks
+        # at 2N^2: an infinite power gives infinite or (times 0) NaN rates.
+        with np.errstate(over="ignore"):
+            top = np.float64(2 * self.N**2) ** self.s
+        if not np.isfinite(top) or (self.eps > 0 and self.eps_n == 0.0):
+            raise ValueError(
+                f"s = {self.s} is too large for N = {self.N}: (2N^2)^s or eps N^(1-2s) "
+                "leaves the float range"
+            )
 
     @property
     def eps_n(self) -> float:
@@ -155,10 +175,17 @@ def damping_rates(params: SolverParams) -> np.ndarray:
     return params.eps_n * multiplier_profile(params) * ksq.astype(np.float64) ** params.s
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def _workspace(params: SolverParams):
-    """Read-only k2 >= 0 halves of the wavenumber and damping arrays."""
-    N = params.N
+    """The arrays of an RK step for params: read-only constants and buffers.
+
+    Read-only: the k2 >= 0 halves of the wavenumber and damping arrays.
+    Buffers, overwritten by every call that uses them: "rows" and "U" hold
+    a synthesis (_velocity_grid), "prod" the three products u_i u_j (and
+    |U|^2 in _dt_bound) and "spec" their real FFT. The cache keeps two
+    params, so a multi-resolution run holds at most two buffer sets.
+    """
+    N, M = params.N, params.padded_grid
     k1, k2, ksq = wavenumbers(N)
     damping = damping_rates(params)
     halves = {
@@ -169,14 +196,37 @@ def _workspace(params: SolverParams):
     }
     for a in halves.values():
         a.flags.writeable = False
-    return {**halves, "lam_max": float(np.max(damping))}
+    buffers = {
+        "rows": np.empty((2, M, N + 1), dtype=np.complex128),
+        "U": np.empty((2, M, M)),
+        "prod": np.empty((3, M, M)),
+        "spec": np.empty((3, M, M // 2 + 1), dtype=np.complex128),
+    }
+    return {**halves, **buffers, "lam_max": float(np.max(damping))}
+
+
+def _velocity_grid(half: np.ndarray, params: SolverParams) -> np.ndarray:
+    """The padded velocity grid of half, in the workspace's "U" buffer.
+
+    Valid until the next _velocity_grid call with the same params.
+    """
+    ws = _workspace(params)
+    return _synthesize(half, params.padded_grid, ws["rows"], ws["U"])
 
 
 def _rhs_half(half: np.ndarray, U: np.ndarray, params: SolverParams) -> np.ndarray:
-    """du/dt on the k2 >= 0 half plane, given U, the padded velocity grid of half."""
+    """du/dt on the k2 >= 0 half plane, given U, the padded velocity grid of half.
+
+    The products u_i u_j and their spectrum go through workspace buffers;
+    the result is a fresh array.
+    """
     ws = _workspace(params)
     if params.enable_nonlinear:
-        fhat = _analyze_half(np.stack((U[0] * U[0], U[0] * U[1], U[1] * U[1])), params.N)
+        prod = ws["prod"]
+        np.multiply(U[0], U[0], out=prod[0])
+        np.multiply(U[0], U[1], out=prod[1])
+        np.multiply(U[1], U[1], out=prod[2])
+        fhat = _analyze_half(prod, params.N, ws["spec"])
         k1, k2 = ws["k1"], ws["k2"]
         div0 = 1j * (k1 * fhat[0] + k2 * fhat[1])
         div1 = 1j * (k1 * fhat[1] + k2 * fhat[2])
@@ -192,22 +242,35 @@ def _rhs_half(half: np.ndarray, U: np.ndarray, params: SolverParams) -> np.ndarr
 
 
 def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
-    """Time derivative of the modal coefficients under the scheme."""
+    """Time derivative of the modal coefficients under the scheme.
+
+    Not thread-safe: calls with equal params share one set of grid
+    buffers, so use one thread per process (ensemble uses processes).
+    """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     half = u.coeffs[:, :, params.N :]
-    U = _synthesize(half, params.padded_grid)
+    U = _velocity_grid(half, params)
     return SpectralField._wrap(params.N, _full_plane(_rhs_half(half, U, params)))
 
 
 def _dt_bound(U: np.ndarray, params: SolverParams) -> float:
-    """adaptive_dt from U, the velocity on the padded grid."""
+    """adaptive_dt from U, the velocity on the padded grid.
+
+    |U|^2 goes into the workspace's "prod" buffer, which U must not be.
+    max sqrt(|U|^2) is taken as sqrt(max |U|^2): sqrt is correctly rounded
+    and so monotone, and the two are the same double.
+    """
     ws = _workspace(params)
     candidates = []
     if ws["lam_max"] > 0.0:
         candidates.append(params.visc_safety * _RK3_REAL_STABILITY / ws["lam_max"])
     if params.cfl > 0.0:
-        umax = float(np.sqrt(U[0] ** 2 + U[1] ** 2).max())
+        sq = ws["prod"]
+        np.multiply(U[0], U[0], out=sq[0])
+        np.multiply(U[1], U[1], out=sq[1])
+        np.add(sq[0], sq[1], out=sq[0])
+        umax = float(np.sqrt(sq[0].max()))
         if umax > 0.0:
             h = 2.0 * np.pi / (2 * params.N)
             candidates.append(params.cfl * h / umax)
@@ -224,23 +287,27 @@ def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
     visc_safety * 2.5 / lam_max. A zero field (or cfl = 0) leaves only
     the viscous bound. evolve reuses the padded grid it already built; this
     entry point is for one field (tests, the per-layer benchmark).
+    Not thread-safe: calls with equal params share one set of grid
+    buffers, so use one thread per process (ensemble uses processes).
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    return _dt_bound(_synthesize(u.coeffs[:, :, params.N :], params.padded_grid), params)
+    return _dt_bound(_velocity_grid(u.coeffs[:, :, params.N :], params), params)
 
 
 def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverParams) -> np.ndarray:
     """One Shu-Osher SSP-RK3 step; U is the padded velocity grid of coeffs.
 
-    The stages run on the k2 >= 0 half plane; the result is rebuilt as an
+    The stages run on the k2 >= 0 half plane; the result is a fresh,
     exactly Hermitian array.
     """
-    M = params.padded_grid
     u0 = coeffs[:, :, params.N :]
+    # U (the workspace's "U" buffer when evolve or step built it) is valid
+    # for stage 1 only: the stage-2 synthesis overwrites it with u1's grid,
+    # and the stage-3 synthesis with u2's.
     u1 = u0 + dt * _rhs_half(u0, U, params)
-    u2 = 0.75 * u0 + 0.25 * (u1 + dt * _rhs_half(u1, _synthesize(u1, M), params))
-    out = (u0 + 2.0 * (u2 + dt * _rhs_half(u2, _synthesize(u2, M), params))) / 3.0
+    u2 = 0.75 * u0 + 0.25 * (u1 + dt * _rhs_half(u1, _velocity_grid(u1, params), params))
+    out = (u0 + 2.0 * (u2 + dt * _rhs_half(u2, _velocity_grid(u2, params), params))) / 3.0
     out[:, params.N, 0] = 0.0
     return _full_plane(out)
 
@@ -250,12 +317,14 @@ def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
 
     evolve reuses the padded grid it built for the step bound; this entry
     point is for one field (tests, the per-layer benchmark).
+    Not thread-safe: calls with equal params share one set of grid
+    buffers, so use one thread per process (ensemble uses processes).
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    U = _synthesize(u.coeffs[:, :, params.N :], params.padded_grid)
+    U = _velocity_grid(u.coeffs[:, :, params.N :], params)
     out = _step_coeffs(u.coeffs, U, dt, params)
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after time step")
@@ -295,6 +364,8 @@ def evolve(
     exactly; observer(t, field, ledger), when given, is invoked at each
     output time in increasing order. Blow-ups raise BlowUpError carrying the
     failure time.
+    Not thread-safe: calls with equal params share one set of grid
+    buffers, so use one thread per process (ensemble uses processes).
     """
     if u0.N != params.N:
         raise ValueError(f"field resolution {u0.N} does not match params.N={params.N}")
@@ -315,11 +386,11 @@ def evolve(
         pending.pop(0)
 
     damping = damping_rates(params)
-    M = params.padded_grid
     g = _dissipation_rate(u.coeffs, damping)
     while t < t_end:
         # One synthesis per step: it bounds dt and is RK stage 1's velocity.
-        U = _synthesize(u.coeffs[:, :, params.N :], M)
+        # U is a workspace buffer, valid until stage 2 synthesizes u1.
+        U = _velocity_grid(u.coeffs[:, :, params.N :], params)
         horizon = pending[0] if pending else t_end
         dt = min(_dt_bound(U, params), horizon - t)
         coeffs = _step_coeffs(u.coeffs, U, dt, params)

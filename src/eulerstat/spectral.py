@@ -22,6 +22,10 @@ one along x2; _analyze_half is the reverse, and _full_plane rebuilds the
 k2 < 0 half (and the k1 < 0 half of the k2 = 0 column) by conjugate
 symmetry, so analyzed coefficients are exactly Hermitian. Both accept any
 grid size M >= 2N+1; sample_at_grid folds modes first and so takes any M.
+_synthesize returns a fresh grid unless given buffers to write into
+(numpy.fft's out=), and _analyze_half can take a buffer for its real FFT;
+only the solver passes buffers, and the grid it gets back stays valid only
+until its next synthesis.
 
 All arithmetic is float64/complex128.
 """
@@ -149,16 +153,21 @@ class ScalarSpectralField:
         return complex(self.coeffs[self.N, self.N])
 
 
-def _fold(a: np.ndarray, M: int, axis: int) -> np.ndarray:
+def _fold(a: np.ndarray, M: int, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum the modes k = -N..N along axis into the slots k mod M of an M-point DFT axis.
 
     For M >= 2N+1 no two modes share a slot and this is a plain embedding.
+    out, when given, is a complex array of the result's shape; it is zeroed,
+    filled and returned.
     """
     L = a.shape[axis]
     N = (L - 1) // 2
-    shape = list(a.shape)
-    shape[axis] = M
-    out = np.zeros(shape, dtype=np.complex128)
+    if out is None:
+        shape = list(a.shape)
+        shape[axis] = M
+        out = np.zeros(shape, dtype=np.complex128)
+    else:
+        out.fill(0.0)
     src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
     i = 0
     while i < L:  # runs of consecutive slots, at most ceil(L/M) + 1 of them
@@ -169,23 +178,31 @@ def _fold(a: np.ndarray, M: int, axis: int) -> np.ndarray:
     return out
 
 
-def _synthesize(half: np.ndarray, M: int) -> np.ndarray:
+def _synthesize(half: np.ndarray, M: int, rows: np.ndarray | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Real values on the M x M grid of a Hermitian field given by its k2 >= 0 half.
 
     half has shape (..., 2N+1, C): rows k1 = -N..N, which are folded onto
     k1 mod M, and columns k2 = 0..C-1 with C <= M//2 + 1. The inverse
     transform along x1 is complex, the one along x2 real, so the k2 < 0
     half is implied by conjugate symmetry. Returns shape (..., M, M).
+
+    rows (complex, (..., M, C)) and out (float, (..., M, M)), when given,
+    are buffers that are overwritten; the result is then out itself.
     """
-    rows = _fold(half, M, -2)
+    rows = _fold(half, M, -2, out=rows)
     np.fft.ifft(rows, axis=-2, norm="forward", out=rows)
-    return np.fft.irfft(rows, n=M, axis=-1, norm="forward")
+    return np.fft.irfft(rows, n=M, axis=-1, norm="forward", out=out)
 
 
-def _analyze_half(grid: np.ndarray, N: int) -> np.ndarray:
-    """Modes k1 = -N..N, k2 = 0..N of a real (..., M, M) grid, M >= 2N+1."""
+def _analyze_half(grid: np.ndarray, N: int, spec: np.ndarray | None = None) -> np.ndarray:
+    """Modes k1 = -N..N, k2 = 0..N of a real (..., M, M) grid, M >= 2N+1.
+
+    spec (complex, (..., M, M//2+1)), when given, is a buffer for the real
+    FFT that is overwritten; the result is a fresh array either way.
+    """
     M = grid.shape[-1]
-    cols = np.fft.rfft(grid, axis=-1, norm="forward")[..., : N + 1]
+    cols = np.fft.rfft(grid, axis=-1, norm="forward", out=spec)[..., : N + 1]
     np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     return np.concatenate((cols[..., M - N :, :], cols[..., : N + 1, :]), axis=-2)
 

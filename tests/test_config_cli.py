@@ -8,6 +8,7 @@ import pytest
 import eulerstat
 from eulerstat.cli import PRESETS, main
 from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
+from eulerstat.diagnostics import structure_function
 from eulerstat.ensemble import EnsembleSnapshot, fnv1a64, read_snapshot, write_snapshot
 from eulerstat.initial import PRNG_ID
 from eulerstat.solver import SolverParams
@@ -256,6 +257,19 @@ def test_run_bad_input_exits_2_cleanly(tmp_path, capsys, monkeypatch, raw, env_s
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("eulerstat: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_overflowing_s_exits_2_naming_s(tmp_path, capsys, monkeypatch):
+    # At N = 64, s = 80 gives 180 infinite damping rates: the config is
+    # rejected before anything runs, not reported as a blow-up at t = 0.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(_bad_config(solver="s = 80\n").replace(b"resolutions = 8", b"resolutions = 64"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and "N=64" in err and "s = 80" in err
+    assert "Warning" not in err and "blow-up" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -523,24 +537,54 @@ def test_diagnose_rejects_inputs_sharing_a_stem(tmp_path, capsys, monkeypatch, o
     assert sorted(tmp_path.rglob("*")) == before
 
 
-def test_diagnose_overflowing_values_write_nothing(tmp_path, capsys):
-    # Finite coefficients whose grid values overflow: read_snapshot accepts
-    # them and the structure tables compute, then W1 rejects the values.
+def _write_huge_pair(tmp_path, amplitude, m=2):
+    """An (8, 16) pair of m samples each; the first has coefficients +-amplitude.
+
+    That sample holds amplitude on k in {1, 2, 3}^2 and its mirror -k, so its
+    grid value at x = 0 is 18 amplitude; at N = 16 it is negated. The other
+    m - 1 samples are zero, which divides the mean shell powers by m.
+    """
     paths = []
-    for N in (8, 16):
+    for N, sign in ((8, 1.0), (16, -1.0)):
         c = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=complex)
-        c[:, N + 1:N + 4, N + 1:N + 4] = 1e307          # k in {1, 2, 3}^2 ...
-        c += c[:, ::-1, ::-1]                           # ... and -k: 18e307 at x = 0
+        c[:, N + 1:N + 4, N + 1:N + 4] = sign * amplitude
+        c += c[:, ::-1, ::-1]
+        fields = [SpectralField(N, c)] + [SpectralField(N, np.zeros_like(c))] * (m - 1)
         path = tmp_path / f"huge_N{N:04d}_t0.euss"
-        write_snapshot(path, EnsembleSnapshot(time=0.0, N=N, fields=[SpectralField(N, c)] * 2,
-                                              sample_seeds=[1, 2], params=SolverParams(N=N)))
+        write_snapshot(path, EnsembleSnapshot(time=0.0, N=N, fields=fields,
+                                              sample_seeds=list(range(1, m + 1)),
+                                              params=SolverParams(N=N)))
         paths.append(str(path))
+    return paths
+
+
+def test_diagnose_overflowing_values_write_nothing(tmp_path, capsys):
+    # Finite coefficients whose W1 distances overflow: read_snapshot accepts
+    # them and the structure tables compute (16 samples keep the mean powers
+    # finite), then W1 rejects the values. Nothing is written, so no table
+    # is written before the last one has been computed.
+    paths = _write_huge_pair(tmp_path, 5e152, m=16)
+    snaps = [read_snapshot(p) for p in paths]
+    assert all(np.all(np.isfinite(structure_function(s).values)) for s in snaps)
     before = sorted(tmp_path.rglob("*"))
     for out in ([], ["--out", str(tmp_path / "diag")]):
         assert main(["diagnose", *paths, "--structure", "--wasserstein", "1", *out]) == 2
         assert sorted(tmp_path.rglob("*")) == before
     err = capsys.readouterr().err
-    assert "eulerstat: " in err and "non-finite" in err    # after any overflow warnings
+    assert "eulerstat: distances between points overflow" in err    # after any overflow warnings
+
+
+@pytest.mark.parametrize("amplitude, m, flag, what", [
+    (1e307, 2, ["--structure"], "shell power"),         # |u(k)|^2 overflows
+    (1e307, 2, ["--spectrum", "0"], "shell power"),
+    (1e153, 1, ["--structure"], "structure function"),  # finite powers, S^2(r) overflows
+])
+def test_diagnose_overflowing_power_writes_nothing(tmp_path, capsys, amplitude, m, flag, what):
+    # Neither structure nor spectrum rows (or a summary) are written.
+    paths = _write_huge_pair(tmp_path, amplitude, m)
+    with np.errstate(all="raise"):
+        err = _assert_diagnose_writes_nothing(tmp_path, capsys, [*paths, *flag])
+    assert f"non-finite {what}" in err
 
 
 @pytest.mark.parametrize("below", [False, True])

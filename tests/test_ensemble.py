@@ -267,6 +267,27 @@ def test_write_csv_format(tmp_path):
     assert path.read_text() == "# kind,0.10000000000000001,8,None\n1,0.33333333333333331,x\n2,nan\n"
 
 
+def test_write_csv_matches_per_cell_format(tmp_path):
+    # One '%' format per line against format(c, ".17g") / str(c) cell by cell,
+    # on a grid of signed zeros, infinities, nan and extreme exponents, rows
+    # mixing ints and strings, and a mixed header.
+    rng = np.random.default_rng(11)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e-300, 2.5e-308, 5e-324])
+    grid = rng.standard_normal((24, 24)) * 10.0 ** rng.integers(-300, 301, (24, 24))
+    grid.flat[rng.choice(grid.size, 100, replace=False)] = rng.choice(specials, 100)
+    header = ("variance", 0.1, 8, -0.0, None)
+    rows = [*grid, (3, "x", -7, 1.5, np.float64(-0.0)), ("summary", np.inf), (np.int64(2), "nan")]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, rows)
+
+    def line(cells):
+        return ",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells) + "\n"
+
+    expected = "# " + line(header) + "".join(map(line, rows))
+    assert path.read_text() == expected
+    assert "-0," in expected and "inf" in expected and "nan" in expected and "e+300" in expected
+
+
 def test_interrupted_csv_write_leaves_existing_file_intact(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("kind",), [(1.0,)])

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from eulerstat.ensemble import fnv1a64
 from eulerstat.errors import BlowUpError
-from eulerstat.initial import taylor_green_field
+from eulerstat.initial import InitialMeasureSpec, generate_sample, taylor_green_field
 from eulerstat.solver import (
     SolverParams,
+    _dt_bound,
+    _step_coeffs,
+    _velocity_grid,
+    _workspace,
     adaptive_dt,
     damping_rates,
     evolve,
@@ -303,3 +310,109 @@ def test_params_validation():
     SolverParams(N=8, cfl=0.0)
     SolverParams(N=8, multiplier="power", theta=0.5, m_n=0.0)
     SolverParams(N=8, cfl=0.0, multiplier="power", m_n=11.3)
+
+
+# fnv1a64 of the evolved coefficients at each of GOLDEN_TIMES for sample 2
+# of golden_spec(family, N) under SolverParams(N), each recorded in a fresh
+# process before the solver kept its arrays in workspace buffers. 8 to 37
+# steps per case.
+GOLDEN_TIMES = (0.0, 0.1, 0.25, 0.5)
+GOLDEN = {
+    ("flat_sheet", 16): ("0dc1f5c0aa2edbfd", "b6813e7b8b6fc63d", "c3abe88ea3bab86d", "ad8f38302af1fc41"),
+    ("flat_sheet", 24): ("848681714a595c71", "43f67c3de522e625", "58542673667a7c59", "35bcb80586d39405"),
+    ("flat_sheet", 32): ("86d458a822298b09", "c009c2e7765f55bd", "74d258ce1acca419", "9455529884f66bd1"),
+    ("sinusoidal_sheet", 16): ("73f55def0c2eab35", "6b89c0e35502609d", "fab157f268350e65", "2c238582387b71d5"),
+    ("sinusoidal_sheet", 32): ("0d6cdc86b86ccdbd", "766746f4a4f8b569", "73e9681e2cf05ff1", "3bd7471d059b0865"),
+}
+
+
+def golden_spec(family, N):
+    if family == "flat_sheet":
+        return InitialMeasureSpec(family=family, N=N, rho=0.05, delta=0.05, base_seed=11)
+    return InitialMeasureSpec(family=family, N=N, rho=0.1, delta=0.05, quad_points=40, base_seed=11)
+
+
+def golden_digests(family, N):
+    digests = []
+    evolve(generate_sample(golden_spec(family, N), 2), GOLDEN_TIMES[-1], SolverParams(N=N),
+           output_times=GOLDEN_TIMES,
+           observer=lambda t, u, ledger: digests.append(f"{fnv1a64(u.coeffs.tobytes()):016x}"))
+    return tuple(digests)
+
+
+@pytest.mark.parametrize("family, N", [k for k in GOLDEN if k[1] != 24])
+def test_evolve_matches_golden_bytes(family, N):
+    assert golden_digests(family, N) == GOLDEN[family, N]
+
+
+def test_workspace_eviction_keeps_bytes():
+    # The workspace cache holds two params: N = 24 evicts a buffer set, and
+    # every resolution still reproduces its fresh-process bytes.
+    assert _workspace.cache_info().maxsize == 2
+    for N in (16, 32, 16, 24):
+        assert golden_digests("flat_sheet", N) == GOLDEN["flat_sheet", N]
+        assert _workspace.cache_info().currsize <= 2
+
+
+def test_returned_results_survive_later_calls():
+    # rhs, step and adaptive_dt return fresh arrays and floats: later calls
+    # with the same params overwrite the workspace buffers, not the results,
+    # and repeating a call gives the same bytes.
+    N = 16
+    p = SolverParams(N=N)
+    rng = np.random.default_rng(21)
+    u, v = hermitian_random_field(N, rng), hermitian_random_field(N, rng)
+    r, s, dt = rhs(u, p), step(u, 0.01, p), adaptive_dt(u, p)
+    saved = r.coeffs.tobytes(), s.coeffs.tobytes()
+    rhs(v, p), step(v, 0.02, p), adaptive_dt(v, p), evolve(v, 0.05, p)
+    assert (r.coeffs.tobytes(), s.coeffs.tobytes()) == saved
+    assert rhs(u, p).coeffs.tobytes() == saved[0]
+    assert step(u, 0.01, p).coeffs.tobytes() == saved[1]
+    assert adaptive_dt(u, p) == dt
+
+
+@pytest.mark.parametrize("N, dealias", [(32, 1.5), (16, 6.0)])
+def test_rk_step_allocates_no_padded_grid_array(N, dealias):
+    # After the first step at these params, one step (_dt_bound and
+    # _step_coeffs) holds at most five modal arrays at a time (about four
+    # are used: the output, the stage fields and the RHS terms). At
+    # dealias = 6 one M x M grid alone is larger than that.
+    p = SolverParams(N=N, dealias=dealias)
+    M = p.padded_grid
+
+    def one_step(coeffs):
+        U = _velocity_grid(coeffs[:, :, N:], p)
+        return _step_coeffs(coeffs, U, _dt_bound(U, p), p)
+
+    coeffs = one_step(hermitian_random_field(N, np.random.default_rng(4)).coeffs)
+    bound = 5 * coeffs.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        one_step(coeffs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    if dealias == 6.0:
+        assert 8 * M * M > bound
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("N, s_max", [(2, 341), (8, 146), (64, 78)])
+def test_params_reject_overflowing_damping(N, s_max):
+    # s_max is the largest s whose (2N^2)^s is finite; one more gives
+    # infinite rates for eps > 0 and NaN rates (0 * inf) for eps = 0.
+    for eps in (0.05, 0.0):
+        lam = damping_rates(SolverParams(N=N, s=s_max, eps=eps))
+        assert np.all(np.isfinite(lam))
+        with pytest.raises(ValueError, match="s = "):
+            SolverParams(N=N, s=s_max + 1, eps=eps)
+
+
+def test_params_reject_underflowing_damping_amplitude():
+    # eps > 0 whose eps N^(1-2s) rounds to 0: every rate would be 0 or NaN
+    with pytest.raises(ValueError, match="s = 40"):
+        SolverParams(N=64, s=40, eps=1e-300)
+    with pytest.raises(ValueError, match="s = 90"):
+        SolverParams(N=64, s=90)
+    assert SolverParams(N=64, s=40, eps=1e-100).eps_n > 0.0
