@@ -24,6 +24,8 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
 from .diagnostics import (
@@ -38,6 +40,7 @@ from .diagnostics import (
 from .ensemble import (
     RunManifest,
     atomic_open,
+    check_finite,
     fnv1a64,
     mean_field,
     read_snapshot,
@@ -373,7 +376,9 @@ def cmd_diagnose(args) -> int:
         if args.mean_variance:
             for path, snap in loaded:
                 # a copy: a view of u1 would hold the whole (M, M, 2) grid until written
-                mean_u1 = sample_at_grid(mean_field(snap), synthesis_grid(snap.N))[:, :, 0].copy()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mean_u1 = sample_at_grid(mean_field(snap), synthesis_grid(snap.N))[:, :, 0].copy()
+                check_finite(mean_u1, "mean", snap)
                 for tag, grid in (("mean_u1", mean_u1), ("variance", variance_field(snap))):
                     outputs.append((f"{_stem(path)}_{tag}.csv",
                                     partial(write_csv, header=(tag, snap.time, snap.N, snap.m), rows=grid)))

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot, mean_field, variance_field, write_csv
+from .ensemble import EnsembleSnapshot, check_finite, mean_field, variance_field, write_csv
 from .spectral import SpectralField, sobolev_norm, synthesis_grid, truncate_to, wavenumbers
 
 __all__ = [
@@ -109,15 +109,6 @@ def default_fit_range(N: int) -> tuple:
     return (r_max / 10.0, r_max)
 
 
-def _check_finite(values: np.ndarray, what: str, snapshot: EnsembleSnapshot) -> None:
-    """Raise ValueError naming what and the snapshot unless every value is finite."""
-    if not np.all(np.isfinite(values)):
-        raise ValueError(
-            f"non-finite {what} at N={snapshot.N}, t={snapshot.time:g}: "
-            "the coefficients are too large"
-        )
-
-
 def _radial_power(snapshot: EnsembleSnapshot):
     """Mean modal power per integer |k|^2: (ksq values, power sums).
 
@@ -132,7 +123,7 @@ def _radial_power(snapshot: EnsembleSnapshot):
         for f in snapshot.fields:
             p = (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2).ravel()
             acc += np.bincount(flat_ksq, weights=p, minlength=acc.size)
-    _check_finite(acc, "shell power", snapshot)
+    check_finite(acc, "shell power", snapshot)
     acc /= snapshot.m
     nz = np.nonzero(acc)[0]
     nz = nz[nz > 0]
@@ -150,7 +141,7 @@ def structure_function(snapshot: EnsembleSnapshot, r_values=None) -> ScalarCurve
     with np.errstate(over="ignore"):
         for j, rj in enumerate(r):
             s2[j] = (2.0 * np.pi) ** 2 * np.dot(increment_kernel(kmag * rj), power)
-    _check_finite(s2, "structure function", snapshot)
+    check_finite(s2, "structure function", snapshot)
     return ScalarCurve(
         abscissa=r,
         values=np.sqrt(np.maximum(s2, 0.0)),
@@ -180,7 +171,7 @@ def energy_spectrum(snapshot: EnsembleSnapshot, K_max: int | None = None) -> Sca
     ksq_vals, power = _radial_power(snapshot)
     shells = np.ceil(np.sqrt(ksq_vals)).astype(int)
     e = np.bincount(shells, weights=0.5 * power, minlength=full + 1)
-    _check_finite(e, "energy spectrum", snapshot)
+    check_finite(e, "energy spectrum", snapshot)
     K = np.arange(1, K_max + 1, dtype=np.float64)
     return ScalarCurve(
         abscissa=K,
@@ -235,22 +226,26 @@ def cauchy_rate(snapA: EnsembleSnapshot, snapB: EnsembleSnapshot, statistic="mea
     statistic is "mean", "variance", or an integer sample position. Mean and
     per-sample distances compare modal coefficients after truncating the
     fine field; the variance distance compares variance grids evaluated on
-    the coarse synthesis grid.
+    the coarse synthesis grid. Raises ValueError if the rate is not finite.
     """
     if snapB.N != 2 * snapA.N:
         raise ValueError(f"resolution pair ({snapA.N}, {snapB.N}) is not a doubling")
     if abs(snapA.time - snapB.time) > 1e-12 * max(1.0, abs(snapA.time)):
         raise ValueError(f"snapshot times differ: {snapA.time} vs {snapB.time}")
-    if statistic == "mean":
-        coarse = truncate_to(mean_field(snapB), snapA.N)
-        return _modal_l2(coarse.coeffs - mean_field(snapA).coeffs)
-    if statistic == "variance":
-        M = synthesis_grid(snapA.N)
-        diff = variance_field(snapB, M) - variance_field(snapA, M)
-        return float(2.0 * np.pi * np.sqrt(np.mean(diff ** 2)))
-    j = int(statistic)
-    coarse = truncate_to(snapB.fields[j], snapA.N)
-    return _modal_l2(coarse.coeffs - snapA.fields[j].coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if statistic == "variance":
+            M = synthesis_grid(snapA.N)
+            diff = variance_field(snapB, M) - variance_field(snapA, M)
+            rate = float(2.0 * np.pi * np.sqrt(np.mean(diff ** 2)))
+        else:
+            if statistic == "mean":
+                fine, coarse = mean_field(snapB), mean_field(snapA)
+            else:
+                j = int(statistic)
+                fine, coarse = snapB.fields[j], snapA.fields[j]
+            rate = _modal_l2(truncate_to(fine, snapA.N).coeffs - coarse.coeffs)
+    check_finite(rate, f"{statistic} Cauchy rate", snapA)
+    return rate
 
 
 def time_regularity_ratio(trajectory, L: float = 2.0) -> float:

@@ -41,6 +41,7 @@ __all__ = [
     "run_ensemble",
     "mean_field",
     "variance_field",
+    "check_finite",
     "write_snapshot",
     "read_snapshot",
     "fnv1a64",
@@ -187,21 +188,33 @@ def mean_field(snapshot: EnsembleSnapshot) -> SpectralField:
     return SpectralField(snapshot.N, acc / snapshot.m)
 
 
+def check_finite(values, what: str, snapshot: EnsembleSnapshot) -> None:
+    """Raise ValueError naming what and the snapshot unless every value is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(
+            f"non-finite {what} at N={snapshot.N}, t={snapshot.time:g}: "
+            "the coefficients are too large"
+        )
+
+
 def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -> np.ndarray:
     """Pointwise population variance across samples, summed over components.
 
-    Returns an (M, M) grid, M defaulting to synthesis_grid(N) = 3N.
+    Returns an (M, M) grid, M defaulting to synthesis_grid(N) = 3N; raises
+    ValueError if a value is not finite.
     """
     M = synthesis_grid(snapshot.N) if grid_points is None else int(grid_points)
     s1 = np.zeros((M, M, 2))
     s2 = np.zeros((M, M, 2))
-    for f in snapshot.fields:
-        g = sample_at_grid(f, M)
-        s1 += g
-        s2 += g * g
-    mean = s1 / snapshot.m
-    var = s2 / snapshot.m - mean * mean
-    return np.maximum(var, 0.0).sum(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in snapshot.fields:
+            g = sample_at_grid(f, M)
+            s1 += g
+            s2 += g * g
+        mean = s1 / snapshot.m
+        var = np.maximum(s2 / snapshot.m - mean * mean, 0.0).sum(axis=2)
+    check_finite(var, "variance", snapshot)
+    return var
 
 
 @contextlib.contextmanager

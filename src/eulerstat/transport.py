@@ -10,26 +10,35 @@ float costs over m. Every exactly optimal sigma gives the same exact sum,
 hence the same double, so the value does not depend on which optimum is
 found; it agrees bit-for-bit with factorial brute force.
 
-Assignments are found in three steps, batched over chunks of tuples:
+Assignments are found in three steps. Costs are built, range-checked
+and certified in slices of `_CHUNK_BYTES`; the candidate solver runs on
+a stack of up to `_BATCH_BYTES` of them at once.
 
 - Candidate. A float shortest-augmenting-path solver (Dijkstra form with
-  lazy potential updates, Crouse 2016) runs on all tuples of a chunk at
+  lazy potential updates, Crouse 2016) runs on all tuples of a stack at
   once. Float solvers can end a final ulp off the optimum on degenerate
   instances, so its answer is only a candidate.
 - Certificate. sigma is optimal iff the row-exchange graph, with weights
   w_ij = c[i, sigma(j)] - c[j, sigma(j)], has no negative cycle (LP
   duality; Burkard, Dell'Amico & Martello, Assignment Problems, ch. 4).
-  Float Bellman-Ford from a virtual source gives a parent tree; exact
-  integer potentials are built along it (every double is a dyadic
-  rational, so costs scaled by a common power of two are integers), which
-  makes tree edges exactly tight and certifies zero-weight cycles from
-  duplicate points. Every reduced cost whose float value lies within a
-  proven rounding bound of 0 is then checked in exact integers; those
-  above the bound are exactly positive.
-- Fallback. A tuple whose certificate fails (a float-suboptimal candidate,
-  a Bellman-Ford parent cycle, or costs outside the range where the bound
-  is proven) is solved by the Hungarian algorithm over the exact integer
-  encoding of its whole cost matrix.
+  Float Bellman-Ford from a virtual source, run in each pass only on the
+  tuples still relaxing, gives a parent tree; exact integer potentials P
+  are built along it (every double is a dyadic rational, so costs scaled
+  by a common power of two are integers), which makes tree edges exactly
+  tight and certifies zero-weight cycles from duplicate points. Every
+  reduced cost whose float value lies within a proven rounding bound of 0
+  is then checked in exact integers; those above the bound are exactly
+  positive.
+- Repair. A permutation that fails its certificate is made optimal in
+  exact integers: u_i = -P_i and v_sigma(j) = c[j, sigma(j)] + P_j are
+  assignment duals under which every matched edge is tight and the
+  violated edges are exactly the negative reduced costs. Rows with one are
+  unmatched, their u lowered until they are feasible, and the Hungarian
+  algorithm re-adds only those rows from this warm start. Where
+  Bellman-Ford did not settle into a tree, P is its float potentials
+  rounded onto the integers, which only unmatches more rows. Tuples whose
+  costs lie outside the range where the rounding bound is proven are
+  solved by the Hungarian algorithm from a cold start.
 
 The marginal distance between two ensembles compares, at each of a set of
 spatial k-tuples, the clouds of stacked velocity values
@@ -41,6 +50,7 @@ per-tuple W1 over the tuples; the average is scaled by the domain volume
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,34 +97,38 @@ def _integer_costs(cost: np.ndarray):
     """Encode a matrix of nonnegative doubles as exact integers.
 
     cost[i][j] = M * 2^e with M a 53-bit integer; shifting every entry to
-    the smallest exponent present (`_scaled_int`) gives integers with the
+    the smallest exponent present (`_scaled_ints`) gives integers with the
     same ordering and exactly proportional sums.
     """
-    e_min = _ulp_exponent(float(np.min(cost, where=cost > 0, initial=np.inf)))
-    return [[_scaled_int(x, e_min) for x in row] for row in cost.tolist()]
+    return _scaled_ints(cost, _ulp_exponent(float(np.min(cost, where=cost > 0, initial=np.inf))))
 
 
-def _hungarian(cost_int) -> list:
+def _hungarian(cost_int, warm=None) -> list:
     """Minimum-cost assignment on an integer matrix; returns column per row.
 
     Shortest-augmenting-path formulation with integer potentials, so every
-    comparison is exact.
+    comparison is exact. warm = (u, v, match), 1-based like the lists
+    below, starts from potentials with c - u - v >= 0 everywhere and 0 on
+    the edges of the partial matching match; only its free rows are added.
     """
     n = len(cost_int)
-    big = sum(max(row) for row in cost_int) + 1
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    match = [0] * (n + 1)            # match[j] = row occupying column j (1-based)
+    if warm is None:
+        u, v, match = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+    else:
+        u, v, match = warm           # match[j] = row occupying column j (1-based)
     way = [0] * (n + 1)
+    matched = set(match[1:])
     for i in range(1, n + 1):
+        if i in matched:
+            continue
         match[0] = i
         j0 = 0
-        minv = [big] * (n + 1)
+        minv = [math.inf] * (n + 1)
         used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = big
+            delta = math.inf
             j1 = 0
             row = cost_int[i0 - 1]
             for j in range(1, n + 1):
@@ -145,8 +159,42 @@ def _hungarian(cost_int) -> list:
     return cols
 
 
-# Memory budget of one (T, m, m) float64 array; a chunk of tuples holds
-# three at a time (costs, exchange weights, Bellman-Ford sums).
+def _repair(cost_int, cols, P) -> list:
+    """Optimal assignment from a permutation cols that failed its
+    certificate, given integer potentials P of its row-exchange graph
+    (`_certify`).
+
+    u_i = -P_i and v_sigma(j) = c[j, sigma(j)] + P_j give every matched edge
+    a reduced cost c - u - v of exactly 0, and edge (i, sigma(j)) the
+    exchange-graph reduced cost W_ij + P_i - P_j; the negative ones are the
+    violated edges. Each row with one is unmatched, its u lowered to
+    min_j (c_ij - v_j), and the Hungarian re-adds only those rows. Any
+    integer P gives a valid start; close-to-feasible ones unmatch few rows.
+    """
+    n = len(cost_int)
+    u = [0] + [-p for p in P]
+    v = [0] * (n + 1)
+    match = [0] * (n + 1)
+    for i, j in enumerate(cols):
+        v[j + 1] = cost_int[i][j] + P[i]
+        match[j + 1] = i + 1
+    vs = v[1:]
+    for i, row in enumerate(cost_int):
+        low = min(map(operator.sub, row, vs))
+        if low < u[i + 1]:
+            u[i + 1] = low
+            match[cols[i] + 1] = 0
+    return _hungarian(cost_int, (u, v, match))
+
+
+# Memory budget of the (T, m, m) float64 cost stack the candidate solver
+# runs on at once (128 tuples at m = 64): each numpy call of its lockstep
+# loop has a fixed overhead, so a larger stack makes fewer calls per tuple.
+_BATCH_BYTES = 4 << 20
+# Memory budget of one (T, m, m) float64 slice of that stack: costs are
+# built, range-checked and certified a slice at a time, and the certificate
+# holds three slice-size arrays (exchange weights, Bellman-Ford sums, and
+# the weights of the tuples still relaxing).
 _CHUNK_BYTES = 1 << 20
 # Tuples with a nonzero cost outside this range skip the certificate: inside
 # it, every potential (as a double and as an integer multiple of the
@@ -155,8 +203,9 @@ _COST_RANGE = (2.0 ** -400, 2.0 ** 400)
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def _cost_matrices(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(T, m, m) Euclidean costs between the clouds A[t] and B[t], (T, m, d).
+def _cost_matrices(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(T, m, m) Euclidean costs between the clouds A[t] and B[t], (T, m, d),
+    written to out if given.
 
     Squares are added coordinate by coordinate, with no (T, m, m, d)
     temporary; that is bitwise what numpy's sum over a last axis of 1 to 7
@@ -164,15 +213,13 @@ def _cost_matrices(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     if not 0 < A.shape[2] < 8:
         diff = A[:, :, None, :] - B[:, None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=3))
-    acc = None
-    for l in range(A.shape[2]):
+        return np.sqrt(np.sum(diff * diff, axis=3), out=out)
+    acc = np.subtract(A[:, :, None, 0], B[:, None, :, 0], out=out)
+    acc *= acc
+    for l in range(1, A.shape[2]):
         sq = A[:, :, None, l] - B[:, None, :, l]
         sq *= sq
-        if acc is None:
-            acc = sq
-        else:
-            acc += sq
+        acc += sq
     return np.sqrt(acc, out=acc)
 
 
@@ -246,21 +293,24 @@ def _candidate_assignments(cost: np.ndarray) -> np.ndarray:
 
 
 def _ulp_exponent(smallest: float) -> int:
-    """e_min of `_scaled_int` for a matrix whose smallest positive entry is
+    """e_min of `_scaled_ints` for a matrix whose smallest positive entry is
     smallest (inf if there is none)."""
     return math.frexp(smallest)[1] - 53 if smallest != math.inf else 0
 
 
-def _scaled_int(x: float, e_min: int) -> int:
-    """x / 2^e_min as an exact integer (x >= 0, zero or at least 2^e_min * 2^52)."""
-    if x == 0.0:
-        return 0
-    mant, e = math.frexp(x)
-    return int(mant * 9007199254740992.0) << (e - 53 - e_min)
+def _scaled_ints(x: np.ndarray, e_min) -> list:
+    """x / 2^e_min as Python integers, row by row of a 2-D array; e_min is
+    one exponent or one per row. Exact where an entry is zero or at least
+    2^e_min * 2^52 in magnitude, rounded down elsewhere."""
+    mant, e = np.frexp(x)
+    n = (mant * 9007199254740992.0).astype(np.int64).tolist()
+    shift = (e - 53 - np.reshape(e_min, (-1, 1))).tolist()
+    return [[a << s if s >= 0 else a >> -s for a, s in zip(*row)] for row in zip(n, shift)]
 
 
-def _tree_potentials(parent, par_cost, own_cost, e_min: int):
-    """Exact integer potentials along a Bellman-Ford parent forest.
+def _tree_potentials(parent, par_cost, own_cost):
+    """Exact integer potentials along a Bellman-Ford parent forest, given
+    the integer costs c[parent(k), sigma(k)] and c[k, sigma(k)] of each node.
 
     Roots (parent -1) hang off the virtual source at 0; every other node
     gets its parent's potential plus the exact edge weight, so tree edges
@@ -280,14 +330,51 @@ def _tree_potentials(parent, par_cost, own_cost, e_min: int):
                 return None
             k = parent[k]
         for k in reversed(chain):
-            P[k] = P[parent[k]] + _scaled_int(par_cost[k], e_min) - _scaled_int(own_cost[k], e_min)
+            P[k] = P[parent[k]] + par_cost[k] - own_cost[k]
     return P
 
 
-def _certify(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _bellman_ford(w: np.ndarray, scratch: np.ndarray):
+    """Float Bellman-Ford from a virtual source (0-weight edges to every
+    node) on the exchange weights w[t, j, i] of edges i -> j; scratch is an
+    array like w. Returns the potentials p and parents (-1 for the source)
+    of each node, (T, m), and the tuples still relaxing after m passes.
+
+    Each pass relaxes only the tuples whose potentials moved in the pass
+    before; the others have settled.
+    """
+    T, m, _ = w.shape
+    p = np.zeros((T, m))
+    parent = np.full((T, m), -1)
+    live, w_live = np.arange(T), w               # tuples still relaxing, their weights
+    sums_buf, spare = scratch, np.empty_like(w)
+    for _ in range(m):
+        sums = np.add(w_live, p[live][:, None, :], out=sums_buf[:len(live)])
+        best = sums.argmin(axis=2)
+        reach = np.take_along_axis(sums, best[:, :, None], axis=2)[:, :, 0]
+        moved = reach < p[live]
+        p[live] = np.where(moved, reach, p[live])
+        parent[live] = np.where(moved, best, parent[live])
+        relaxing = moved.any(axis=1)
+        if not relaxing.all():
+            live = live[relaxing]
+            if not len(live):
+                break
+            # the sums are spent: their buffer takes the weights still relaxing
+            # (mode="clip" writes to out directly; "raise" would buffer a copy)
+            w_live = np.take(w_live, np.flatnonzero(relaxing), axis=0,
+                             out=sums_buf[:len(live)], mode="clip")
+            sums_buf, spare = spare, sums_buf
+    return p, parent, live
+
+
+def _certify(cost: np.ndarray, cols: np.ndarray):
     """Exact optimality certificate for the assignments cols of a (T, m, m)
     cost stack; returns a (T,) bool array, True where cols[t] is proven
-    optimal.
+    optimal, and integer potentials of each permutation (None for the
+    others) in units of 2^e_min, e_min the `_integer_costs` exponent: the
+    exact tree potentials, or where Bellman-Ford did not settle into a tree
+    its float potentials rounded down.
 
     sigma is optimal iff potentials P exist with nonnegative reduced costs
     W_ij + P_i - P_j on the row-exchange graph, W_ij = c[i, sigma(j)] -
@@ -310,33 +397,29 @@ def _certify(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
     w = cost[tt, :, cols]                        # c[i, sigma(j)] ...
     own = w[:, ar, ar].copy()                    # own[t, j] = c[j, sigma(j)]
     w -= own[:, :, None]                         # ... minus c[j, sigma(j)]
-    p = np.zeros((T, m))
-    parent = np.full((T, m), -1)
-    moved = np.zeros((T, m), dtype=bool)
     through = np.empty_like(w)
-    for _ in range(m):
-        np.add(w, p[:, None, :], out=through)
-        best = through.argmin(axis=2)
-        reach = through[tt, ar, best]
-        moved = reach < p
-        if not moved.any():
-            break
-        p = np.where(moved, reach, p)
-        parent = np.where(moved, best, parent)
-    ok = is_permutation & ~moved.any(axis=1)
+    p, parent, live = _bellman_ford(w, through)
+    ok = is_permutation.copy()
+    ok[live] = False
 
     smallest = np.min(cost, axis=(1, 2), where=cost > 0, initial=np.inf).tolist()
-    e_mins = [_ulp_exponent(s) for s in smallest]
+    e_mins = np.array([_ulp_exponent(s) for s in smallest])
     par_cost = cost[tt, np.maximum(parent, 0), cols]
     potentials = [None] * T
     q = np.zeros((T, m))
-    for t in np.flatnonzero(ok).tolist():
-        P = _tree_potentials(parent[t].tolist(), par_cost[t].tolist(), own[t].tolist(), e_mins[t])
+    settled = np.flatnonzero(ok)
+    for t, par, par_int, own_int in zip(settled.tolist(), parent[settled].tolist(),
+                                        _scaled_ints(par_cost[settled], e_mins[settled]),
+                                        _scaled_ints(own[settled], e_mins[settled])):
+        P = _tree_potentials(par, par_int, own_int)
         if P is None:
             ok[t] = False
             continue
         potentials[t] = P
-        q[t] = [math.ldexp(float(x), e_mins[t]) for x in P]
+        q[t] = np.ldexp(np.array(P, dtype=np.float64), e_mins[t])
+    rest = np.flatnonzero(is_permutation & ~ok)
+    for t, P in zip(rest.tolist(), _scaled_ints(p[rest], e_mins[rest])):
+        potentials[t] = P
 
     reduced = np.add(w, q[:, None, :], out=through)
     reduced -= q[:, :, None]
@@ -348,40 +431,57 @@ def _certify(cost: np.ndarray, cols: np.ndarray) -> np.ndarray:
     bound *= 8.0 * _UNIT_ROUNDOFF
     negative = reduced < 0
     near = np.abs(reduced, out=reduced) <= bound
-    ok &= ~(negative & ~near).any(axis=(1, 2))
+    ok &= ~(negative > near).any(axis=(1, 2))    # negative beyond the bound
     near &= ok[:, None, None]
     near[:, ar, ar] = False
     tree_t, tree_j = np.nonzero(parent >= 0)
     near[tree_t, tree_j, parent[tree_t, tree_j]] = False
     ts, js, is_ = np.nonzero(near)
-    for t, j, i, c_ij, c_jj in zip(ts.tolist(), js.tolist(), is_.tolist(),
-                                   cost[ts, is_, cols[ts, js]].tolist(), own[ts, js].tolist()):
-        if not ok[t]:
-            continue
-        P = potentials[t]
-        e_min = e_mins[t]
-        if _scaled_int(c_ij, e_min) - _scaled_int(c_jj, e_min) + P[i] - P[j] < 0:
+    pair_ints = _scaled_ints(np.stack([cost[ts, is_, cols[ts, js]], own[ts, js]], axis=1), e_mins[ts])
+    for t, j, i, (c_ij, c_jj) in zip(ts.tolist(), js.tolist(), is_.tolist(), pair_ints):
+        if ok[t] and c_ij - c_jj + potentials[t][i] - potentials[t][j] < 0:
             ok[t] = False
-    return ok
+    return ok, potentials
 
 
-def _w1_chunk(A: np.ndarray, B: np.ndarray) -> list:
+def _tuples_within(budget: int, m: int) -> int:
+    """How many (m, m) float64 matrices fit in budget bytes (at least one)."""
+    return max(1, budget // (8 * m * m))
+
+
+def _w1_batch(A: np.ndarray, B: np.ndarray) -> list:
     """Exact W1 between A[t] and B[t] for each t; A, B are (T, m, d) arrays of
     finite points (ValueError if a distance between them overflows)."""
-    cost = _cost_matrices(A, B)
-    T, m, _ = cost.shape
+    T, m, _ = A.shape
+    step = _tuples_within(_CHUNK_BYTES, m)
     lo, hi = _COST_RANGE
-    if not np.isfinite(cost).all():
-        raise ValueError("distances between points overflow float64")
-    in_range = ((cost == 0) | ((cost >= lo) & (cost <= hi))).all(axis=(1, 2))
+    cost = np.empty((T, m, m))
+    in_range = np.empty(T, dtype=bool)
+    for s in range(0, T, step):
+        with np.errstate(over="ignore"):
+            part = _cost_matrices(A[s:s + step], B[s:s + step], out=cost[s:s + step])
+        if not np.isfinite(part).all():
+            raise ValueError("distances between points overflow float64")
+        in_range[s:s + step] = ((part == 0) | ((part >= lo) & (part <= hi))).all(axis=(1, 2))
+    trusted = np.flatnonzero(in_range)
+    whole = len(trusted) == T
     cols = np.zeros((T, m), dtype=np.int64)
     certified = np.zeros(T, dtype=bool)
-    if in_range.any():
-        trusted = cost if in_range.all() else cost[in_range]
-        cols[in_range] = _candidate_assignments(trusted)
-        certified[in_range] = _certify(trusted, cols[in_range])
+    potentials = [None] * T
+    if len(trusted):
+        cols[trusted] = _candidate_assignments(cost if whole else cost[trusted])
+    for s in range(0, len(trusted), step):
+        ts = trusted[s:s + step]
+        ok, P = _certify(cost[s:s + step] if whole else cost[ts], cols[ts])
+        certified[ts] = ok
+        for t, P_t in zip(ts.tolist(), P):
+            potentials[t] = P_t
     for t in np.flatnonzero(~certified).tolist():
-        cols[t] = _hungarian(_integer_costs(cost[t]))
+        ints = _integer_costs(cost[t])
+        if potentials[t] is None:
+            cols[t] = _hungarian(ints)
+        else:
+            cols[t] = _repair(ints, cols[t].tolist(), potentials[t])
     matched = np.take_along_axis(cost, cols[:, :, None], axis=2)[:, :, 0]
     return [math.fsum(row) / m for row in matched.tolist()]
 
@@ -398,7 +498,7 @@ def w1_exact(A: PointCloud, B: PointCloud) -> float:
         raise ValueError(f"cloud sizes differ ({A.m} vs {B.m}); unequal weights unsupported")
     if A.points.shape[1] != B.points.shape[1]:
         raise ValueError("cloud dimensions differ")
-    return _w1_chunk(A.points[None], B.points[None])[0]
+    return _w1_batch(A.points[None], B.points[None])[0]
 
 
 @dataclass(frozen=True)
@@ -429,9 +529,17 @@ def draw_x_tuples(seed: int, num_tuples: int, k: int, grid_points: int) -> np.nd
     return rng.integers(0, grid_points, size=(num_tuples, k, 2))
 
 
-def _stacked_values(snapshot: EnsembleSnapshot, M: int) -> np.ndarray:
-    """(m, M, M, 2) array of pointwise sample values on the common grid."""
-    return np.stack([sample_at_grid(f, M) for f in snapshot.fields])
+def _tuple_values(snapshot: EnsembleSnapshot, M: int, tuples: np.ndarray) -> np.ndarray:
+    """(m, T, k, 2) sample values at the M x M grid nodes of the (T, k, 2)
+    index tuples; ValueError if a sample has a non-finite grid value."""
+    values = np.empty((snapshot.m, *tuples.shape))
+    for i, f in enumerate(snapshot.fields):
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = sample_at_grid(f, M)
+        if not np.isfinite(grid).all():
+            raise ValueError("sampled velocity values contain non-finite entries")
+        values[i] = grid[tuples[..., 0], tuples[..., 1]]
+    return values
 
 
 def marginal_w1(
@@ -469,18 +577,13 @@ def marginal_w1(
     if tuples.size == 0:
         raise ValueError("at least one x-tuple is required")
 
-    valsA = _stacked_values(snapA, M)
-    valsB = _stacked_values(snapB, M)
-    if not (np.all(np.isfinite(valsA)) and np.all(np.isfinite(valsB))):
-        raise ValueError("sampled velocity values contain non-finite entries")
-    chunk = max(1, _CHUNK_BYTES // (8 * snapA.m * snapA.m))
+    # (T, m, 2k) clouds: the velocity at x_1, then at x_2, ...
+    A, B = (_tuple_values(snap, M, tuples).reshape(snap.m, len(tuples), 2 * k).transpose(1, 0, 2)
+            for snap in (snapA, snapB))
+    batch = _tuples_within(_BATCH_BYTES, snapA.m)
     dists = []
-    for start in range(0, len(tuples), chunk):
-        part = tuples[start:start + chunk]
-        # (T, m, 2k) clouds: the velocity at x_1, then at x_2, ...
-        clouds = [np.concatenate([vals[:, part[:, l, 0], part[:, l, 1], :] for l in range(k)],
-                                 axis=2).transpose(1, 0, 2) for vals in (valsA, valsB)]
-        dists.extend(_w1_chunk(*clouds))
+    for start in range(0, len(tuples), batch):
+        dists.extend(_w1_batch(A[start:start + batch], B[start:start + batch]))
     per_tuple = []
     for tup, dist in zip(tuples, dists):
         coords = tuple((2.0 * np.pi * i1 / M, 2.0 * np.pi * i2 / M) for i1, i2 in tup)

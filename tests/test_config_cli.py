@@ -8,8 +8,8 @@ import pytest
 import eulerstat
 from eulerstat.cli import PRESETS, main
 from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
-from eulerstat.diagnostics import structure_function
-from eulerstat.ensemble import EnsembleSnapshot, fnv1a64, read_snapshot, write_snapshot
+from eulerstat.diagnostics import cauchy_rate, structure_function
+from eulerstat.ensemble import EnsembleSnapshot, fnv1a64, read_snapshot, variance_field, write_snapshot
 from eulerstat.initial import PRNG_ID
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import SpectralField
@@ -585,6 +585,32 @@ def test_diagnose_overflowing_power_writes_nothing(tmp_path, capsys, amplitude, 
     with np.errstate(all="raise"):
         err = _assert_diagnose_writes_nothing(tmp_path, capsys, [*paths, *flag])
     assert f"non-finite {what}" in err
+
+
+@pytest.mark.parametrize("m, flag, what", [
+    (1, ["--mean-variance"], "non-finite mean at N=8"),         # the mean grid overflows
+    (2, ["--mean-variance"], "non-finite variance at N=8"),     # finite mean, squares overflow
+    (2, ["--cauchy"], "non-finite mean Cauchy rate"),           # |coefficient differences|^2
+    (2, ["--wasserstein", "1"], "sampled velocity values contain non-finite entries"),
+])
+def test_diagnose_overflowing_statistics_write_nothing(tmp_path, capsys, m, flag, what):
+    # Under errstate(all="raise") a numpy overflow warning would surface as
+    # a FloatingPointError traceback, so none may be printed on the way.
+    paths = _write_huge_pair(tmp_path, 1e307, m)
+    with np.errstate(all="raise"):
+        err = _assert_diagnose_writes_nothing(tmp_path, capsys, [*paths, *flag])
+    assert what in err
+
+
+def test_overflowing_variance_and_cauchy_rate_raise(tmp_path):
+    coarse, fine = (read_snapshot(p) for p in _write_huge_pair(tmp_path, 1e307))
+    with np.errstate(all="raise"):
+        for snap in (coarse, fine):
+            with pytest.raises(ValueError, match="non-finite variance"):
+                variance_field(snap)
+        for statistic in ("mean", "variance", 0):
+            with pytest.raises(ValueError, match="non-finite"):
+                cauchy_rate(coarse, fine, statistic)
 
 
 @pytest.mark.parametrize("below", [False, True])

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,12 +195,15 @@ def integer_total(cost, cols):
 
 
 def count_fallbacks(monkeypatch):
+    """Record the size of every cold-start `_hungarian` call (a repair's
+    warm-started call is not a fallback)."""
     calls = []
     real = transport._hungarian
 
-    def counted(cost_int):
-        calls.append(len(cost_int))
-        return real(cost_int)
+    def counted(cost_int, warm=None):
+        if warm is None:
+            calls.append(len(cost_int))
+        return real(cost_int, warm)
 
     monkeypatch.setattr(transport, "_hungarian", counted)
     return calls
@@ -245,7 +249,7 @@ def test_certificate_accepts_optimum_and_rejects_swap():
             A[1], B[2] = A[0], B[0]
         cost = transport._cost_matrices(A[None], B[None])
         best = transport._hungarian(transport._integer_costs(cost[0]))
-        assert transport._certify(cost, np.array([best])).tolist() == [True]
+        assert transport._certify(cost, np.array([best]))[0].tolist() == [True]
         worse = None
         for i in range(m):
             for j in range(i):
@@ -256,7 +260,7 @@ def test_certificate_accepts_optimum_and_rejects_swap():
                     break
             if worse:
                 break
-        assert transport._certify(cost, np.array([worse])).tolist() == [False]
+        assert transport._certify(cost, np.array([worse]))[0].tolist() == [False]
 
 
 def test_certificate_checks_near_zero_reduced_costs_exactly():
@@ -264,8 +268,8 @@ def test_certificate_checks_near_zero_reduced_costs_exactly():
     # to 1, so the losing exchange cycle weighs 0 in float arithmetic and
     # only the exact integer check can see that it is negative.
     cost = np.array([[[2.0 ** -60, 1.0], [1.0, 2.0]]])
-    assert transport._certify(cost, np.array([[0, 1]])).tolist() == [False]
-    assert transport._certify(cost, np.array([[1, 0]])).tolist() == [True]
+    assert transport._certify(cost, np.array([[0, 1]]))[0].tolist() == [False]
+    assert transport._certify(cost, np.array([[1, 0]]))[0].tolist() == [True]
 
 
 def test_certificate_rejects_bellman_ford_parent_cycle(monkeypatch):
@@ -282,16 +286,16 @@ def test_certificate_rejects_bellman_ford_parent_cycle(monkeypatch):
         return tree_calls[-1]
 
     monkeypatch.setattr(transport, "_tree_potentials", spied)
-    assert transport._certify(cost, np.array([[0, 1, 2]])).tolist() == [False]
+    assert transport._certify(cost, np.array([[0, 1, 2]]))[0].tolist() == [False]
     assert tree_calls == [None]
-    assert transport._certify(cost, np.array([[1, 0, 2]])).tolist() == [True]
+    assert transport._certify(cost, np.array([[1, 0, 2]]))[0].tolist() == [True]
 
 
 def test_certificate_rejects_non_permutation():
     # every row on one column: each exchange cycle weighs exactly 0
     rng = np.random.default_rng(11)
     cost = transport._cost_matrices(rng.standard_normal((1, 5, 2)), rng.standard_normal((1, 5, 2)))
-    assert transport._certify(cost, np.zeros((1, 5), dtype=np.int64)).tolist() == [False]
+    assert transport._certify(cost, np.zeros((1, 5), dtype=np.int64))[0].tolist() == [False]
 
 
 def test_generic_clouds_never_fall_back(monkeypatch):
@@ -301,6 +305,33 @@ def test_generic_clouds_never_fall_back(monkeypatch):
     calls = count_fallbacks(monkeypatch)
     assert [w1_exact(PointCloud(A), PointCloud(B)) for A, B in clouds] == expected
     assert calls == []
+
+
+def test_failed_candidate_is_repaired_without_fallback(monkeypatch):
+    # On a line with every B right of every A, all assignments cost the same
+    # in real arithmetic, so only the rounding of the float costs tells them
+    # apart. The float candidate misses the optimum by an ulp: its float
+    # reduced costs lie within the rounding bound, and the exact check fails.
+    A = np.array([[0.3405254255300457], [-0.10857977740435112], [-0.10857977740435112]])
+    B = np.array([[1.7564114701292186], [0.6585507878644343], [0.424056492220449]])
+    cost = transport._cost_matrices(A[None], B[None])
+    candidate = transport._candidate_assignments(cost)
+    ok, potentials = transport._certify(cost, candidate)
+    assert ok.tolist() == [False] and potentials[0] is not None
+    assert math.fsum(cost[0, np.arange(3), candidate[0]]) / 3 != w1_bruteforce(A, B)
+    repaired = []
+    real = transport._repair
+
+    def spied(*args):
+        repaired.append(real(*args))
+        return repaired[-1]
+
+    monkeypatch.setattr(transport, "_repair", spied)
+    calls = count_fallbacks(monkeypatch)
+    value = w1_exact(PointCloud(A), PointCloud(B))
+    assert calls == [] and len(repaired) == 1
+    assert transport._certify(cost, np.array(repaired))[0].tolist() == [True]
+    assert value == hungarian_w1(A, B) == w1_bruteforce(A, B)
 
 
 def test_cost_matrices_match_numpy_sum():
@@ -362,6 +393,44 @@ def test_marginal_chunks_do_not_change_values(monkeypatch):
     chunked = marginal_w1(a, b, 2, num_tuples=10)
     assert chunked.per_tuple == whole.per_tuple
     assert chunked.value == whole.value
+
+
+@pytest.mark.parametrize("batch", [1, 3, 10])
+@pytest.mark.parametrize("slice_", [1, 3, 10])
+def test_marginal_batch_and_slice_sizes_do_not_change_values(monkeypatch, batch, slice_):
+    # T = 10 tuples per candidate batch and per certificate slice: one tuple,
+    # a non-divisor of T, or all of them
+    rng = np.random.default_rng(15)
+    a = snapshot_of([hermitian_random_field(6, rng) for _ in range(5)])
+    b = snapshot_of([hermitian_random_field(6, rng) for _ in range(5)])
+    whole = marginal_w1(a, b, 2, num_tuples=10)
+    tuple_bytes = 8 * 5 * 5
+    monkeypatch.setattr(transport, "_BATCH_BYTES", batch * tuple_bytes)
+    monkeypatch.setattr(transport, "_CHUNK_BYTES", slice_ * tuple_bytes)
+    parts = marginal_w1(a, b, 2, num_tuples=10)
+    assert parts.per_tuple == whole.per_tuple
+    assert parts.value == whole.value
+
+
+def test_marginal_memory_is_bounded_by_batch_and_slices():
+    # m = 64, 256 tuples: two candidate stacks of _BATCH_BYTES, each
+    # certified in slices of _CHUNK_BYTES, of which the certificate holds
+    # three at a time. Beyond these only the sample values at the tuples
+    # (for both ensembles) and the certificate's masks and integer lists
+    # may be live; a full-size temporary of the stack would not fit.
+    m, T = 64, 256
+    rng = np.random.default_rng(17)
+    a = snapshot_of([hermitian_random_field(4, rng) for _ in range(m)])
+    b = snapshot_of([hermitian_random_field(4, rng) for _ in range(m)])
+    marginal_w1(a, b, 1, num_tuples=8)
+    tracemalloc.start()
+    try:
+        marginal_w1(a, b, 1, num_tuples=T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    values = 2 * m * T * 2 * 8
+    assert peak <= transport._BATCH_BYTES + 3 * transport._CHUNK_BYTES + values + (1 << 20)
 
 
 def test_w1_dimension_and_finiteness_checks():
