@@ -8,7 +8,8 @@
 
 `run` evolves the configured ensembles for every resolution and writes
 snapshot files (*.euss), a resolved manifest per resolution and an energy
-CSV. `diagnose` turns snapshot files into diagnostic CSV tables. Snapshot
+CSV. `diagnose` turns snapshot files into diagnostic CSV tables, reading
+each snapshot once, one sample at a time, for all of them. Snapshot
 and CSV outputs are byte-deterministic for a fixed config, regardless of
 worker count. The environment variable EULER_STAT_SEED overrides the
 configured base seed.
@@ -29,31 +30,45 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
 from .diagnostics import (
+    RadialPower,
+    cauchy_rate_of,
     compensated_spectrum,
     default_fit_range,
-    energy_spectrum,
     fit_exponent,
-    structure_function,
+    spectrum_curve,
+    structure_curve,
     time_regularity_ratio,
     write_curve_csv,
 )
 from .ensemble import (
+    CoefficientSum,
+    GridMoments,
     RunManifest,
     atomic_open,
     check_finite,
     fnv1a64,
-    mean_field,
-    read_snapshot,
+    iter_snapshot,
+    read_snapshot_header,
     run_ensemble,
-    variance_field,
     write_csv,
     write_snapshot,
 )
 from .errors import BlowUpError
 from .initial import PRNG_ID
 from .spectral import sample_at_grid, synthesis_grid
-from .transport import marginal_w1, write_report_csv
-from .diagnostics import cauchy_rate
+from .transport import (
+    DEFAULT_DIAGNOSTIC_SEED,
+    TupleValues,
+    marginal_report,
+    marginal_tuples,
+    write_report_csv,
+)
+
+# The whole-snapshot forms of the statistics `diagnose` streams; perfbench
+# wraps and calls them under these names.
+from .diagnostics import cauchy_rate, energy_spectrum, structure_function  # noqa: F401
+from .ensemble import read_snapshot, variance_field  # noqa: F401
+from .transport import marginal_w1  # noqa: F401
 
 MAX_DESK_N = 256
 MAX_DESK_M = 64
@@ -305,7 +320,7 @@ def cmd_diagnose(args) -> int:
             _err(f"{flag} must be finite, got {value}")
             return 2
     try:
-        loaded = [(p, read_snapshot(p)) for p in by_real.values()]
+        loaded = [(p, read_snapshot_header(p)) for p in by_real.values()]
     except (OSError, ValueError) as exc:
         _err(str(exc))
         return 2
@@ -343,61 +358,11 @@ def cmd_diagnose(args) -> int:
 
     # Compute every table before writing any: a failure while computing
     # leaves no partial outputs, and --out is not created until then.
-    outputs, summary_rows = [], []          # (file name, writer taking the path)
     try:
-        if args.structure:
-            for path, snap in loaded:
-                curve = structure_function(snap)
-                outputs.append((f"{_stem(path)}_structure.csv", partial(write_curve_csv, curve)))
-                try:
-                    fit = fit_exponent(curve, *default_fit_range(snap.N))
-                    summary_rows.append((_stem(path), "structure_exponent", fit.exponent,
-                                         fit.intercept, fit.residual, *fit.fit_range))
-                except ValueError:
-                    summary_rows.append((_stem(path), "structure_exponent", *["nan"] * 5))
-        if args.spectrum is not None:
-            for path, snap in loaded:
-                curve = energy_spectrum(snap)
-                if args.spectrum != 0.0:
-                    curve = compensated_spectrum(curve, args.spectrum)
-                outputs.append((f"{_stem(path)}_spectrum.csv", partial(write_curve_csv, curve)))
-        if args.wasserstein is not None:
-            for pa, sa, pb, sb in pairs:
-                report = marginal_w1(sa, sb, args.wasserstein)
-                outputs.append((f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv",
-                                partial(write_report_csv, report)))
-        if args.cauchy:
-            for pa, sa, pb, sb in pairs:
-                rows = [("mean", cauchy_rate(sa, sb, "mean"))]
-                if sa.m == sb.m:
-                    rows.append(("variance", cauchy_rate(sa, sb, "variance")))
-                outputs.append((f"{_stem(pa)}__{_stem(pb)}_cauchy.csv",
-                                partial(write_csv, header=("cauchy", sa.time, sa.N, sa.m), rows=rows)))
-        if args.mean_variance:
-            for path, snap in loaded:
-                # a copy: a view of u1 would hold the whole (M, M, 2) grid until written
-                with np.errstate(over="ignore", invalid="ignore"):
-                    mean_u1 = sample_at_grid(mean_field(snap), synthesis_grid(snap.N))[:, :, 0].copy()
-                check_finite(mean_u1, "mean", snap)
-                for tag, grid in (("mean_u1", mean_u1), ("variance", variance_field(snap))):
-                    outputs.append((f"{_stem(path)}_{tag}.csv",
-                                    partial(write_csv, header=(tag, snap.time, snap.N, snap.m), rows=grid)))
-        for N, entries in sorted(by_n.items()):
-            if len(entries) < 2:
-                continue
-            snaps = sorted((s for _, s in entries), key=lambda s: s.time)
-            common = min(s.m for s in snaps)
-            rows = [(snaps[0].sample_seeds[j], time_regularity_ratio(
-                [(s.time, s.fields[j]) for s in snaps], L=args.time_regularity)) for j in range(common)]
-            header = (f"time_regularity_L{args.time_regularity:g}", snaps[-1].time, N, common)
-            outputs.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
-    except ValueError as exc:
+        outputs = _diagnose_tables(args, loaded, pairs, by_n)
+    except (OSError, ValueError) as exc:
         _err(str(exc))
         return 2
-
-    if summary_rows:
-        header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
-        outputs.append(("summary.csv", partial(write_csv, header=header, rows=summary_rows)))
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.snapshots[0]))
     try:
@@ -410,6 +375,183 @@ def cmd_diagnose(args) -> int:
         _err(f"output directory {out_dir!r} is not writable: {exc}")
         return 2
     return 0
+
+
+def _diagnose_tables(args, loaded, pairs, by_n) -> list:
+    """(file name, writer taking the path) of every table `diagnose` writes.
+
+    loaded holds (path, header) of each input, pairs the (N, 2N) pairs and
+    by_n the inputs per resolution for time regularity. Each input is read
+    once, one sample at a time, into every statistic it feeds: its radial
+    power (structure and spectrum), its coefficient sum (mean and Cauchy
+    rates), and per grid size one synthesis of each sample, shared by the
+    variance moments and the W1 tuple values at that size. After its pass
+    the input's own results are finished (curves, mean field, mean and
+    variance grids), so that only they outlive the pass; the W1 values wait
+    for the pair's other input. Time regularity then reads the inputs of
+    each resolution again, in lockstep. A statistic that fails is raised
+    when its table is built, tables in the order below, so the failure
+    reported does not depend on the order in which the inputs are read.
+    """
+    # The grid sizes at which each input's variance is needed: its own (mean
+    # and variance grids) and the coarse member's of each pair it is in
+    # (variance Cauchy rate). The W1 values of a pair are gathered at the
+    # coarse member's size too.
+    variance_sizes = {path: [] for path, _ in loaded}
+    values, tuples = {}, {}         # (path, M) -> TupleValues; M -> W1 tuples
+    if args.mean_variance:
+        for path, head in loaded:
+            variance_sizes[path].append(synthesis_grid(head.N))
+    for pa, sa, pb, sb in pairs:
+        M = synthesis_grid(sa.N)
+        for path, head in ((pa, sa), (pb, sb)):
+            if args.cauchy and sa.m == sb.m and M not in variance_sizes[path]:
+                variance_sizes[path].append(M)
+            if args.wasserstein is not None and (path, M) not in values:
+                if M not in tuples:
+                    tuples[M] = marginal_tuples(args.wasserstein, M)[0]
+                values[path, M] = TupleValues(tuples[M], head.m)
+    paired = {p for pa, _, pb, _ in pairs for p in (pa, pb)}
+
+    done = {}       # (path, statistic or grid size) -> result, or the ValueError it raised
+    for path, head in loaded:
+        done.update(_stream_input(args, path, head, variance_sizes[path], path in paired,
+                                  {M: acc for (p, M), acc in values.items() if p == path}))
+
+    outputs, summary_rows = [], []
+    if args.structure:
+        for path, head in loaded:
+            curve = _now(done[path, "structure"])
+            outputs.append((f"{_stem(path)}_structure.csv", partial(write_curve_csv, curve)))
+            try:
+                fit = fit_exponent(curve, *default_fit_range(head.N))
+                summary_rows.append((_stem(path), "structure_exponent", fit.exponent,
+                                     fit.intercept, fit.residual, *fit.fit_range))
+            except ValueError:
+                summary_rows.append((_stem(path), "structure_exponent", *["nan"] * 5))
+    if args.spectrum is not None:
+        for path, head in loaded:
+            curve = _now(done[path, "spectrum"])
+            if args.spectrum != 0.0:
+                curve = compensated_spectrum(curve, args.spectrum)
+            outputs.append((f"{_stem(path)}_spectrum.csv", partial(write_curve_csv, curve)))
+    if args.wasserstein is not None:
+        for pa, sa, pb, sb in pairs:
+            M = synthesis_grid(sa.N)
+            report = marginal_report(values[pa, M], values[pb, M], sa, sb, M, DEFAULT_DIAGNOSTIC_SEED)
+            outputs.append((f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv",
+                            partial(write_report_csv, report)))
+    if args.cauchy:
+        for pa, sa, pb, sb in pairs:
+            rows = [("mean", cauchy_rate_of(done[pb, "mean"], done[pa, "mean"], "mean", sa))]
+            if sa.m == sb.m:
+                M = synthesis_grid(sa.N)
+                fine = _now(done[pb, M])
+                rows.append(("variance", cauchy_rate_of(fine, _now(done[pa, M]), "variance", sa)))
+            outputs.append((f"{_stem(pa)}__{_stem(pb)}_cauchy.csv",
+                            partial(write_csv, header=("cauchy", sa.time, sa.N, sa.m), rows=rows)))
+    if args.mean_variance:
+        for path, head in loaded:
+            for tag, grid in (("mean_u1", _now(done[path, "mean_u1"])),
+                              ("variance", _now(done[path, synthesis_grid(head.N)]))):
+                outputs.append((f"{_stem(path)}_{tag}.csv",
+                                partial(write_csv, header=(tag, head.time, head.N, head.m), rows=grid)))
+    for N, entries in sorted(by_n.items()):
+        if len(entries) < 2:
+            continue
+        heads = sorted((h for _, h in entries), key=lambda h: h.time)
+        common = min(h.m for h in heads)
+        streams = [iter_snapshot(h) for h in heads]
+        try:
+            rows = [(samples[0][0], time_regularity_ratio(
+                [(h.time, field) for h, (_, field) in zip(heads, samples)], L=args.time_regularity))
+                for samples in zip(*streams)]
+        finally:
+            for stream in streams:
+                stream.close()
+        header = (f"time_regularity_L{args.time_regularity:g}", heads[-1].time, N, common)
+        outputs.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
+
+    if summary_rows:
+        header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
+        outputs.append(("summary.csv", partial(write_csv, header=header, rows=summary_rows)))
+    return outputs
+
+
+def _later(fn, *args):
+    """fn(*args), or the ValueError it raised, for _now to raise."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return exc
+
+
+def _now(result):
+    """result of _later, or raise the ValueError it holds."""
+    if isinstance(result, ValueError):
+        raise result
+    return result
+
+
+def _mean_u1(mean, head) -> np.ndarray:
+    """The first velocity component of the mean field on its synthesis grid."""
+    # a copy: a view of u1 would hold the whole (M, M, 2) grid until written
+    with np.errstate(over="ignore", invalid="ignore"):
+        u1 = sample_at_grid(mean, synthesis_grid(head.N))[:, :, 0].copy()
+    check_finite(u1, "mean", head)
+    return u1
+
+
+def _stream_input(args, path, head, variance_sizes, paired, values) -> dict:
+    """Read one input once, one sample at a time, and finish the statistics
+    it alone determines; returns {(path, statistic or grid size): result, or
+    the ValueError it raised}.
+
+    Each sample field feeds the input's radial power and coefficient sum.
+    Its grid, synthesized once per size M, feeds the variance moments at
+    each size in variance_sizes and the W1 tuple values values[M], which
+    the caller keeps for the pair's other input. paired says whether the
+    input is in an (N, 2N) pair.
+    """
+    radial = RadialPower(head.N) if args.structure or args.spectrum is not None else None
+    total = (CoefficientSum(head.N)
+             if args.mean_variance or (args.cauchy and paired) else None)
+    moments = {M: GridMoments(M) for M in variance_sizes}
+    feeds = [acc for acc in (radial, total) if acc is not None]
+    grids = {M: [acc] for M, acc in moments.items()}    # M -> statistics fed M-grids
+    for M, acc in values.items():
+        grids.setdefault(M, []).append(acc)
+    if not feeds and not grids:
+        return {}
+    _stream_into(head, feeds, grids)
+
+    # Each accumulator is dropped as soon as its result is done.
+    del grids
+    done = {(path, M): _later(moments.pop(M).variance, head) for M in variance_sizes}
+    if args.structure:
+        done[path, "structure"] = _later(structure_curve, radial, head)
+    if args.spectrum is not None:
+        done[path, "spectrum"] = _later(spectrum_curve, radial, head)
+    if total is not None:
+        mean, total = total.mean(), None
+        if args.cauchy:
+            done[path, "mean"] = mean
+        if args.mean_variance:
+            done[path, "mean_u1"] = _later(_mean_u1, mean, head)
+    return done
+
+
+def _stream_into(head, feeds, grids) -> None:
+    """Feed each sample of the input with header head to the statistics in
+    feeds, and its M-point grid, synthesized once per M, to those in grids[M]."""
+    for _, field in iter_snapshot(head):
+        for acc in feeds:
+            acc.add(field)
+        for M, accs in grids.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                grid = sample_at_grid(field, M)
+            for acc in accs:
+                acc.add(grid)
 
 
 def cmd_presets(_args) -> int:

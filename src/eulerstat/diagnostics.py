@@ -15,6 +15,12 @@ with Euclidean shells; summing all shells recovers half the mean modal
 energy. The compensated spectrum multiplies by K^gamma.
 
 Scaling exponents are least-squares slopes in log-log coordinates.
+
+Both curves are built from the mean modal power per |k|^2, a RadialPower
+accumulator fed one sample at a time; structure_function and
+energy_spectrum feed it from a snapshot's fields, and structure_curve and
+spectrum_curve turn a fed one into a curve, so a caller streaming samples
+computes the power once for both.
 """
 
 from __future__ import annotations
@@ -32,11 +38,15 @@ __all__ = [
     "increment_kernel",
     "default_r_grid",
     "default_fit_range",
+    "RadialPower",
     "structure_function",
+    "structure_curve",
     "energy_spectrum",
+    "spectrum_curve",
     "compensated_spectrum",
     "fit_exponent",
     "cauchy_rate",
+    "cauchy_rate_of",
     "time_regularity_ratio",
     "write_curve_csv",
 ]
@@ -109,33 +119,55 @@ def default_fit_range(N: int) -> tuple:
     return (r_max / 10.0, r_max)
 
 
-def _radial_power(snapshot: EnsembleSnapshot):
-    """Mean modal power per integer |k|^2: (ksq values, power sums).
+class RadialPower:
+    """Modal power per integer |k|^2, summed over the N-mode sample fields
+    fed to add, in order."""
 
-    Raises ValueError when a shell power is not finite, as happens when
-    finite coefficients overflow on squaring. structure_function and
-    energy_spectrum likewise reject sums of finite powers that overflow.
-    """
-    _, _, ksq = wavenumbers(snapshot.N)
-    flat_ksq = ksq.ravel()
-    acc = np.zeros(int(flat_ksq.max()) + 1)
-    with np.errstate(over="ignore"):
-        for f in snapshot.fields:
-            p = (np.abs(f.coeffs[0]) ** 2 + np.abs(f.coeffs[1]) ** 2).ravel()
-            acc += np.bincount(flat_ksq, weights=p, minlength=acc.size)
-    check_finite(acc, "shell power", snapshot)
-    acc /= snapshot.m
-    nz = np.nonzero(acc)[0]
-    nz = nz[nz > 0]
-    return nz.astype(np.float64), acc[nz]
+    def __init__(self, N: int):
+        _, _, ksq = wavenumbers(N)
+        self.flat_ksq = ksq.ravel()
+        self.total = np.zeros(int(self.flat_ksq.max()) + 1)
+        self.count = 0
+
+    def add(self, field: SpectralField) -> None:
+        with np.errstate(over="ignore"):
+            p = (np.abs(field.coeffs[0]) ** 2 + np.abs(field.coeffs[1]) ** 2).ravel()
+            self.total += np.bincount(self.flat_ksq, weights=p, minlength=self.total.size)
+        self.count += 1
+
+    def mean(self, snapshot):
+        """Mean modal power per populated |k|^2 > 0: (ksq values, powers).
+
+        Raises ValueError naming the snapshot (or its header) when a shell
+        power is not finite, as happens when finite coefficients overflow on
+        squaring. structure_curve and spectrum_curve likewise reject sums of
+        finite powers that overflow.
+        """
+        check_finite(self.total, "shell power", snapshot)
+        acc = self.total / self.count
+        nz = np.nonzero(acc)[0]
+        nz = nz[nz > 0]
+        return nz.astype(np.float64), acc[nz]
+
+
+def _radial_power(snapshot: EnsembleSnapshot) -> RadialPower:
+    acc = RadialPower(snapshot.N)
+    for f in snapshot.fields:
+        acc.add(f)
+    return acc
 
 
 def structure_function(snapshot: EnsembleSnapshot, r_values=None) -> ScalarCurve:
     """Ensemble structure function S(r) on the given correlation lengths."""
+    return structure_curve(_radial_power(snapshot), snapshot, r_values)
+
+
+def structure_curve(radial: RadialPower, snapshot, r_values=None) -> ScalarCurve:
+    """S(r) from the radial power of a snapshot (or of its header, fed its samples)."""
     r = default_r_grid(snapshot.N) if r_values is None else np.asarray(r_values, np.float64)
     if np.any(r <= 0):
         raise ValueError("correlation lengths must be positive")
-    ksq_vals, power = _radial_power(snapshot)
+    ksq_vals, power = radial.mean(snapshot)
     kmag = np.sqrt(ksq_vals)
     s2 = np.empty(r.shape)
     with np.errstate(over="ignore"):
@@ -164,11 +196,16 @@ def energy_spectrum(snapshot: EnsembleSnapshot, K_max: int | None = None) -> Sca
     default K_max covers every populated shell, so that sum_K E(K) equals
     half the mean modal energy exactly.
     """
+    return spectrum_curve(_radial_power(snapshot), snapshot, K_max)
+
+
+def spectrum_curve(radial: RadialPower, snapshot, K_max: int | None = None) -> ScalarCurve:
+    """E(K) from the radial power of a snapshot (or of its header, fed its samples)."""
     full = max_shell(snapshot.N)
     K_max = full if K_max is None else int(K_max)
     if K_max > full:
         raise ValueError(f"K_max={K_max} beyond the last populated shell {full}")
-    ksq_vals, power = _radial_power(snapshot)
+    ksq_vals, power = radial.mean(snapshot)
     shells = np.ceil(np.sqrt(ksq_vals)).astype(int)
     e = np.bincount(shells, weights=0.5 * power, minlength=full + 1)
     check_finite(e, "energy spectrum", snapshot)
@@ -235,14 +272,24 @@ def cauchy_rate(snapA: EnsembleSnapshot, snapB: EnsembleSnapshot, statistic="mea
     with np.errstate(over="ignore", invalid="ignore"):
         if statistic == "variance":
             M = synthesis_grid(snapA.N)
-            diff = variance_field(snapB, M) - variance_field(snapA, M)
+            fine, coarse = variance_field(snapB, M), variance_field(snapA, M)
+        elif statistic == "mean":
+            fine, coarse = mean_field(snapB), mean_field(snapA)
+        else:
+            j = int(statistic)
+            fine, coarse = snapB.fields[j], snapA.fields[j]
+    return cauchy_rate_of(fine, coarse, statistic, snapA)
+
+
+def cauchy_rate_of(fine, coarse, statistic, snapA) -> float:
+    """The Cauchy rate of cauchy_rate from the statistic of each ensemble:
+    variance grids on the coarse synthesis grid, or fields. snapA is the
+    coarse snapshot or its header."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if statistic == "variance":
+            diff = fine - coarse
             rate = float(2.0 * np.pi * np.sqrt(np.mean(diff ** 2)))
         else:
-            if statistic == "mean":
-                fine, coarse = mean_field(snapB), mean_field(snapA)
-            else:
-                j = int(statistic)
-                fine, coarse = snapB.fields[j], snapA.fields[j]
             rate = _modal_l2(truncate_to(fine, snapA.N).coeffs - coarse.coeffs)
     check_finite(rate, f"{statistic} Cauchy rate", snapA)
     return rate

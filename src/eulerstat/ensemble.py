@@ -15,6 +15,13 @@ Snapshot files use a fixed little-endian binary layout (magic "EUSS"):
     k2 = -N..N (inner), components 1 then 2, each a little-endian complex128
     (f64 real, f64 imag).
 
+A file is read as a stream: read_snapshot_header checks the header and the
+file length, and iter_snapshot then yields one sample at a time, so a
+reader holds one sample of a file, not m. read_snapshot collects the stream.
+The ensemble statistics here are accumulators fed one sample at a time
+(CoefficientSum, GridMoments); mean_field and variance_field feed them from
+a snapshot's fields.
+
 Every file the command line writes goes through atomic_open (written to
 path + ".tmp", then renamed into place); its CSV tables through write_csv.
 """
@@ -25,7 +32,6 @@ import contextlib
 import math
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +44,16 @@ from .spectral import SpectralField, sample_at_grid, synthesis_grid
 __all__ = [
     "RunManifest",
     "EnsembleSnapshot",
+    "SnapshotHeader",
     "run_ensemble",
+    "CoefficientSum",
+    "GridMoments",
     "mean_field",
     "variance_field",
     "check_finite",
     "write_snapshot",
+    "read_snapshot_header",
+    "iter_snapshot",
     "read_snapshot",
     "fnv1a64",
     "atomic_open",
@@ -147,7 +158,12 @@ def run_ensemble(
         for i in range(1, manifest.m + 1)
     ]
     workers = min(workers, manifest.m)
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = None
+    if workers > 1:
+        # imported here, so that a process that starts no pool never imports multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
     seeds, per_sample = [], []
     try:
         outcomes = pool.map(_evolve_one, tasks) if pool else map(_evolve_one, tasks)
@@ -180,21 +196,65 @@ def run_ensemble(
     ]
 
 
+class CoefficientSum:
+    """Coefficient-wise sum of the N-mode sample fields fed to add, in order."""
+
+    def __init__(self, N: int):
+        self.N = N
+        self.total = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=np.complex128)
+        self.count = 0
+
+    def add(self, field: SpectralField) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.total += field.coeffs
+        self.count += 1
+
+    def mean(self) -> SpectralField:
+        """The coefficient-wise mean (equals the pointwise mean field)."""
+        return SpectralField._wrap(self.N, self.total / self.count)
+
+
 def mean_field(snapshot: EnsembleSnapshot) -> SpectralField:
     """Coefficient-wise ensemble mean (equals the pointwise mean field)."""
-    acc = np.zeros_like(snapshot.fields[0].coeffs)
+    acc = CoefficientSum(snapshot.N)
     for f in snapshot.fields:
-        acc += f.coeffs
-    return SpectralField(snapshot.N, acc / snapshot.m)
+        acc.add(f)
+    return acc.mean()
 
 
-def check_finite(values, what: str, snapshot: EnsembleSnapshot) -> None:
-    """Raise ValueError naming what and the snapshot unless every value is finite."""
+def check_finite(values, what: str, snapshot) -> None:
+    """Raise ValueError naming what and the snapshot (or its header) unless
+    every value is finite."""
     if not np.all(np.isfinite(values)):
         raise ValueError(
             f"non-finite {what} at N={snapshot.N}, t={snapshot.time:g}: "
             "the coefficients are too large"
         )
+
+
+class GridMoments:
+    """Pointwise sums of the (M, M, 2) sample grids fed to add, in order, and
+    of their squares."""
+
+    def __init__(self, M: int):
+        self.s1 = np.zeros((M, M, 2))
+        self.s2 = np.zeros((M, M, 2))
+        self.count = 0
+
+    def add(self, grid: np.ndarray) -> None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.s1 += grid
+            self.s2 += grid * grid
+        self.count += 1
+
+    def variance(self, snapshot) -> np.ndarray:
+        """Pointwise population variance, summed over components; raises
+        ValueError naming the snapshot (or its header) if a value is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = self.s1 / self.count
+            var = np.maximum(self.s2 / self.count - mean * mean, 0.0).sum(axis=2)
+        check_finite(var, "variance", snapshot)
+        return var
 
 
 def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -> np.ndarray:
@@ -204,17 +264,11 @@ def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -
     ValueError if a value is not finite.
     """
     M = synthesis_grid(snapshot.N) if grid_points is None else int(grid_points)
-    s1 = np.zeros((M, M, 2))
-    s2 = np.zeros((M, M, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f in snapshot.fields:
-            g = sample_at_grid(f, M)
-            s1 += g
-            s2 += g * g
-        mean = s1 / snapshot.m
-        var = np.maximum(s2 / snapshot.m - mean * mean, 0.0).sum(axis=2)
-    check_finite(var, "variance", snapshot)
-    return var
+    acc = GridMoments(M)
+    for f in snapshot.fields:
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc.add(sample_at_grid(f, M))
+    return acc.variance(snapshot)
 
 
 @contextlib.contextmanager
@@ -235,9 +289,17 @@ def write_csv(path, header, rows) -> None:
     """CSV via atomic_open: '# ' + header cells, then one line per row.
 
     Cells are joined by ','; float cells are written .17g, others with str().
-    Each line is one '%' format, the same bytes as formatting cell by cell.
+    Each line is one '%' format, the same bytes as formatting cell by cell; a
+    1-d float64 array row takes a format built once per row length.
     """
+    float_formats = {}
+
     def line(cells):
+        if isinstance(cells, np.ndarray) and cells.dtype == np.float64 and cells.ndim == 1:
+            fmt = float_formats.get(len(cells))
+            if fmt is None:
+                fmt = float_formats[len(cells)] = ",".join(["%.17g"] * len(cells)) + "\n"
+            return fmt % tuple(cells.tolist())
         return ",".join("%.17g" if isinstance(c, float) else "%s" for c in cells) % tuple(cells) + "\n"
 
     with atomic_open(path) as fh:
@@ -263,12 +325,38 @@ def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
             fh.write(np.ascontiguousarray(f.coeffs.transpose(1, 2, 0), dtype=_COEFF))
 
 
-def read_snapshot(path) -> EnsembleSnapshot:
-    """Read a snapshot written by write_snapshot.
+@dataclass(frozen=True)
+class SnapshotHeader:
+    """The header of a snapshot file whose length matches it."""
 
-    Raises SnapshotFormatError (a ValueError) naming the path for a file
-    that is not a complete, finite snapshot: bad magic or version, a length
-    other than the header implies, or non-finite values.
+    path: str
+    N: int
+    m: int
+    time: float
+    manifest_hash: int
+
+
+def _sample_bytes(N: int) -> int:
+    """Bytes of one sample record: the seed, then the coefficients."""
+    K = 2 * N + 1
+    return _SEED.size + K * K * 2 * _COEFF.itemsize
+
+
+def _check_length(fh, path, N: int, m: int) -> None:
+    size = os.fstat(fh.fileno()).st_size
+    expected = _HEADER.size + m * _sample_bytes(N)
+    if size != expected:
+        raise SnapshotFormatError(
+            f"{path}: {size} bytes, but its header (N={N}, m={m}) implies {expected}"
+        )
+
+
+def read_snapshot_header(path) -> SnapshotHeader:
+    """Read and check the header of a snapshot written by write_snapshot.
+
+    Raises SnapshotFormatError (a ValueError) naming the path for bad magic
+    or version, a non-finite time, no samples, or a length other than the
+    header implies. Samples are checked as iter_snapshot reads them.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -281,28 +369,55 @@ def read_snapshot(path) -> EnsembleSnapshot:
             raise SnapshotFormatError(f"{path}: format_version {version} unsupported")
         if not math.isfinite(time):
             raise SnapshotFormatError(f"{path}: non-finite time {time!r}")
-        K = 2 * N + 1
-        body = K * K * 2 * _COEFF.itemsize
-        size = os.fstat(fh.fileno()).st_size
-        expected = _HEADER.size + m * (_SEED.size + body)
-        if size != expected:
-            raise SnapshotFormatError(
-                f"{path}: {size} bytes, but its header (N={N}, m={m}) implies {expected}"
-            )
-        fields = []
-        seeds = []
-        for _ in range(m):
-            (seed,) = _SEED.unpack(fh.read(_SEED.size))
-            seeds.append(seed)
-            raw = np.frombuffer(fh.read(body), dtype=_COEFF).reshape(K, K, 2)
+        _check_length(fh, path, N, m)
+        if m < 1:
+            raise SnapshotFormatError(f"{path}: a snapshot needs at least one sample")
+    return SnapshotHeader(path=path, N=N, m=m, time=time, manifest_hash=manifest_hash)
+
+
+def iter_snapshot(header: SnapshotHeader):
+    """Yield (seed, SpectralField) for each sample of the file, in file order.
+
+    One sample is read at a time. Raises SnapshotFormatError naming the path
+    (and the seed) for a non-finite sample, or if the file's length no
+    longer matches its header.
+    """
+    N, path = header.N, header.path
+    K = 2 * N + 1
+    size = _sample_bytes(N)
+    with open(path, "rb") as fh:
+        _check_length(fh, path, N, header.m)
+        fh.seek(_HEADER.size)
+        for _ in range(header.m):
+            record = fh.read(size)
+            if len(record) < size:
+                raise SnapshotFormatError(f"{path}: truncated while it was read")
+            (seed,) = _SEED.unpack_from(record)
+            raw = np.frombuffer(record, dtype=_COEFF, offset=_SEED.size).reshape(K, K, 2)
             if not np.all(np.isfinite(raw)):
                 raise SnapshotFormatError(f"{path}: non-finite coefficients in sample {seed}")
-            fields.append(SpectralField._wrap(N, raw.transpose(2, 0, 1).copy()))
+            field = SpectralField._wrap(N, raw.transpose(2, 0, 1).copy())
+            del record, raw                 # hold one sample while suspended
+            yield seed, field
+
+
+def read_snapshot(path) -> EnsembleSnapshot:
+    """Read a snapshot written by write_snapshot: its header, then every sample.
+
+    Raises SnapshotFormatError (a ValueError) naming the path for a file
+    that is not a complete, finite snapshot: bad magic or version, a length
+    other than the header implies, or non-finite values.
+    """
+    header = read_snapshot_header(path)
+    seeds, fields = [], []
+    for seed, field in iter_snapshot(header):
+        seeds.append(seed)
+        fields.append(field)
     return EnsembleSnapshot(
-        time=time,
-        N=N,
+        time=header.time,
+        N=header.N,
         fields=fields,
         sample_seeds=seeds,
-        params=SolverParams(N=N),
-        manifest_hash=manifest_hash,
+        params=SolverParams(N=header.N),
+        manifest_hash=header.manifest_hash,
     )

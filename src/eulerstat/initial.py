@@ -203,15 +203,18 @@ def _sheet_vorticity_grid(M: int, rho: float, Q: int, d: float) -> np.ndarray:
     rho of g(xi_i). Per column it visits W = 2 ceil(rho M) + 1 rows centred
     on the row nearest g(xi_i) (the whole column when that exceeds M): a
     row j with |j/M - g| < rho lies within rho M + 1/2 of that row, so
-    within ceil(rho M) of it. The terms skipped are exact zeros and each
-    grid point sums its terms in offset order, so the result has the bits
-    of the sum over the full grid.
+    within ceil(rho M) of it. Within those rows psi is evaluated only where
+    r < 1, with the terms of bspline_bump that are not exactly +0.0 there.
+    The terms skipped are exact zeros (omega is never -0.0, so adding +0.0
+    changes no bit) and each grid point sums its terms in offset order, so
+    the result has the bits of the sum over the full grid.
     """
     xi = np.arange(M) / M
     omega = np.zeros((M, M))
+    flat = omega.reshape(-1)
     W = min(M, 2 * math.ceil(rho * M) + 1)
     window = np.arange(W) - W // 2
-    cols = np.arange(M)[:, None]
+    scale = 80.0 / (7.0 * np.pi)
     for i in range(-Q, Q + 1):
         dx1 = -i * rho / Q                       # x1 - xi_i, constant per offset
         xi_i = xi + i * rho / Q                  # per x1 column
@@ -220,7 +223,15 @@ def _sheet_vorticity_grid(M: int, rho: float, Q: int, d: float) -> np.ndarray:
         rows = (np.rint(g * M).astype(np.intp)[:, None] + window) % M   # (x1, W)
         dx2 = (xi[rows] - g[:, None] + 0.5) % 1.0 - 0.5
         r = np.sqrt(dx1 * dx1 + dx2 * dx2) / rho
-        omega[cols, rows] += bspline_bump(r) * np.sqrt(1.0 + gp * gp)[:, None]
+        col, w = np.nonzero(r < 1.0)
+        r = r[col, w]
+        # bspline_bump for 0 <= r < 1: the clamps of (r+1)^3, (r+1/2)^3 and
+        # r^3 are identities and (r-1)^3_+ is +0.0, kept as "+ 0.0" so that
+        # a -0.0 sum becomes +0.0 as it does there.
+        half = r - 0.5
+        val = ((r + 1.0) ** 3 - 4.0 * (r + 0.5) ** 3 + 6.0 * r ** 3
+               - 4.0 * np.where(half > 0, half, 0.0) ** 3 + 0.0)
+        flat[col * M + rows[col, w]] += scale * val * np.sqrt(1.0 + gp * gp)[col]
     omega *= rho / Q / (rho * rho)               # quadrature weight and psi_rho scaling
     return omega - omega.mean()
 

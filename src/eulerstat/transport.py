@@ -44,7 +44,11 @@ The marginal distance between two ensembles compares, at each of a set of
 spatial k-tuples, the clouds of stacked velocity values
 (u_i(x_1), ..., u_i(x_k)) in R^(2k) across samples, and averages the
 per-tuple W1 over the tuples; the average is scaled by the domain volume
-(2 pi)^(2k), the quadrature weight of uniformly drawn tuples.
+(2 pi)^(2k), the quadrature weight of uniformly drawn tuples. The values
+are gathered by a TupleValues accumulator fed one sample grid at a time:
+marginal_w1 feeds it from a snapshot's fields, and marginal_report turns
+two fed ones into the report, so a caller streaming samples can share each
+sample's grid with other statistics.
 """
 
 from __future__ import annotations
@@ -63,7 +67,10 @@ __all__ = [
     "MarginalDistanceReport",
     "w1_exact",
     "draw_x_tuples",
+    "marginal_tuples",
+    "TupleValues",
     "marginal_w1",
+    "marginal_report",
     "write_report_csv",
 ]
 
@@ -529,17 +536,45 @@ def draw_x_tuples(seed: int, num_tuples: int, k: int, grid_points: int) -> np.nd
     return rng.integers(0, grid_points, size=(num_tuples, k, 2))
 
 
-def _tuple_values(snapshot: EnsembleSnapshot, M: int, tuples: np.ndarray) -> np.ndarray:
-    """(m, T, k, 2) sample values at the M x M grid nodes of the (T, k, 2)
-    index tuples; ValueError if a sample has a non-finite grid value."""
-    values = np.empty((snapshot.m, *tuples.shape))
-    for i, f in enumerate(snapshot.fields):
-        with np.errstate(over="ignore", invalid="ignore"):
-            grid = sample_at_grid(f, M)
-        if not np.isfinite(grid).all():
+def marginal_tuples(k: int, grid_points: int, x_tuples=None, num_tuples: int | None = None,
+                    seed: int = DEFAULT_DIAGNOSTIC_SEED):
+    """The (T, k, 2) grid-index tuples of a marginal distance, and the seed
+    they were drawn from (None when x_tuples gives them)."""
+    used_seed = None
+    if x_tuples is None:
+        T = DEFAULT_TUPLE_COUNTS[k] if num_tuples is None else int(num_tuples)
+        x_tuples = draw_x_tuples(seed, T, k, grid_points)
+        used_seed = seed
+    tuples = np.asarray(x_tuples, dtype=np.int64)
+    if tuples.ndim != 3 or tuples.shape[1] != k or tuples.shape[2] != 2:
+        raise ValueError(f"x_tuples must have shape (T, {k}, 2), got {tuples.shape}")
+    if tuples.size == 0:
+        raise ValueError("at least one x-tuple is required")
+    return tuples, used_seed
+
+
+class TupleValues:
+    """(m, T, k, 2) sample values at the grid nodes of (T, k, 2) index
+    tuples, gathered from the m sample grids fed to add, in order."""
+
+    def __init__(self, tuples: np.ndarray, m: int):
+        self.tuples = tuples
+        self.values = np.empty((m, *tuples.shape))
+        self.count = 0
+        self.finite = True
+
+    def add(self, grid: np.ndarray) -> None:
+        self.finite = self.finite and bool(np.isfinite(grid).all())
+        self.values[self.count] = grid[self.tuples[..., 0], self.tuples[..., 1]]
+        self.count += 1
+
+    def clouds(self) -> np.ndarray:
+        """(T, m, 2k) point clouds: the velocity at x_1, then at x_2, ...;
+        ValueError if a grid fed had a non-finite value."""
+        if not self.finite:
             raise ValueError("sampled velocity values contain non-finite entries")
-        values[i] = grid[tuples[..., 0], tuples[..., 1]]
-    return values
+        m, T, k, _ = self.values.shape
+        return self.values.reshape(m, T, 2 * k).transpose(1, 0, 2)
 
 
 def marginal_w1(
@@ -566,20 +601,25 @@ def marginal_w1(
     if snapA.m != snapB.m:
         raise ValueError(f"sample counts differ ({snapA.m} vs {snapB.m})")
     M = synthesis_grid(min(snapA.N, snapB.N)) if grid_points is None else int(grid_points)
-    used_seed = None
-    if x_tuples is None:
-        T = DEFAULT_TUPLE_COUNTS[k] if num_tuples is None else int(num_tuples)
-        x_tuples = draw_x_tuples(seed, T, k, M)
-        used_seed = seed
-    tuples = np.asarray(x_tuples, dtype=np.int64)
-    if tuples.ndim != 3 or tuples.shape[1] != k or tuples.shape[2] != 2:
-        raise ValueError(f"x_tuples must have shape (T, {k}, 2), got {tuples.shape}")
-    if tuples.size == 0:
-        raise ValueError("at least one x-tuple is required")
+    tuples, used_seed = marginal_tuples(k, M, x_tuples, num_tuples, seed)
+    gathered = []
+    for snap in (snapA, snapB):
+        values = TupleValues(tuples, snap.m)
+        for f in snap.fields:
+            with np.errstate(over="ignore", invalid="ignore"):
+                values.add(sample_at_grid(f, M))
+        gathered.append(values)
+    return marginal_report(*gathered, snapA, snapB, M, used_seed)
 
-    # (T, m, 2k) clouds: the velocity at x_1, then at x_2, ...
-    A, B = (_tuple_values(snap, M, tuples).reshape(snap.m, len(tuples), 2 * k).transpose(1, 0, 2)
-            for snap in (snapA, snapB))
+
+def marginal_report(values_a: TupleValues, values_b: TupleValues, snapA, snapB,
+                    grid_points: int, seed: int | None) -> MarginalDistanceReport:
+    """The marginal_w1 report from the values of two ensembles at the same
+    tuples of an M-point grid; snapA and snapB are the snapshots or their
+    headers, seed the one the tuples were drawn from (or None)."""
+    A, B = values_a.clouds(), values_b.clouds()
+    tuples, M = values_a.tuples, grid_points
+    k = tuples.shape[1]
     batch = _tuples_within(_BATCH_BYTES, snapA.m)
     dists = []
     for start in range(0, len(tuples), batch):
@@ -600,7 +640,7 @@ def marginal_w1(
         N_a=snapA.N,
         N_b=snapB.N,
         m=snapA.m,
-        seed=used_seed,
+        seed=seed,
     )
 
 

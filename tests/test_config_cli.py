@@ -199,6 +199,16 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_cli_import_leaves_process_pools_unloaded():
+    # run_ensemble imports ProcessPoolExecutor only when it starts a pool
+    src = os.path.dirname(os.path.dirname(eulerstat.__file__))
+    code = ("import sys, eulerstat.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_run_invalid_config_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     bad = _write_config(tmp_path, "[run]\nresolutions = 7\n")
@@ -503,7 +513,8 @@ def test_diagnose_time_regularity_rejects_mixed_experiments(tmp_path, capsys):
     (["--time-regularity", "inf"], "--time-regularity"),
 ])
 def test_diagnose_checks_flags_before_reading(tmp_path, capsys, monkeypatch, flag, message):
-    monkeypatch.setattr(eulerstat.cli, "read_snapshot", lambda path: pytest.fail("read " + path))
+    for name in ("read_snapshot", "read_snapshot_header"):
+        monkeypatch.setattr(eulerstat.cli, name, lambda path: pytest.fail("read " + path))
     missing = str(tmp_path / "missing.euss")
     assert main(["diagnose", missing, *flag]) == 2
     err = capsys.readouterr().err

@@ -1,0 +1,172 @@
+"""`diagnose` streams its inputs: memory, read volume, output bytes, failures.
+
+The inputs are synthetic snapshots, random band-limited fields written with
+write_snapshot (nothing is evolved): N = 16 and 32 at two times each, m = 64
+samples, so every diagnostic has inputs (two (N, 2N) pairs and two times per
+resolution).
+"""
+
+import builtins
+import hashlib
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from eulerstat.cli import main
+from eulerstat.ensemble import EnsembleSnapshot, write_snapshot
+from eulerstat.solver import SolverParams
+from oracles import hermitian_random_field
+
+SAMPLES = 64
+EVERY_TABLE_BUT_W1 = ["--structure", "--spectrum", "0", "--cauchy", "--mean-variance",
+                      "--time-regularity", "2"]
+
+
+def write_inputs(directory) -> list:
+    """Four snapshot files (N = 16, 32 at t = 0, 0.1); returns their paths."""
+    rng = np.random.default_rng(2468)
+    paths = []
+    for N in (16, 32):
+        for t in (0.0, 0.1):
+            path = os.path.join(directory, f"syn_N{N:04d}_t{t:g}.euss")
+            write_snapshot(path, EnsembleSnapshot(
+                time=t, N=N, fields=[hermitian_random_field(N, rng) for _ in range(SAMPLES)],
+                sample_seeds=list(range(1, SAMPLES + 1)), params=SolverParams(N=N), manifest_hash=N))
+            paths.append(path)
+    return paths
+
+
+def csv_digests(directory) -> dict:
+    return {name: hashlib.sha256(open(os.path.join(directory, name), "rb").read()).hexdigest()[:16]
+            for name in sorted(os.listdir(directory))}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+# sha256 prefixes of every table, written before `diagnose` streamed its
+# inputs (when it read every snapshot whole first).
+GOLDEN = {
+    "summary.csv": "b23c361baebc9ba6",
+    "syn_N0016_t0.1__syn_N0032_t0.1_cauchy.csv": "41462067f3739ca2",
+    "syn_N0016_t0.1_mean_u1.csv": "ab575e346466dc2a",
+    "syn_N0016_t0.1_spectrum.csv": "c14a3229575f4610",
+    "syn_N0016_t0.1_structure.csv": "be9a8a7b8e529757",
+    "syn_N0016_t0.1_variance.csv": "f7270e8058faf8ab",
+    "syn_N0016_t0__syn_N0032_t0_cauchy.csv": "7cca45d6c7056375",
+    "syn_N0016_t0_mean_u1.csv": "28610328d94740e5",
+    "syn_N0016_t0_spectrum.csv": "8a36a720bc4081e5",
+    "syn_N0016_t0_structure.csv": "7e587fb3ec34333f",
+    "syn_N0016_t0_variance.csv": "cdb694cc315b0d26",
+    "syn_N0032_t0.1_mean_u1.csv": "109b628cd56c89f1",
+    "syn_N0032_t0.1_spectrum.csv": "86d0201ea53c04f6",
+    "syn_N0032_t0.1_structure.csv": "e9a8df10571b68af",
+    "syn_N0032_t0.1_variance.csv": "df536e5858676bdf",
+    "syn_N0032_t0_mean_u1.csv": "64fb0b408055bd11",
+    "syn_N0032_t0_spectrum.csv": "cefd33510ff5d043",
+    "syn_N0032_t0_structure.csv": "b3419c41c6ee4429",
+    "syn_N0032_t0_variance.csv": "d41c731f2f87b8fb",
+    "time_regularity_N0016.csv": "8ff60c2703922994",
+    "time_regularity_N0032.csv": "3819596650eabff8",
+}
+GOLDEN_W1 = {
+    1: {
+        "syn_N0016_t0.1__syn_N0032_t0.1_wass1.csv": "e6dea617538376e0",
+        "syn_N0016_t0__syn_N0032_t0_wass1.csv": "a75c21133d119a86",
+    },
+    2: {
+        "syn_N0016_t0.1__syn_N0032_t0.1_wass2.csv": "7049f79723e9c6b7",
+        "syn_N0016_t0__syn_N0032_t0_wass2.csv": "dda46e9469c007e1",
+    },
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, k):
+    assert main(["diagnose", *inputs, *EVERY_TABLE_BUT_W1, "--wasserstein", str(k),
+                 "--out", str(tmp_path)]) == 0
+    assert csv_digests(tmp_path) == {**GOLDEN, **GOLDEN_W1[k]}
+
+
+def test_memory_is_bounded_in_samples_not_in_m(inputs, tmp_path, capsys):
+    # A quarter of the inputs' bytes: one whole snapshot of N = 32 is ~40%.
+    args = ["diagnose", *inputs, *EVERY_TABLE_BUT_W1]
+    assert main([*args, "--out", str(tmp_path / "warm")]) == 0    # imports and caches
+    tracemalloc.start()
+    try:
+        assert main([*args, "--out", str(tmp_path / "measured")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(os.path.getsize(p) for p in inputs) / 4
+
+
+class _CountingReader:
+    """A file opened for reading that adds the bytes it returns to a tally."""
+
+    def __init__(self, fh, tally, key):
+        self._fh, self._tally, self._key = fh, tally, key
+
+    def read(self, *args):
+        data = self._fh.read(*args)
+        self._tally[self._key] = self._tally.get(self._key, 0) + len(data)
+        return data
+
+    def readinto(self, buffer):
+        n = self._fh.readinto(buffer)
+        self._tally[self._key] = self._tally.get(self._key, 0) + (n or 0)
+        return n
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_each_snapshot_is_read_at_most_twice(inputs, tmp_path, capsys, monkeypatch):
+    # One pass feeds every table; time regularity adds one lockstep pass.
+    tally = {}
+    real_open = builtins.open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "r" in mode and os.fspath(file).endswith(".euss"):
+            return _CountingReader(fh, tally, os.path.realpath(file))
+        return fh
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["diagnose", *inputs, *EVERY_TABLE_BUT_W1, "--wasserstein", "1",
+                 "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert sorted(tally) == sorted(os.path.realpath(p) for p in inputs)
+    for path in inputs:
+        assert 0 < tally[os.path.realpath(path)] <= 2 * os.path.getsize(path), path
+
+
+def test_non_finite_sample_mid_stream_exits_2_and_writes_nothing(inputs, tmp_path, capsys):
+    # The last input's sample 41 (of 64) holds a NaN: the first three inputs
+    # have been streamed into their tables when it is found.
+    raw = bytearray(open(inputs[-1], "rb").read())
+    K = 2 * 32 + 1
+    sample = 8 + K * K * 2 * 16                     # seed, then the coefficients
+    at = 32 + 40 * sample + 8
+    raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    bad = tmp_path / "bad_N0032_t0.1.euss"
+    bad.write_bytes(bytes(raw))
+    folders = (tmp_path, os.path.dirname(inputs[0]))
+    before = [sorted(os.listdir(d)) for d in folders]
+    for out in ([], ["--out", str(tmp_path / "diag")]):
+        assert main(["diagnose", *inputs[:-1], str(bad), *EVERY_TABLE_BUT_W1,
+                     "--wasserstein", "1", *out]) == 2
+        assert [sorted(os.listdir(d)) for d in folders] == before
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and "Traceback" not in err
+    assert str(bad) in err and "sample 41" in err

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import re
 import struct
@@ -171,7 +172,7 @@ def test_pool_size_capped_at_sample_count(monkeypatch, m, workers, pool):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(ens, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     snaps = run_ensemble(small_manifest(m=m, times=(0.0,)), workers=workers)
     assert created == ([] if pool is None else [pool])
     assert snaps[0].sample_seeds == list(range(1, m + 1))
@@ -269,14 +270,15 @@ def test_write_csv_format(tmp_path):
 
 def test_write_csv_matches_per_cell_format(tmp_path):
     # One '%' format per line against format(c, ".17g") / str(c) cell by cell,
-    # on a grid of signed zeros, infinities, nan and extreme exponents, rows
-    # mixing ints and strings, and a mixed header.
+    # on a grid of signed zeros, infinities, nan and extreme exponents, a
+    # float32 row, rows mixing ints and strings, and a mixed header.
     rng = np.random.default_rng(11)
     specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e-300, 2.5e-308, 5e-324])
     grid = rng.standard_normal((24, 24)) * 10.0 ** rng.integers(-300, 301, (24, 24))
     grid.flat[rng.choice(grid.size, 100, replace=False)] = rng.choice(specials, 100)
     header = ("variance", 0.1, 8, -0.0, None)
-    rows = [*grid, (3, "x", -7, 1.5, np.float64(-0.0)), ("summary", np.inf), (np.int64(2), "nan")]
+    single = np.array([0.1, -0.0, np.inf, np.nan, 1e-40, 3.0], dtype=np.float32)   # cells are not float
+    rows = [*grid, single, (3, "x", -7, 1.5, np.float64(-0.0)), ("summary", np.inf), (np.int64(2), "nan")]
     path = tmp_path / "t.csv"
     write_csv(path, header, rows)
 
@@ -324,6 +326,7 @@ def _damaged_copies(tmp_path):
         "non_finite_time": raw[:16] + nan + raw[24:],
         "short": raw[:4],
         "header_only": raw[:32],
+        "no_samples": raw[:12] + struct.pack("<I", 0) + raw[16:32],
         "cut_in_seed": raw[:36],
         "cut_in_body": raw[:-8],
         "extended": raw + b"\x00",
@@ -333,8 +336,8 @@ def _damaged_copies(tmp_path):
 
 @pytest.mark.parametrize(
     "kind",
-    ["bad_version", "non_finite_time", "short", "header_only", "cut_in_seed", "cut_in_body",
-     "extended", "non_finite"],
+    ["bad_version", "non_finite_time", "short", "header_only", "no_samples", "cut_in_seed",
+     "cut_in_body", "extended", "non_finite"],
 )
 def test_read_rejects_damaged_file(tmp_path, kind):
     path = tmp_path / f"{kind}.euss"

@@ -131,13 +131,20 @@ SHEET_RHOS = {
 }
 
 
-@pytest.mark.parametrize("d", [0.0, 0.2, 0.5])
+# d = 1 and 2 move the sheet by one and two periods in x2, so rows wrap.
+@pytest.mark.parametrize("d", [0.0, 0.2, 0.5, 1.0, 2.0])
 @pytest.mark.parametrize("rho", SHEET_RHOS.values(), ids=SHEET_RHOS.keys())
 @pytest.mark.parametrize("N", [8, 16, 32])
 def test_banded_sheet_grid_matches_dense_sum(N, rho, d):
     M, r = 3 * N, rho(N)
     banded = initial._sheet_vorticity_grid(M, r, 6, d)
     assert banded.tobytes() == dense_sheet_vorticity_grid(M, r, 6, d).tobytes()
+
+
+def test_banded_sheet_grid_matches_dense_sum_at_preset_quadrature():
+    # the sinusoidal_sheet preset's Q = 400, rho = 5/N and d = 0.2, at N = 16
+    banded = initial._sheet_vorticity_grid(48, 5 / 16, 400, 0.2)
+    assert banded.tobytes() == dense_sheet_vorticity_grid(48, 5 / 16, 400, 0.2).tobytes()
 
 
 @pytest.fixture
