@@ -266,14 +266,12 @@ def cmd_run(args) -> int:
             output_times=cfg.output_times,
             solver=cfg.solver_params(N),
         )
-        energy_out = {}
         try:
-            snapshots = run_ensemble(
+            snapshots, energy_rows = run_ensemble(
                 manifest,
                 workers=args.workers,
                 tolerate_failures=cfg.tolerate_failures,
                 manifest_hash=mhash,
-                energy_out=energy_out,
             )
         except BlowUpError as exc:
             _err(f"N={N}: {exc} (sample {exc.sample_index}, t={exc.time})")
@@ -284,7 +282,7 @@ def cmd_run(args) -> int:
         with atomic_open(manifest_path) as fh:
             fh.write(manifest_text)
         header = ("energy", cfg.output_times[-1], N, manifest.m)
-        write_csv(energy_path, header, energy_out[min(energy_out)])
+        write_csv(energy_path, header, energy_rows)
         print(f"wrote {manifest_path}")
         print(f"wrote {energy_path}")
     return 0

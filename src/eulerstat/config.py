@@ -39,7 +39,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .ensemble import FORMAT_VERSION
 from .initial import InitialMeasureSpec
-from .solver import SolverParams
+from .solver import SCHEME_VERSION, SolverParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "canonical_manifest_text"]
 
@@ -99,7 +99,6 @@ _SOLVER_KEYS = (
     ("m_n", "m_n", _as_float),
     ("cfl", "cfl", _as_float),
     ("visc_safety", "visc_safety", _as_float),
-    ("dealias", "dealias", _as_float),
 )
 
 _KEYS = {
@@ -268,7 +267,8 @@ def canonical_manifest_text(cfg: ExperimentConfig, N: int, prng_id: str, version
 
     This text is what snapshot files fingerprint (FNV-1a 64); it records
     every parameter the run depended on, read from the InitialMeasureSpec
-    and SolverParams the run uses, including the PRNG algorithm.
+    and SolverParams the run uses, including the PRNG algorithm and the
+    solver's scheme version.
     """
     spec, params = cfg.initial_spec(N), cfg.solver_params(N)
     kind, x = cfg.rho_rule
@@ -296,6 +296,7 @@ def canonical_manifest_text(cfg: ExperimentConfig, N: int, prng_id: str, version
         f"prng = {prng_id}",
         f"package_version = {version}",
         f"format_version = {FORMAT_VERSION}",
+        f"scheme = {SCHEME_VERSION}",
         "",
     ]
     return "\n".join(lines)

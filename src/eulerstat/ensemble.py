@@ -141,17 +141,18 @@ def run_ensemble(
     workers: int = 1,
     tolerate_failures: bool = False,
     manifest_hash: int = 0,
-    energy_out: dict | None = None,
 ):
-    """Run the full ensemble; return one EnsembleSnapshot per output time.
+    """Run the full ensemble; return (snapshots, energy rows).
+
+    snapshots holds one EnsembleSnapshot per output time; energy rows is the
+    per-step (t, E, D) ledger history of the first sample kept.
 
     Samples are indexed 1..m and evolved in this process, or in a pool of
     min(workers, m) processes; results are taken in sample order either way.
     With tolerate_failures, samples whose trajectories blow up are dropped
     (the snapshot's m shrinks and its sample_seeds show which survived);
     otherwise the first failure raises its BlowUpError, carrying the sample
-    index, and cancels the samples still queued. energy_out, when given a
-    dict, receives the per-step (t, E, D) ledger history per sample.
+    index, and cancels the samples still queued.
     """
     tasks = [
         (manifest.spec, manifest.solver, i, manifest.output_times)
@@ -164,7 +165,7 @@ def run_ensemble(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-    seeds, per_sample = [], []
+    seeds, per_sample, energy_rows = [], [], None
     try:
         outcomes = pool.map(_evolve_one, tasks) if pool else map(_evolve_one, tasks)
         for outcome in outcomes:
@@ -175,8 +176,8 @@ def run_ensemble(
             i, fields, history = outcome
             seeds.append(i)
             per_sample.append(fields)
-            if energy_out is not None:
-                energy_out[i] = history
+            if energy_rows is None:
+                energy_rows = history
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -193,7 +194,7 @@ def run_ensemble(
             manifest_hash=manifest_hash,
         )
         for t, fields in zip(manifest.output_times, zip(*per_sample))
-    ]
+    ], energy_rows
 
 
 class CoefficientSum:

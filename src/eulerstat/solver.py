@@ -5,9 +5,10 @@ The semi-discrete system for the modal coefficients u(k), |k|_inf <= N, is
     du(k)/dt = -i k . (I - k k^T/|k|^2) (u x u)(k) - lam(k) u(k),
 
 where the quadratic term is evaluated pseudo-spectrally on a padded grid
-and lam(k) = eps_N * Q(|k|) * |k|^(2s) is a high-mode-only damping:
-Q vanishes below a cutoff m_N and rises to at most 1 above it, so the
-resolved large scales see no dissipation at all.
+and lam(k) = eps N Q(|k|) (|k|^2/N^2)^s = eps N^(1-2s) Q(|k|) |k|^(2s)
+is a high-mode-only damping: Q vanishes below a cutoff m_N and rises to
+at most 1 above it, so the resolved large scales see no dissipation at
+all. The power (|k|^2/N^2)^s is at most 2^s, so no rate overflows.
 
 Two multiplier profiles are provided:
 
@@ -20,28 +21,29 @@ from a CFL bound on the padded grid plus an explicit-diffusion bound.
 
 The stages work on the k2 >= 0 half plane of the coefficients: each RHS
 synthesizes the velocity on the padded grid with real inverse FFTs, forms
-the three products u_i u_j there and analyzes them with real forward
-FFTs (see spectral). The result is rebuilt as an exactly Hermitian array
-once per step, with no re-projection. evolve synthesizes the padded
-velocity once per step and uses that grid for both max|u| in the step
-bound and the first RK stage.
+a = (u1^2 - u2^2)/2 and b = u1 u2 there and analyzes them with real
+forward FFTs (see spectral). u x u is [[a, b], [b, -a]] plus |u|^2/2 I, a
+gradient that the Leray projection removes (Basdevant 1983, J. Comput.
+Phys. 50). The result is rebuilt as an exactly Hermitian array once per
+step, with no re-projection. evolve synthesizes the padded velocity once
+per step and uses that grid for both max|u| in the step bound and the
+first RK stage.
 
 An RK step allocates no padded-grid-sized array. Each SolverParams has
 one set of buffers in the _workspace cache (two params at most): the
-padded velocity grid and its synthesis rows, the products u_i u_j (also
-|u|^2 for the step bound) and their real spectrum. At N = 128 a set
-takes 10.5 MiB, at N = 512 168 MiB. The modal-size arrays of the RHS
-(the gathered modes, the divergence terms, the stage fields) are still
-allocated. A synthesized grid is valid only until the next synthesis with
-the same params; rhs, step and evolve return fresh arrays. Two threads
-must not call rhs, step, adaptive_dt or evolve at once in one process:
-calls with equal params share one buffer set.
+padded velocity grid and its synthesis rows, a and b (also |u|^2 for the
+step bound) and their real spectrum. At N = 128 a set takes 8.9 MiB, at
+N = 512 142 MiB. The modal-size arrays of the RHS (the gathered modes,
+the divergence terms, the stage fields) are still allocated. A
+synthesized grid is valid only until the next synthesis with the same
+params; rhs, step and evolve return fresh arrays. Two threads must not
+call rhs, step, adaptive_dt or evolve at once in one process: calls with
+equal params share one buffer set.
 
-The padded grid has ceil(dealias * 2N) points per axis. The default
-dealias = 1.5 gives M = 3N, which is not fully alias-free: products reach
-|k| = 2N, which folds onto -N inside the retained band; M >= 3N+1 would
-be (the alias-free padding item of ROADMAP.md). The transforms take any
-M >= 2N+1.
+The padded grid has M points per axis, the smallest 5-smooth M >= 3N+1
+(padded_grid; 50, 100, 200, 400 for N = 16, 32, 64, 128): products reach
+|k|_inf = 2N, which folds onto 2N - M <= -N-1, outside the retained band,
+so the nonlinear term is alias-free (Orszag 1971, J. Atmos. Sci. 28).
 """
 
 from __future__ import annotations
@@ -70,6 +72,9 @@ __all__ = [
 # the viscous step bound uses 2.5.
 _RK3_REAL_STABILITY = 2.5
 
+# Recorded in every manifest; bumped when equal parameters start to give other bits.
+SCHEME_VERSION = 2
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -77,15 +82,13 @@ class SolverParams:
 
     N : modal cutoff (grid scale 1/N)
     s : hyper-viscosity order (>= 1)
-    eps : dissipation amplitude; the modal amplitude is eps_N = eps * N^(1-2s)
+    eps : dissipation amplitude; the damping is eps N Q(|k|) (|k|^2/N^2)^s
     m_n : dissipation-free cutoff for the "power" profile (default floor(sqrt(N)))
     multiplier : "standard" or "power"
     theta : cutoff-growth exponent of the "power" profile
             (default 0.9 * (2s-1)/(2s))
     cfl : Courant number for the advective step bound
     visc_safety : safety factor for the explicit-diffusion step bound
-    dealias : padding factor; the quadratic term is evaluated on
-              ceil(dealias * 2N) points per axis
     enable_nonlinear : test hook; False integrates the pure damping system
     """
 
@@ -97,7 +100,6 @@ class SolverParams:
     theta: float | None = None
     cfl: float = 0.5
     visc_safety: float = 0.9
-    dealias: float = 1.5
     enable_nonlinear: bool = True
 
     def __post_init__(self):
@@ -119,21 +121,10 @@ class SolverParams:
             raise ValueError("cfl = 0 needs damping (eps > 0, cutoff below N sqrt(2)) to bound dt")
         if not self.visc_safety > 0:
             raise ValueError("visc_safety must be positive")
-        if self.dealias * 2 * self.N < 2 * self.N + 1:
-            raise ValueError("dealias factor too small to resolve the retained band")
-        # damping_rates forms eps_N and |k|^(2s) separately, and |k|^2 peaks
-        # at 2N^2: an infinite power gives infinite or (times 0) NaN rates.
-        with np.errstate(over="ignore"):
-            top = np.float64(2 * self.N**2) ** self.s
-        if not np.isfinite(top) or (self.eps > 0 and self.eps_n == 0.0):
-            raise ValueError(
-                f"s = {self.s} is too large for N = {self.N}: (2N^2)^s or eps N^(1-2s) "
-                "leaves the float range"
-            )
-
-    @property
-    def eps_n(self) -> float:
-        return self.eps * float(self.N) ** (1 - 2 * self.s)
+        # The largest damping rate is at most eps N 2^s (|k|^2 = 2N^2, Q <= 1);
+        # an infinite one gives infinite or (times eps = 0) NaN rates.
+        if self.s > 1023 or not math.isfinite(self.eps * self.N * 2.0**self.s):
+            raise ValueError(f"s = {self.s} is too large: eps N 2^s leaves the float range")
 
     @property
     def cutoff(self) -> float:
@@ -150,7 +141,11 @@ class SolverParams:
 
     @property
     def padded_grid(self) -> int:
-        return int(math.ceil(self.dealias * 2 * self.N))
+        """M, the smallest 5-smooth (no prime factor above 5) integer >= 3N+1."""
+        M = 3 * self.N + 1
+        while pow(30, M, M):  # 0 iff M divides 30^M, i.e. M is 5-smooth
+            M += 1
+        return M
 
 
 def multiplier_profile(params: SolverParams) -> np.ndarray:
@@ -170,9 +165,9 @@ def multiplier_profile(params: SolverParams) -> np.ndarray:
 
 
 def damping_rates(params: SolverParams) -> np.ndarray:
-    """lam(k) = eps_N * Q(|k|) * |k|^(2s), shape (2N+1, 2N+1)."""
+    """lam(k) = eps N Q(|k|) (|k|^2/N^2)^s, shape (2N+1, 2N+1)."""
     _, _, ksq = wavenumbers(params.N)
-    return params.eps_n * multiplier_profile(params) * ksq.astype(np.float64) ** params.s
+    return params.eps * params.N * multiplier_profile(params) * (ksq / params.N**2) ** params.s
 
 
 @lru_cache(maxsize=2)
@@ -181,7 +176,7 @@ def _workspace(params: SolverParams):
 
     Read-only: the k2 >= 0 halves of the wavenumber and damping arrays.
     Buffers, overwritten by every call that uses them: "rows" and "U" hold
-    a synthesis (_velocity_grid), "prod" the three products u_i u_j (and
+    a synthesis (_velocity_grid), "prod" the two products of _rhs_half (and
     |U|^2 in _dt_bound) and "spec" their real FFT. The cache keeps two
     params, so a multi-resolution run holds at most two buffer sets.
     """
@@ -199,8 +194,8 @@ def _workspace(params: SolverParams):
     buffers = {
         "rows": np.empty((2, M, N + 1), dtype=np.complex128),
         "U": np.empty((2, M, M)),
-        "prod": np.empty((3, M, M)),
-        "spec": np.empty((3, M, M // 2 + 1), dtype=np.complex128),
+        "prod": np.empty((2, M, M)),
+        "spec": np.empty((2, M, M // 2 + 1), dtype=np.complex128),
     }
     return {**halves, **buffers, "lam_max": float(np.max(damping))}
 
@@ -217,19 +212,22 @@ def _velocity_grid(half: np.ndarray, params: SolverParams) -> np.ndarray:
 def _rhs_half(half: np.ndarray, U: np.ndarray, params: SolverParams) -> np.ndarray:
     """du/dt on the k2 >= 0 half plane, given U, the padded velocity grid of half.
 
-    The products u_i u_j and their spectrum go through workspace buffers;
-    the result is a fresh array.
+    The products a and b (module docstring) and their spectrum go through
+    workspace buffers; the result is a fresh array.
     """
     ws = _workspace(params)
     if params.enable_nonlinear:
         prod = ws["prod"]
-        np.multiply(U[0], U[0], out=prod[0])
+        # u1^2 - u2^2 as (u1 - u2)(u1 + u2): no grid-sized temporary
+        np.subtract(U[0], U[1], out=prod[0])
+        np.add(U[0], U[1], out=prod[1])
+        np.multiply(prod[0], prod[1], out=prod[0])
         np.multiply(U[0], U[1], out=prod[1])
-        np.multiply(U[1], U[1], out=prod[2])
-        fhat = _analyze_half(prod, params.N, ws["spec"])
+        a, b = _analyze_half(prod, params.N, ws["spec"])
+        a *= 0.5
         k1, k2 = ws["k1"], ws["k2"]
-        div0 = 1j * (k1 * fhat[0] + k2 * fhat[1])
-        div1 = 1j * (k1 * fhat[1] + k2 * fhat[2])
+        div0 = 1j * (k1 * a + k2 * b)
+        div1 = 1j * (k1 * b - k2 * a)
         kdot = (k1 * div0 + k2 * div1) * ws["inv_ksq"]
         out = np.empty_like(half)
         out[0] = -(div0 - k1 * kdot)

@@ -21,7 +21,7 @@ modes at k1 mod M and applies a complex inverse FFT along x1 and a real
 one along x2; _analyze_half is the reverse, and _full_plane rebuilds the
 k2 < 0 half (and the k1 < 0 half of the k2 = 0 column) by conjugate
 symmetry, so analyzed coefficients are exactly Hermitian. Both accept any
-grid size M >= 2N+1; sample_at_grid folds modes first and so takes any M.
+grid size M >= 2N+1; sample_at_grid (also behind to_physical) takes any M.
 _synthesize returns a fresh grid unless given buffers to write into
 (numpy.fft's out=), and _analyze_half can take a buffer for its real FFT;
 only the solver passes buffers, and the grid it gets back stays valid only
@@ -222,7 +222,7 @@ def _full_plane(half: np.ndarray) -> np.ndarray:
 
 
 def synthesis_grid(N: int) -> int:
-    """3N, the default physical grid per axis; the solver pads separately (padded_grid)."""
+    """3N, the default synthesis grid per axis; the solver's is padded_grid (>= 3N+1)."""
     return 3 * N
 
 
@@ -235,8 +235,7 @@ def to_physical(field: SpectralField, grid_points: int | None = None) -> np.ndar
     M = synthesis_grid(field.N) if grid_points is None else int(grid_points)
     if M < 2 * field.N + 1:
         raise ResolutionError(f"grid_points={M} < 2N+1={2 * field.N + 1}")
-    grid = _synthesize(field.coeffs[..., field.N :], M)
-    return np.ascontiguousarray(grid.transpose(1, 2, 0))
+    return sample_at_grid(field, M)
 
 
 def scalar_to_physical(field: ScalarSpectralField, grid_points: int | None = None) -> np.ndarray:
@@ -249,14 +248,16 @@ def scalar_to_physical(field: ScalarSpectralField, grid_points: int | None = Non
 def sample_at_grid(field: SpectralField, grid_points: int) -> np.ndarray:
     """Exact pointwise values of the trigonometric polynomial on any M >= 1 grid.
 
-    Unlike to_physical this permits M < 2N+1: coefficients are folded onto
-    the coarse DFT grid (modes congruent mod M coincide at the grid nodes),
-    which reproduces the pointwise samples exactly but is not invertible.
+    Unlike to_physical this permits M < 2N+1: coefficients are then folded
+    along x2 onto the coarse DFT grid (modes congruent mod M coincide at the
+    grid nodes), which reproduces the pointwise samples exactly but is not
+    invertible.
     """
     M = int(grid_points)
     if M < 1:
         raise ResolutionError("grid_points must be >= 1")
-    half = _fold(field.coeffs, M, -1)[..., : M // 2 + 1]
+    N = field.N
+    half = field.coeffs[..., N:] if M > 2 * N else _fold(field.coeffs, M, -1)[..., : M // 2 + 1]
     return np.ascontiguousarray(_synthesize(half, M).transpose(1, 2, 0))
 
 

@@ -24,7 +24,7 @@ def _flat_sheet_run(N, rho):
     manifest = RunManifest(
         spec=spec, m=ENSEMBLE_M, output_times=(0.0, 0.4), solver=SolverParams(N=N)
     )
-    return run_ensemble(manifest, workers=WORKERS)
+    return run_ensemble(manifest, workers=WORKERS)[0]
 
 
 @pytest.fixture(scope="session")

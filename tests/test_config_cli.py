@@ -91,7 +91,6 @@ def test_parse_errors_carry_line_numbers(text, line):
         ("[solver]\nvisc_safety = -0.5\n", None),
         ("[solver]\nmultiplier = power\ntheta = 0\n", None),
         ("[solver]\ns = 0\n", None),
-        ("[solver]\ndealias = 0.5\n", None),
         ("[solver]\nmultiplier = wavy\n", None),
         ("[experiment]\nbase_seed = -3\n", None),
         ("[initial]\nq = -1\n", None),
@@ -109,12 +108,28 @@ def test_out_of_range_values_name_the_resolution(text, line):
 
 
 def test_range_checks_cover_every_resolution():
-    # dealias * 2N >= 2N + 1 holds at N = 16 (33.6 >= 33), not at N = 8 (16.8 < 17)
-    parse_config("[solver]\ndealias = 1.05\n[run]\nresolutions = 16\n")
+    # cfl = 0 needs a damped mode: m_n = 12 lies below N sqrt(2) at N = 16
+    # (22.6), not at N = 8 (11.3)
+    solver = "[solver]\ncfl = 0\nmultiplier = power\nm_n = 12\n"
+    parse_config(solver + "[run]\nresolutions = 16\n")
     with pytest.raises(ConfigError, match="N=8"):
-        parse_config("[solver]\ndealias = 1.05\n[run]\nresolutions = 8 16\n")
+        parse_config(solver + "[run]\nresolutions = 8 16\n")
     with pytest.raises(ConfigError, match="N=8"):
-        ExperimentConfig(resolutions=(16, 8), solver={"dealias": 1.05}).check()
+        ExperimentConfig(resolutions=(16, 8),
+                         solver={"cfl": 0.0, "multiplier": "power", "m_n": 12.0}).check()
+
+
+def test_dealias_is_an_unknown_key(tmp_path, capsys, monkeypatch):
+    # The solver derives its padded grid; a config that still sets the old
+    # padding factor, even to its old default, exits 2.
+    with pytest.raises(ConfigError, match="unknown key 'dealias' in \\[solver\\]"):
+        parse_config("[solver]\ndealias = 1.5\n")
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "old.cfg"
+    path.write_bytes(_bad_config(solver="dealias = 1.5\n"))
+    assert main(["run", str(path)]) == 2
+    assert "unknown key 'dealias'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_canonical_manifest_hash_stable():
@@ -142,28 +157,28 @@ def test_presets_parse_and_match_quoted_parameters():
     assert sweep.initial_spec(64).delta == 0.05 / 8
 
 
-# fnv1a64 of every preset's manifest text, recorded before the config key
-# tables replaced the per-key parser; the hash goes into every .euss header.
+# fnv1a64 of every preset's manifest text under scheme 2 (the manifest's
+# [provenance] scheme line); the hash goes into every .euss header.
 GOLDEN_MANIFEST_HASHES = {
-    ("fbm_h015", 64): 0xe9ed3786a9560558,
-    ("fbm_h015", 128): 0xc6d20aadeeef940a,
-    ("fbm_h05", 64): 0xd90099e1314087d2,
-    ("fbm_h05", 128): 0xdadcc34a847ca20c,
-    ("fbm_h075", 64): 0x5fc4af53808d6c0a,
-    ("fbm_h075", 128): 0x6145da1082859724,
-    ("flat_sheet_delta_sweep0", 64): 0xd36db7a6b974c22d,
-    ("flat_sheet_delta_sweep1", 64): 0x9b0b476b512dc9fc,
-    ("flat_sheet_delta_sweep2", 64): 0x6254ef6eb6999c48,
-    ("flat_sheet_delta_sweep3", 64): 0xe2b504224023c17c,
-    ("flat_sheet_delta_sweep4", 64): 0xd5e39e74483915dc,
-    ("flat_sheet_delta_sweep5", 64): 0x2e059735196d768a,
-    ("flat_sheet_discontinuous", 64): 0x247ec96bfd409773,
-    ("flat_sheet_discontinuous", 128): 0x117ff6e27a58e97d,
-    ("flat_sheet_smooth", 64): 0xc1b753b79d63d1b6,
-    ("flat_sheet_smooth", 128): 0xeada00c84f2c2d0c,
-    ("sinusoidal_sheet", 64): 0xdfdd3d56e8141a4d,
-    ("sinusoidal_sheet", 128): 0x4f2c653fdc1611bf,
-    ("taylor_green_check", 32): 0xe349ca2591ef137d,
+    ("fbm_h015", 64): 0x4bec9ab079205342,
+    ("fbm_h015", 128): 0x43493474b37265e8,
+    ("fbm_h05", 64): 0x05c2074027b5cf24,
+    ("fbm_h05", 128): 0x6b217e194e13ecca,
+    ("fbm_h075", 64): 0xda14d35bfa0a6e9c,
+    ("fbm_h075", 128): 0x2752520824392f42,
+    ("flat_sheet_delta_sweep0", 64): 0x82e9fe75e9375939,
+    ("flat_sheet_delta_sweep1", 64): 0xb38a9d329cdcc922,
+    ("flat_sheet_delta_sweep2", 64): 0xe2886b9d3e1623e6,
+    ("flat_sheet_delta_sweep3", 64): 0x5281abf0ad58afa2,
+    ("flat_sheet_delta_sweep4", 64): 0x2838f34614dd2282,
+    ("flat_sheet_delta_sweep5", 64): 0x0ba6a8362154e4f0,
+    ("flat_sheet_discontinuous", 64): 0x974f96377edb4757,
+    ("flat_sheet_discontinuous", 128): 0x720a0f7abd4a5e85,
+    ("flat_sheet_smooth", 64): 0x2b966c5c1b006634,
+    ("flat_sheet_smooth", 128): 0x37577c30a567ee9a,
+    ("sinusoidal_sheet", 64): 0xbc7550a84127e49d,
+    ("sinusoidal_sheet", 128): 0x904eb5a1aaebb1b7,
+    ("taylor_green_check", 32): 0x8e7c545078bd2c05,
 }
 
 
@@ -271,14 +286,14 @@ def test_run_bad_input_exits_2_cleanly(tmp_path, capsys, monkeypatch, raw, env_s
 
 
 def test_run_overflowing_s_exits_2_naming_s(tmp_path, capsys, monkeypatch):
-    # At N = 64, s = 80 gives 180 infinite damping rates: the config is
-    # rejected before anything runs, not reported as a blow-up at t = 0.
+    # At N = 64, s = 1100 gives infinite damping rates (2^s overflows): the
+    # config is rejected before anything runs, not reported as a blow-up at t = 0.
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "bad.cfg"
-    path.write_bytes(_bad_config(solver="s = 80\n").replace(b"resolutions = 8", b"resolutions = 64"))
+    path.write_bytes(_bad_config(solver="s = 1100\n").replace(b"resolutions = 8", b"resolutions = 64"))
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("eulerstat: ") and "N=64" in err and "s = 80" in err
+    assert err.startswith("eulerstat: ") and "N=64" in err and "s = 1100" in err
     assert "Warning" not in err and "blow-up" not in err
     assert not (tmp_path / "out").exists()
 

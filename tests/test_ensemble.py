@@ -20,7 +20,7 @@ from eulerstat.ensemble import (
 )
 from eulerstat.errors import BlowUpError, SnapshotFormatError
 from eulerstat.initial import InitialMeasureSpec, _sheet_base, generate_sample
-from eulerstat.solver import SolverParams
+from eulerstat.solver import SolverParams, evolve
 from eulerstat.spectral import SpectralField, l2_norm, sample_at_grid
 from oracles import hermitian_random_field
 
@@ -73,7 +73,7 @@ def test_snapshot_validation():
 
 def test_run_single_sample_time_zero():
     manifest = small_manifest(m=1, times=(0.0,))
-    snaps = run_ensemble(manifest)
+    snaps, _ = run_ensemble(manifest)
     assert len(snaps) == 1 and snaps[0].m == 1
     expected = generate_sample(manifest.spec, 1)
     assert np.array_equal(snaps[0].fields[0].coeffs, expected.coeffs)
@@ -81,9 +81,9 @@ def test_run_single_sample_time_zero():
 
 def test_run_deterministic_across_runs_and_workers():
     manifest = small_manifest(m=4)
-    a = run_ensemble(manifest, workers=1)
-    b = run_ensemble(manifest, workers=1)
-    c = run_ensemble(manifest, workers=2)
+    a, _ = run_ensemble(manifest, workers=1)
+    b, _ = run_ensemble(manifest, workers=1)
+    c, _ = run_ensemble(manifest, workers=2)
     for s1, s2, s3 in zip(a, b, c):
         for f1, f2, f3 in zip(s1.fields, s2.fields, s3.fields):
             assert np.array_equal(f1.coeffs, f2.coeffs)
@@ -95,8 +95,8 @@ def test_sinusoidal_sheet_run_deterministic_across_workers():
     manifest = small_manifest(N=12, m=4, family="sinusoidal_sheet", rho=5 / 12, delta=0.003125,
                               quad_points=20)
     _sheet_base.cache_clear()  # the pool workers build their own base
-    pooled = run_ensemble(manifest, workers=2)
-    serial = run_ensemble(manifest, workers=1)
+    pooled, _ = run_ensemble(manifest, workers=2)
+    serial, _ = run_ensemble(manifest, workers=1)
     for s1, s2 in zip(serial, pooled):
         assert s1.sample_seeds == s2.sample_seeds == [1, 2, 3, 4]
         for f1, f2 in zip(s1.fields, s2.fields):
@@ -106,17 +106,17 @@ def test_sinusoidal_sheet_run_deterministic_across_workers():
 def test_run_energy_decays_per_sample():
     manifest = small_manifest(N=16, m=3, family="flat_sheet", rho=0.1, delta=0.025,
                               times=(0.0, 0.4))
-    snaps = run_ensemble(manifest)
+    snaps, _ = run_ensemble(manifest)
     for f0, f1 in zip(snaps[0].fields, snaps[1].fields):
         assert l2_norm(f1) <= l2_norm(f0) * (1 + 1e-12)
 
 
 def test_run_records_energy_history():
     manifest = small_manifest(m=2, times=(0.0, 0.02))
-    energy = {}
-    run_ensemble(manifest, energy_out=energy)
-    assert set(energy) == {1, 2}
-    t, e, d = energy[1][0]
+    _, energy = run_ensemble(manifest)
+    _, ledger = evolve(generate_sample(manifest.spec, 1), 0.02, manifest.solver)
+    assert energy == ledger.history  # sample 1's (t, E, D) rows
+    t, e, d = energy[0]
     assert t == 0.0 and d == 0.0 and e > 0
 
 
@@ -133,7 +133,7 @@ def test_failed_sample_policy(monkeypatch, workers):
         with pytest.raises(BlowUpError) as err:
             run_ensemble(manifest, workers=workers)
         assert err.value.sample_index == 2
-        snaps = run_ensemble(manifest, workers=workers, tolerate_failures=True)
+        snaps, _ = run_ensemble(manifest, workers=workers, tolerate_failures=True)
     assert snaps[0].m == 2 and snaps[0].sample_seeds == [1, 3]
 
 
@@ -173,7 +173,7 @@ def test_pool_size_capped_at_sample_count(monkeypatch, m, workers, pool):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    snaps = run_ensemble(small_manifest(m=m, times=(0.0,)), workers=workers)
+    snaps, _ = run_ensemble(small_manifest(m=m, times=(0.0,)), workers=workers)
     assert created == ([] if pool is None else [pool])
     assert snaps[0].sample_seeds == list(range(1, m + 1))
 

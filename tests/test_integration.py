@@ -37,7 +37,7 @@ def test_trajectory_time_regularity_ratio_stable():
     spec = InitialMeasureSpec(family="flat_sheet", N=32, rho=0.1, delta=0.025, base_seed=6)
     times = tuple(np.linspace(0.04, 0.4, 10))
     manifest = RunManifest(spec=spec, m=1, output_times=times, solver=SolverParams(N=32))
-    snaps = run_ensemble(manifest)
+    snaps, _ = run_ensemble(manifest)
     traj = [(s.time, s.fields[0]) for s in snaps]
     worst = time_regularity_ratio(traj, L=2.0)
     rates = []
