@@ -94,11 +94,28 @@ def test_rhs_resolution_mismatch():
 
 
 @pytest.mark.parametrize("N, M", [(8, 25), (16, 50)])  # odd and even padded grids
-def test_rhs_matches_complex_fft_reference(N, M):
+def test_rhs_matches_complex_fft_reference_at_derived_grid(N, M):
     # The reference analyzes all three products u_i u_j with complex FFTs.
     p = SolverParams(N=N)
     assert p.padded_grid == M
     u = hermitian_random_field(N, np.random.default_rng(N), decay=0.0)  # full band
+    got = rhs(u, p).coeffs
+    ref = complex_rhs(u.coeffs, p)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert np.array_equal(got, np.conj(got[:, ::-1, ::-1]))
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("extra", [0, 1])  # patched padded grid M = 3N (even) and 3N + 1 (odd)
+def test_rhs_matches_complex_fft_reference(monkeypatch, request, N, extra):
+    # On grids below the derived one the |k| = 2N products alias into the
+    # band; the two-product RHS must still agree with the three-product
+    # reference there, since the aliased isotropic part is a gradient too.
+    monkeypatch.setattr(SolverParams, "padded_grid", 3 * N + extra)
+    _workspace.cache_clear()
+    request.addfinalizer(_workspace.cache_clear)
+    p = SolverParams(N=N)
+    u = hermitian_random_field(N, np.random.default_rng(N + extra), decay=0.0)  # full band
     got = rhs(u, p).coeffs
     ref = complex_rhs(u.coeffs, p)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
