@@ -6,11 +6,11 @@
               [--time-regularity L] [--out DIR]
     eulerstat presets
 
-`run` evolves the configured ensembles for every resolution and writes
-snapshot files (*.euss), a resolved manifest per resolution and an energy
-CSV. `diagnose` turns snapshot files into diagnostic CSV tables, reading
-each snapshot once, one sample at a time, for all of them. Snapshot
-and CSV outputs are byte-deterministic for a fixed config, regardless of
+`run` evolves the configured ensembles for every resolution, appends each
+sample to the snapshot files (*.euss) as it is taken, and writes a resolved
+manifest per resolution and an energy CSV. `diagnose` turns snapshot files
+into diagnostic CSV tables, reading each snapshot once, one sample at a
+time, for all of them. Snapshot and CSV outputs are byte-deterministic for a fixed config, regardless of
 worker count. The environment variable EULER_STAT_SEED overrides the
 configured base seed.
 
@@ -51,10 +51,10 @@ from .ensemble import (
     read_snapshot_header,
     run_ensemble,
     write_csv,
-    write_snapshot,
 )
 from .errors import BlowUpError
 from .initial import PRNG_ID
+from .solver import _RK3_REAL_STABILITY, damping_rates
 from .spectral import sample_at_grid, synthesis_grid
 from .transport import (
     DEFAULT_DIAGNOSTIC_SEED,
@@ -64,14 +64,15 @@ from .transport import (
     write_report_csv,
 )
 
-# The whole-snapshot forms of the statistics `diagnose` streams; perfbench
+# The whole-snapshot forms of what `diagnose` and `run` stream; perfbench
 # wraps and calls them under these names.
 from .diagnostics import cauchy_rate, energy_spectrum, structure_function  # noqa: F401
-from .ensemble import read_snapshot, variance_field  # noqa: F401
+from .ensemble import read_snapshot, variance_field, write_snapshot  # noqa: F401
 from .transport import marginal_w1  # noqa: F401
 
 MAX_DESK_N = 256
 MAX_DESK_M = 64
+MAX_DESK_STEPS = 10**6
 
 PRESETS = {
     "taylor_green_check": """\
@@ -241,6 +242,16 @@ def cmd_run(args) -> int:
                 "pass --large to override"
             )
             return 2
+        for N in cfg.resolutions:
+            params = cfg.solver_params(N)
+            # t_last over the viscous step bound (solver.adaptive_dt)
+            lam_max = float(np.max(damping_rates(params)))
+            steps = cfg.output_times[-1] * lam_max / (_RK3_REAL_STABILITY * params.visc_safety)
+            if steps > MAX_DESK_STEPS:
+                _err(f"N={N}: s = {params.s} needs ~{steps:.2g} steps to t = {cfg.output_times[-1]:g} "
+                     f"under the viscous step bound, over the desk-scale cap of {MAX_DESK_STEPS}; "
+                     "pass --large to override")
+                return 2
 
     try:
         _make_writable_dir(cfg.output_dir)
@@ -267,17 +278,12 @@ def cmd_run(args) -> int:
             solver=cfg.solver_params(N),
         )
         try:
-            snapshots, energy_rows = run_ensemble(
-                manifest,
-                workers=args.workers,
-                tolerate_failures=cfg.tolerate_failures,
-                manifest_hash=mhash,
-            )
+            energy_rows = run_ensemble(manifest, snap_paths, workers=args.workers,
+                                       tolerate_failures=cfg.tolerate_failures, manifest_hash=mhash)
         except BlowUpError as exc:
             _err(f"N={N}: {exc} (sample {exc.sample_index}, t={exc.time})")
             return 3
-        for path, snap in zip(snap_paths, snapshots):
-            write_snapshot(path, snap)
+        for path in snap_paths:
             print(f"wrote {path}")
         with atomic_open(manifest_path) as fh:
             fh.write(manifest_text)

@@ -2,8 +2,9 @@
 
 An ensemble run draws m i.i.d. samples from an initial-data family,
 evolves each independently with the spectral hyper-viscosity scheme and
-records all sample fields at the requested output times. A snapshot of m
-fields at time t represents the empirical measure (1/m) sum_i delta_{u_i(t)}.
+writes its fields at the output times to one snapshot file per time as it is
+taken. A snapshot of m fields at time t represents the empirical measure
+(1/m) sum_i delta_{u_i(t)}.
 
 Samples are deterministic in (base_seed, sample_index) alone, so results
 are bit-identical regardless of worker count or scheduling.
@@ -124,35 +125,37 @@ class EnsembleSnapshot:
 
 
 def _evolve_one(task):
-    """Evolve one sample; return (index, fields, ledger history) or its BlowUpError."""
+    """Evolve one sample; return (index, output fields, (t, E, D) per step) or its BlowUpError."""
     spec, solver, sample_index, output_times = task
     u0 = generate_sample(spec, sample_index)
-    fields = []
+    fields, rows = [], []
+
+    def on_step(t, u, ledger):
+        rows.append((t, ledger.E, ledger.D))
+        if t in output_times:
+            fields.append(u)
+
     try:
-        _, ledger = evolve(u0, output_times[-1], solver, output_times=output_times,
-                           observer=lambda t, u, ledger: fields.append(u))
+        evolve(u0, output_times[-1], solver, output_times, on_step)
     except BlowUpError as err:
         return BlowUpError(str(err), time=err.time, sample_index=sample_index)
-    return sample_index, fields, ledger.history
+    return sample_index, fields, rows
 
 
-def run_ensemble(
-    manifest: RunManifest,
-    workers: int = 1,
-    tolerate_failures: bool = False,
-    manifest_hash: int = 0,
-):
-    """Run the full ensemble; return (snapshots, energy rows).
+def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failures: bool = False,
+                 manifest_hash: int = 0):
+    """Run the ensemble into one snapshot file per output time; return the
+    per-step (t, E, D) rows of the first sample kept.
 
-    snapshots holds one EnsembleSnapshot per output time; energy rows is the
-    per-step (t, E, D) ledger history of the first sample kept.
-
-    Samples are indexed 1..m and evolved in this process, or in a pool of
-    min(workers, m) processes; results are taken in sample order either way.
-    With tolerate_failures, samples whose trajectories blow up are dropped
-    (the snapshot's m shrinks and its sample_seeds show which survived);
-    otherwise the first failure raises its BlowUpError, carrying the sample
-    index, and cancels the samples still queued.
+    paths[j] receives the snapshot at manifest.output_times[j]. Samples are
+    indexed 1..m and evolved in this process, or in a pool of
+    min(workers, m) processes; each is written as it is taken, in sample
+    order, so the run holds one sample's fields plus the results the pool
+    finished ahead of the next sample in order. With tolerate_failures,
+    samples whose trajectories blow up are dropped (the header's m counts
+    the samples written); otherwise the first failure raises its
+    BlowUpError, carrying the sample index, and cancels the samples still
+    queued. On any exception no file of paths is written and no .tmp is left.
     """
     tasks = [
         (manifest.spec, manifest.solver, i, manifest.output_times)
@@ -165,36 +168,28 @@ def run_ensemble(
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
-    seeds, per_sample, energy_rows = [], [], None
+    energy_rows = None
     try:
-        outcomes = pool.map(_evolve_one, tasks) if pool else map(_evolve_one, tasks)
-        for outcome in outcomes:
-            if isinstance(outcome, BlowUpError):
-                if not tolerate_failures:
-                    raise outcome
-                continue
-            i, fields, history = outcome
-            seeds.append(i)
-            per_sample.append(fields)
+        with contextlib.ExitStack() as stack:
+            writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
+                       for path, t in zip(paths, manifest.output_times, strict=True)]
+            outcomes = pool.map(_evolve_one, tasks) if pool else map(_evolve_one, tasks)
+            for outcome in outcomes:
+                if isinstance(outcome, BlowUpError):
+                    if not tolerate_failures:
+                        raise outcome
+                    continue
+                i, fields, rows = outcome
+                for write, field in zip(writers, fields):
+                    write(i, field)
+                if energy_rows is None:
+                    energy_rows = rows
             if energy_rows is None:
-                energy_rows = history
+                raise BlowUpError("all samples failed", sample_index=None)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-
-    if not seeds:
-        raise BlowUpError("all samples failed", sample_index=None)
-    return [
-        EnsembleSnapshot(
-            time=t,
-            N=manifest.spec.N,
-            fields=list(fields),
-            sample_seeds=list(seeds),
-            params=manifest.solver,
-            manifest_hash=manifest_hash,
-        )
-        for t, fields in zip(manifest.output_times, zip(*per_sample))
-    ], energy_rows
+    return energy_rows
 
 
 class CoefficientSum:
@@ -308,22 +303,33 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(map(line, rows))
 
 
+@contextlib.contextmanager
+def _snapshot_writer(path, N: int, time: float, manifest_hash: int):
+    """Write a snapshot in the EUSS layout via atomic_open, one sample at a time.
+
+    Yields write(seed, field), which appends one sample record; the header,
+    with the count of samples written, goes in last.
+    """
+    with atomic_open(path, "wb") as fh:
+        count = 0
+
+        def write(seed, field):
+            nonlocal count
+            fh.write(_SEED.pack(int(seed)))
+            fh.write(np.ascontiguousarray(field.coeffs.transpose(1, 2, 0), dtype=_COEFF))
+            count += 1
+
+        fh.seek(_HEADER.size)
+        yield write
+        fh.seek(0)
+        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, N, count, float(time), manifest_hash))
+
+
 def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
     """Serialize a snapshot in the EUSS binary layout (bit-exact round trip), atomically."""
-    with atomic_open(path, "wb") as fh:
-        fh.write(
-            _HEADER.pack(
-                _MAGIC,
-                FORMAT_VERSION,
-                snapshot.N,
-                snapshot.m,
-                float(snapshot.time),
-                snapshot.manifest_hash,
-            )
-        )
-        for seed, f in zip(snapshot.sample_seeds, snapshot.fields):
-            fh.write(_SEED.pack(int(seed)))
-            fh.write(np.ascontiguousarray(f.coeffs.transpose(1, 2, 0), dtype=_COEFF))
+    with _snapshot_writer(path, snapshot.N, snapshot.time, snapshot.manifest_hash) as write:
+        for seed, field in zip(snapshot.sample_seeds, snapshot.fields):
+            write(seed, field)
 
 
 @dataclass(frozen=True)

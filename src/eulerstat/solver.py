@@ -27,7 +27,7 @@ gradient that the Leray projection removes (Basdevant 1983, J. Comput.
 Phys. 50). The result is rebuilt as an exactly Hermitian array once per
 step, with no re-projection. evolve synthesizes the padded velocity once
 per step and uses that grid for both max|u| in the step bound and the
-first RK stage.
+first RK stage; it reports through one hook, on_step, after every step.
 
 An RK step allocates no padded-grid-sized array. Each SolverParams has
 one set of buffers in the _workspace cache (two params at most): the
@@ -49,7 +49,7 @@ so the nonlinear term is alias-free (Orszag 1971, J. Atmos. Sci. 28).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -89,7 +89,6 @@ class SolverParams:
             (default 0.9 * (2s-1)/(2s))
     cfl : Courant number for the advective step bound
     visc_safety : safety factor for the explicit-diffusion step bound
-    enable_nonlinear : test hook; False integrates the pure damping system
     """
 
     N: int
@@ -100,7 +99,6 @@ class SolverParams:
     theta: float | None = None
     cfl: float = 0.5
     visc_safety: float = 0.9
-    enable_nonlinear: bool = True
 
     def __post_init__(self):
         if self.N < 1:
@@ -216,24 +214,21 @@ def _rhs_half(half: np.ndarray, U: np.ndarray, params: SolverParams) -> np.ndarr
     workspace buffers; the result is a fresh array.
     """
     ws = _workspace(params)
-    if params.enable_nonlinear:
-        prod = ws["prod"]
-        # u1^2 - u2^2 as (u1 - u2)(u1 + u2): no grid-sized temporary
-        np.subtract(U[0], U[1], out=prod[0])
-        np.add(U[0], U[1], out=prod[1])
-        np.multiply(prod[0], prod[1], out=prod[0])
-        np.multiply(U[0], U[1], out=prod[1])
-        a, b = _analyze_half(prod, params.N, ws["spec"])
-        a *= 0.5
-        k1, k2 = ws["k1"], ws["k2"]
-        div0 = 1j * (k1 * a + k2 * b)
-        div1 = 1j * (k1 * b - k2 * a)
-        kdot = (k1 * div0 + k2 * div1) * ws["inv_ksq"]
-        out = np.empty_like(half)
-        out[0] = -(div0 - k1 * kdot)
-        out[1] = -(div1 - k2 * kdot)
-    else:
-        out = np.zeros_like(half)
+    prod = ws["prod"]
+    # u1^2 - u2^2 as (u1 - u2)(u1 + u2): no grid-sized temporary
+    np.subtract(U[0], U[1], out=prod[0])
+    np.add(U[0], U[1], out=prod[1])
+    np.multiply(prod[0], prod[1], out=prod[0])
+    np.multiply(U[0], U[1], out=prod[1])
+    a, b = _analyze_half(prod, params.N, ws["spec"])
+    a *= 0.5
+    k1, k2 = ws["k1"], ws["k2"]
+    div0 = 1j * (k1 * a + k2 * b)
+    div1 = 1j * (k1 * b - k2 * a)
+    kdot = (k1 * div0 + k2 * div1) * ws["inv_ksq"]
+    out = np.empty_like(half)
+    out[0] = -(div0 - k1 * kdot)
+    out[1] = -(div1 - k2 * kdot)
     out -= ws["damping"] * half
     out[:, params.N, 0] = 0.0
     return out
@@ -336,32 +331,25 @@ class EnergyLedger:
     E0 is the initial modal energy sum_k |u(k)|^2, E the current one, D the
     accumulated dissipation integral of 2 sum_k lam(k) |u(k)|^2 dt
     (trapezoidal in time). The scheme conserves E + D up to integration
-    error. history holds (t, E, D) per accepted step.
+    error.
     """
 
     E0: float
     E: float
     D: float = 0.0
-    history: list = field(default_factory=list)
 
 
 def _dissipation_rate(coeffs: np.ndarray, damping: np.ndarray) -> float:
     return float(2.0 * np.sum(damping * (np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2)))
 
 
-def evolve(
-    u0: SpectralField,
-    t_end: float,
-    params: SolverParams,
-    output_times=(),
-    observer=None,
-):
+def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(), on_step=None):
     """Integrate to t_end with adaptive steps; return (field, EnergyLedger).
 
     Steps are clipped so that every requested output time (and t_end) is hit
-    exactly; observer(t, field, ledger), when given, is invoked at each
-    output time in increasing order. Blow-ups raise BlowUpError carrying the
-    failure time.
+    exactly. on_step(t, field, ledger), when given, is called at t = 0 and
+    after every accepted step; at an output time, t is that time exactly.
+    Blow-ups raise BlowUpError carrying the failure time.
     Not thread-safe: calls with equal params share one set of grid
     buffers, so use one thread per process (ensemble uses processes).
     """
@@ -374,14 +362,11 @@ def evolve(
         raise ValueError("output times must lie within [0, t_end]")
 
     ledger = EnergyLedger(E0=modal_energy(u0), E=modal_energy(u0))
-    ledger.history.append((0.0, ledger.E, 0.0))
     t = 0.0
     u = u0
-    pending = list(targets)
-    if pending and pending[0] == 0.0:
-        if observer is not None:
-            observer(0.0, u, ledger)
-        pending.pop(0)
+    pending = [s for s in targets if s > 0.0]
+    if on_step is not None:
+        on_step(t, u, ledger)
 
     damping = damping_rates(params)
     g = _dissipation_rate(u.coeffs, damping)
@@ -403,9 +388,8 @@ def evolve(
         g = g_after
         ledger.E = modal_energy(u)
         t = t + dt
-        ledger.history.append((t, ledger.E, ledger.D))
         if pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
             t = pending.pop(0)
-            if observer is not None:
-                observer(t, u, ledger)
+        if on_step is not None:
+            on_step(t, u, ledger)
     return u, ledger

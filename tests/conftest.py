@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from eulerstat.ensemble import RunManifest, run_ensemble
+from eulerstat.ensemble import RunManifest, read_snapshot, run_ensemble
 from eulerstat.initial import InitialMeasureSpec
 from eulerstat.solver import SolverParams
 
@@ -17,23 +17,26 @@ ENSEMBLE_M = 32
 WORKERS = min(2, os.cpu_count() or 1)
 
 
-def _flat_sheet_run(N, rho):
+def _flat_sheet_run(tmp_path_factory, N, rho):
     spec = InitialMeasureSpec(
         family="flat_sheet", N=N, rho=rho, delta=0.025, base_seed=ENSEMBLE_SEED
     )
     manifest = RunManifest(
         spec=spec, m=ENSEMBLE_M, output_times=(0.0, 0.4), solver=SolverParams(N=N)
     )
-    return run_ensemble(manifest, workers=WORKERS)[0]
+    out = tmp_path_factory.mktemp(f"flat_sheet_N{N}")
+    paths = [out / "t00.euss", out / "t01.euss"]
+    run_ensemble(manifest, paths, workers=WORKERS)
+    return [read_snapshot(p) for p in paths]
 
 
 @pytest.fixture(scope="session")
-def flat_smooth_snapshots():
+def flat_smooth_snapshots(tmp_path_factory):
     """rho = 0.1, delta = 0.025, m = 32 ensembles at N = 32, 64, 128; t = 0, 0.4."""
-    return {N: _flat_sheet_run(N, 0.1) for N in (32, 64, 128)}
+    return {N: _flat_sheet_run(tmp_path_factory, N, 0.1) for N in (32, 64, 128)}
 
 
 @pytest.fixture(scope="session")
-def flat_rough_snapshots():
+def flat_rough_snapshots(tmp_path_factory):
     """rho = 0 (discontinuous sheet), delta = 0.025, m = 32; N = 64, 128; t = 0, 0.4."""
-    return {N: _flat_sheet_run(N, 0.0) for N in (64, 128)}
+    return {N: _flat_sheet_run(tmp_path_factory, N, 0.0) for N in (64, 128)}

@@ -186,15 +186,14 @@ def complex_rhs(coeffs, params):
     N, M = params.N, params.padded_grid
     k1, k2, ksq = (a.astype(float) for a in wavenumbers(N))
     out = np.zeros_like(coeffs)
-    if params.enable_nonlinear:
-        U = complex_synthesis(coeffs, M)
-        fhat = complex_analysis(np.stack((U[0] * U[0], U[0] * U[1], U[1] * U[1])), N)
-        div0 = 1j * (k1 * fhat[0] + k2 * fhat[1])
-        div1 = 1j * (k1 * fhat[1] + k2 * fhat[2])
-        kdot = (k1 * div0 + k2 * div1) * np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))
-        out[0] = -(div0 - k1 * kdot)
-        out[1] = -(div1 - k2 * kdot)
-        out = hermitize(out)
+    U = complex_synthesis(coeffs, M)
+    fhat = complex_analysis(np.stack((U[0] * U[0], U[0] * U[1], U[1] * U[1])), N)
+    div0 = 1j * (k1 * fhat[0] + k2 * fhat[1])
+    div1 = 1j * (k1 * fhat[1] + k2 * fhat[2])
+    kdot = (k1 * div0 + k2 * div1) * np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))
+    out[0] = -(div0 - k1 * kdot)
+    out[1] = -(div1 - k2 * kdot)
+    out = hermitize(out)
     out -= damping_rates(params) * coeffs
     out[:, N, N] = 0.0
     return out

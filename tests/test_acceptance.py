@@ -69,9 +69,9 @@ def test_c02_taylor_green_steady():
 
 
 def test_c03_linear_decay_oracle():
-    # nonlinear term disabled, single mode |k|^2 = 2N: exact rate eps
+    # single shear mode |k|^2 = 2N, steady under the nonlinear term: exact rate eps
     N = 32
-    p = SolverParams(N=N, enable_nonlinear=False)
+    p = SolverParams(N=N)
     c = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=complex)
     c[1, N + 8, N] = 0.5
     c[1, N - 8, N] = 0.5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import eulerstat
+import eulerstat.ensemble as ens
 from eulerstat.cli import PRESETS, main
 from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
 from eulerstat.diagnostics import cauchy_rate, structure_function
@@ -296,6 +297,36 @@ def test_run_overflowing_s_exits_2_naming_s(tmp_path, capsys, monkeypatch):
     assert err.startswith("eulerstat: ") and "N=64" in err and "s = 1100" in err
     assert "Warning" not in err and "blow-up" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_endless_step_count_exits_2(tmp_path, capsys, monkeypatch):
+    # s = 80 passes every parameter check, but its viscous step bound needs
+    # ~1e22 steps to t = 0.05 at N = 8: past the desk-scale step cap.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "slow.cfg"
+    path.write_bytes(_bad_config(solver="s = 80\n"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and "N=8" in err and "s = 80" in err
+    assert "e+22 steps" in err and "--large" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_blow_up_exits_3_leaving_no_files_for_that_n(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = ens.generate_sample
+
+    def exploding(spec, i):
+        if spec.N == 16 and i == 2:
+            return SpectralField(16, np.full((2, 33, 33), 1e300, dtype=complex))
+        return real(spec, i)
+
+    monkeypatch.setattr(ens, "generate_sample", exploding)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", _write_config(tmp_path, GOOD)]) == 3
+    assert "N=16" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "out" / "demo").iterdir()) == [
+        "demo_N0008.manifest", "demo_N0008_energy.csv", "demo_N0008_t00.euss", "demo_N0008_t01.euss"]
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,14 @@ def small_manifest(N=12, m=3, family="fbm", times=(0.0, 0.05), **spec_kw):
     return RunManifest(spec=spec, m=m, output_times=times, solver=SolverParams(N=N))
 
 
+def run_snapshots(manifest, out, **kw):
+    """run_ensemble into directory out; (the snapshots read back, the energy rows)."""
+    out.mkdir(exist_ok=True)
+    paths = [out / f"t{j:02d}.euss" for j in range(len(manifest.output_times))]
+    rows = run_ensemble(manifest, paths, **kw)
+    return [read_snapshot(p) for p in paths], rows
+
+
 def snapshot_of(fields, time=0.0):
     N = fields[0].N
     return EnsembleSnapshot(
@@ -71,57 +80,57 @@ def test_snapshot_validation():
         EnsembleSnapshot(time=0.0, N=8, fields=[f], sample_seeds=[1], params=SolverParams(N=8))
 
 
-def test_run_single_sample_time_zero():
+def test_run_single_sample_time_zero(tmp_path):
     manifest = small_manifest(m=1, times=(0.0,))
-    snaps, _ = run_ensemble(manifest)
+    snaps, _ = run_snapshots(manifest, tmp_path)
     assert len(snaps) == 1 and snaps[0].m == 1
     expected = generate_sample(manifest.spec, 1)
     assert np.array_equal(snaps[0].fields[0].coeffs, expected.coeffs)
 
 
-def test_run_deterministic_across_runs_and_workers():
+def test_run_deterministic_across_runs_and_workers(tmp_path):
     manifest = small_manifest(m=4)
-    a, _ = run_ensemble(manifest, workers=1)
-    b, _ = run_ensemble(manifest, workers=1)
-    c, _ = run_ensemble(manifest, workers=2)
-    for s1, s2, s3 in zip(a, b, c):
-        for f1, f2, f3 in zip(s1.fields, s2.fields, s3.fields):
-            assert np.array_equal(f1.coeffs, f2.coeffs)
-            assert np.array_equal(f1.coeffs, f3.coeffs)
-            assert not f3.coeffs.flags.writeable
+    rows = [run_snapshots(manifest, tmp_path / run, workers=workers)[1]
+            for run, workers in (("a", 1), ("b", 1), ("c", 2))]
+    assert rows[0] == rows[1] == rows[2]
+    for name in ("t00.euss", "t01.euss"):
+        a, b, c = ((tmp_path / run / name).read_bytes() for run in "abc")
+        assert a == b == c
 
 
-def test_sinusoidal_sheet_run_deterministic_across_workers():
+def test_sinusoidal_sheet_run_deterministic_across_workers(tmp_path):
     manifest = small_manifest(N=12, m=4, family="sinusoidal_sheet", rho=5 / 12, delta=0.003125,
                               quad_points=20)
     _sheet_base.cache_clear()  # the pool workers build their own base
-    pooled, _ = run_ensemble(manifest, workers=2)
-    serial, _ = run_ensemble(manifest, workers=1)
+    pooled, _ = run_snapshots(manifest, tmp_path / "pooled", workers=2)
+    serial, _ = run_snapshots(manifest, tmp_path / "serial", workers=1)
     for s1, s2 in zip(serial, pooled):
         assert s1.sample_seeds == s2.sample_seeds == [1, 2, 3, 4]
         for f1, f2 in zip(s1.fields, s2.fields):
             assert f1.coeffs.tobytes() == f2.coeffs.tobytes()
 
 
-def test_run_energy_decays_per_sample():
+def test_run_energy_decays_per_sample(tmp_path):
     manifest = small_manifest(N=16, m=3, family="flat_sheet", rho=0.1, delta=0.025,
                               times=(0.0, 0.4))
-    snaps, _ = run_ensemble(manifest)
+    snaps, _ = run_snapshots(manifest, tmp_path)
     for f0, f1 in zip(snaps[0].fields, snaps[1].fields):
         assert l2_norm(f1) <= l2_norm(f0) * (1 + 1e-12)
 
 
-def test_run_records_energy_history():
+def test_run_records_energy_history(tmp_path):
     manifest = small_manifest(m=2, times=(0.0, 0.02))
-    _, energy = run_ensemble(manifest)
-    _, ledger = evolve(generate_sample(manifest.spec, 1), 0.02, manifest.solver)
-    assert energy == ledger.history  # sample 1's (t, E, D) rows
+    _, energy = run_snapshots(manifest, tmp_path)
+    rows = []
+    evolve(generate_sample(manifest.spec, 1), 0.02, manifest.solver,
+           on_step=lambda t, u, ledger: rows.append((t, ledger.E, ledger.D)))
+    assert energy == rows  # sample 1's (t, E, D) rows
     t, e, d = energy[0]
     assert t == 0.0 and d == 0.0 and e > 0
 
 
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
-def test_failed_sample_policy(monkeypatch, workers):
+def test_failed_sample_policy(monkeypatch, tmp_path, workers):
     manifest = small_manifest(m=3)
     real = generate_sample
 
@@ -131,10 +140,51 @@ def test_failed_sample_policy(monkeypatch, workers):
     monkeypatch.setattr(ens, "generate_sample", exploding)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            run_ensemble(manifest, workers=workers)
+            run_snapshots(manifest, tmp_path / "strict", workers=workers)
         assert err.value.sample_index == 2
-        snaps, _ = run_ensemble(manifest, workers=workers, tolerate_failures=True)
+        assert list((tmp_path / "strict").iterdir()) == []
+        snaps, _ = run_snapshots(manifest, tmp_path / "tolerant", workers=workers,
+                                 tolerate_failures=True)
     assert snaps[0].m == 2 and snaps[0].sample_seeds == [1, 3]
+
+
+def test_run_memory_does_not_grow_with_sample_count(tmp_path):
+    # Samples go to disk as they are taken: the peak of traced allocations
+    # at m = 128 stays within twice that at m = 4 (an ensemble held in
+    # memory grows ~20x between them).
+    def peak(m):
+        manifest = small_manifest(N=16, m=m, times=(0.0, 0.02))
+        paths = [tmp_path / f"m{m}_t{j}.euss" for j in range(2)]
+        tracemalloc.start()
+        try:
+            run_ensemble(manifest, paths)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # caches (wavenumbers, solver workspace) are filled before measuring
+    small, large = peak(4), peak(128)
+    assert large < 2 * small, (small, large)
+
+
+def test_interrupted_run_leaves_no_files(monkeypatch, tmp_path):
+    real = generate_sample
+
+    def interrupted(spec, i):
+        if i == 3:
+            raise KeyboardInterrupt
+        return real(spec, i)
+
+    monkeypatch.setattr(ens, "generate_sample", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_ensemble(small_manifest(m=5), [tmp_path / "t00.euss", tmp_path / "t01.euss"])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_needs_one_path_per_output_time(tmp_path):
+    with pytest.raises(ValueError):
+        run_ensemble(small_manifest(m=2), [tmp_path / "t00.euss"])
+    assert list(tmp_path.iterdir()) == []
 
 
 @needs_fork
@@ -151,13 +201,13 @@ def test_pooled_blow_up_cancels_queued_samples(monkeypatch, tmp_path):
     monkeypatch.setattr(ens, "generate_sample", marking)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError) as err:
-            run_ensemble(manifest, workers=2)
+            run_ensemble(manifest, [tmp_path / "t00.euss", tmp_path / "t01.euss"], workers=2)
     assert err.value.sample_index == 1
     assert len(list(tmp_path.glob("started_*"))) < m // 2
 
 
 @pytest.mark.parametrize("m, workers, pool", [(3, 64, 3), (1, 64, None), (3, 2, 2)])
-def test_pool_size_capped_at_sample_count(monkeypatch, m, workers, pool):
+def test_pool_size_capped_at_sample_count(monkeypatch, tmp_path, m, workers, pool):
     created = []
 
     class InProcessPool:
@@ -173,7 +223,7 @@ def test_pool_size_capped_at_sample_count(monkeypatch, m, workers, pool):
             pass
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    snaps, _ = run_ensemble(small_manifest(m=m, times=(0.0,)), workers=workers)
+    snaps, _ = run_snapshots(small_manifest(m=m, times=(0.0,)), tmp_path, workers=workers)
     assert created == ([] if pool is None else [pool])
     assert snaps[0].sample_seeds == list(range(1, m + 1))
 

@@ -4,7 +4,7 @@ fixtures with the acceptance suite)."""
 import numpy as np
 
 from eulerstat.diagnostics import structure_function, time_regularity_ratio
-from eulerstat.ensemble import RunManifest, run_ensemble
+from eulerstat.ensemble import RunManifest, read_snapshot, run_ensemble
 from eulerstat.initial import InitialMeasureSpec
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import l2_norm, max_divergence
@@ -33,11 +33,13 @@ def test_snapshots_stay_divergence_free(flat_smooth_snapshots):
         assert max_divergence(f) <= 1e-10 * max(1.0, l2_norm(f))
 
 
-def test_trajectory_time_regularity_ratio_stable():
+def test_trajectory_time_regularity_ratio_stable(tmp_path):
     spec = InitialMeasureSpec(family="flat_sheet", N=32, rho=0.1, delta=0.025, base_seed=6)
     times = tuple(np.linspace(0.04, 0.4, 10))
     manifest = RunManifest(spec=spec, m=1, output_times=times, solver=SolverParams(N=32))
-    snaps, _ = run_ensemble(manifest)
+    paths = [tmp_path / f"t{j:02d}.euss" for j in range(len(times))]
+    run_ensemble(manifest, paths)
+    snaps = [read_snapshot(p) for p in paths]
     traj = [(s.time, s.fields[0]) for s in snaps]
     worst = time_regularity_ratio(traj, L=2.0)
     rates = []

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eulerstat.solver as solver
 from eulerstat.ensemble import fnv1a64
 from eulerstat.errors import BlowUpError
 from eulerstat.initial import InitialMeasureSpec, generate_sample, taylor_green_field
@@ -80,9 +81,10 @@ def test_rhs_zero_field():
 
 
 def test_rhs_dissipation_at_2n():
-    # mode |k|^2 = 2N with s=1: damping part is exactly -eps times the mode
+    # mode |k|^2 = 2N with s=1: the nonlinear term vanishes on a single
+    # shear mode, and the damping part is exactly -eps times the mode
     N = 32
-    p = SolverParams(N=N, enable_nonlinear=False)
+    p = SolverParams(N=N)
     f = single_mode_field(N, (8, 0), 1, 0.5)  # |k|^2 = 64 = 2N
     r = rhs(f, p)
     assert np.abs(r.coeffs + p.eps * f.coeffs).max() < 1e-15
@@ -192,9 +194,9 @@ def test_step_taylor_green_stationary():
 
 
 def test_linear_decay_matches_exponential():
-    # nonlinear term disabled: single damped mode follows exp(-lambda t)
+    # a single shear mode is steady under the nonlinear term: it follows exp(-lambda t)
     N = 32
-    p = SolverParams(N=N, enable_nonlinear=False)
+    p = SolverParams(N=N)
     f = single_mode_field(N, (8, 0), 1, 0.5)  # damping rate = eps
     lam = p.eps
     dt = 0.125
@@ -251,8 +253,9 @@ def test_evolve_first_step_is_adaptive_dt():
     u0 = band_limited_random_field(N, 6, np.random.default_rng(11), amplitude=5.0)
     dt = adaptive_dt(u0, p)
     assert dt < 0.9 * 2.5 / np.max(damping_rates(p))  # the CFL bound is the active one
-    _, ledger = evolve(u0, 2.5 * dt, p)
-    assert ledger.history[1][0] == dt
+    times = []
+    evolve(u0, 2.5 * dt, p, on_step=lambda t, u, ledger: times.append(t))
+    assert times[1] == dt
 
 
 def test_evolve_rejects_resolution_mismatch():
@@ -272,21 +275,29 @@ def test_evolve_blowup_reports_failure_time():
     assert "blow-up at t=" in str(info.value)
 
 
-def test_evolve_hits_output_times_exactly():
+def test_evolve_hits_output_times_exactly(monkeypatch):
+    # on_step runs at t = 0 and after every accepted step, at output times exactly
     rng = np.random.default_rng(6)
     u0 = band_limited_random_field(12, 4, rng)
-    seen = []
-    evolve(u0, 0.5, SolverParams(N=12), output_times=(0.0, 0.123, 0.5),
-           observer=lambda t, u, led: seen.append(t))
-    assert seen == [0.0, 0.123, 0.5]
+    steps, calls = [], []
+    monkeypatch.setattr(solver, "_step_coeffs", lambda *a: steps.append(1) or _step_coeffs(*a))
+    u, ledger = evolve(u0, 0.5, SolverParams(N=12), output_times=(0.0, 0.123, 0.5),
+                       on_step=lambda t, u, led: calls.append((t, u, led.E, led.D)))
+    times = [t for t, *_ in calls]
+    assert times[0] == 0.0 and calls[0][1] is u0 and calls[0][3] == 0.0
+    assert all(a < b for a, b in zip(times, times[1:])) and len(times) > 3
+    assert [t for t in times if t in (0.0, 0.123, 0.5)] == [0.0, 0.123, 0.5]
+    assert times[-1] == 0.5 and calls[-1][1] is u
+    assert calls[-1][2:] == (ledger.E, ledger.D)
+    assert len(calls) == 1 + len(steps)
 
 
 def test_evolve_energy_monotone_and_divergence_free():
     rng = np.random.default_rng(7)
     N = 32
     u0 = band_limited_random_field(N, 10, rng, amplitude=0.2)
-    u, ledger = evolve(u0, 0.5, SolverParams(N=N))
-    energies = [e for _, e, _ in ledger.history]
+    energies = []
+    u, ledger = evolve(u0, 0.5, SolverParams(N=N), on_step=lambda t, u, led: energies.append(led.E))
     for a, b in zip(energies, energies[1:]):
         assert b <= a * (1.0 + 1e-10)
     assert max_divergence(u) < 1e-10 * l2_norm(u)
@@ -301,7 +312,7 @@ def test_evolve_time_regularity_bounded():
     times = np.linspace(0.05, 0.5, 10)
     fields = {}
     evolve(u0, 0.5, SolverParams(N=N), output_times=tuple(times),
-           observer=lambda t, u, led: fields.__setitem__(t, u))
+           on_step=lambda t, u, led: fields.__setitem__(t, u) if t in times else None)
     rates = []
     ts = sorted(fields)
     for a, b in zip(ts, ts[1:]):
@@ -369,7 +380,8 @@ def golden_digests(family, N):
     digests = []
     evolve(generate_sample(golden_spec(family, N), 2), GOLDEN_TIMES[-1], SolverParams(N=N),
            output_times=GOLDEN_TIMES,
-           observer=lambda t, u, ledger: digests.append(f"{fnv1a64(u.coeffs.tobytes()):016x}"))
+           on_step=lambda t, u, ledger: digests.append(f"{fnv1a64(u.coeffs.tobytes()):016x}")
+           if t in GOLDEN_TIMES else None)
     return tuple(digests)
 
 
