@@ -215,6 +215,25 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+def test_diagnose_leaves_scipy_unloaded(tmp_path):
+    # a tiny ensemble (N = 8, 16 at t = 0, 0.05) through every diagnostic
+    _write_config(tmp_path, GOOD)
+    src = os.path.dirname(os.path.dirname(eulerstat.__file__))
+    code = (
+        "import glob, sys\n"
+        "from eulerstat.cli import main\n"
+        "assert main(['run', 'exp.cfg']) == 0\n"
+        "code = main(['diagnose', *sorted(glob.glob('out/demo/*.euss')), '--out', 'diag',\n"
+        "             '--structure', '--spectrum', '2', '--wasserstein', '1', '--cauchy',\n"
+        "             '--mean-variance', '--time-regularity', '2'])\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+    assert len(list((tmp_path / "diag").glob("*_structure.csv"))) == 4
+
+
 def test_cli_import_leaves_process_pools_unloaded():
     # run_ensemble imports ProcessPoolExecutor only when it starts a pool
     src = os.path.dirname(os.path.dirname(eulerstat.__file__))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.special import j1 as scipy_j1
 
 from eulerstat.diagnostics import (
     ScalarCurve,
+    _j1,
     cauchy_rate,
     compensated_spectrum,
     default_fit_range,
@@ -18,7 +18,7 @@ from eulerstat.diagnostics import (
 )
 from eulerstat.ensemble import EnsembleSnapshot
 from eulerstat.solver import SolverParams
-from eulerstat.spectral import SpectralField, modal_energy, sobolev_norm, truncate_to
+from eulerstat.spectral import SpectralField, modal_energy, sobolev_norm, truncate_to, wavenumbers
 from oracles import (
     bessel_j1_quadrature,
     hermitian_random_field,
@@ -51,10 +51,35 @@ def single_mode_field(N, k, component, value):
 def test_bessel_against_integral_representation():
     # small arguments: one 64-node Gauss-Legendre panel is exact to roundoff
     x = np.linspace(0.0, 50.0, 200)
-    assert np.abs(scipy_j1(x) - bessel_j1_quadrature(x, panels=1)).max() < 1e-12
+    assert np.abs(_j1(x) - bessel_j1_quadrature(x, panels=1)).max() < 1e-12
     # large arguments up to ~ sqrt(2) N pi for N = 128: composite panels
     x = np.linspace(50.0, 600.0, 300)
-    assert np.abs(scipy_j1(x) - bessel_j1_quadrature(x, panels=16)).max() < 1e-12
+    assert np.abs(_j1(x) - bessel_j1_quadrature(x, panels=16)).max() < 1e-12
+
+
+def _structure_curve_arguments(N):
+    # every kmag * r that structure_curve can evaluate on default_r_grid(N)
+    ksq = np.unique(wavenumbers(N)[2])
+    return (default_r_grid(N)[:, None] * np.sqrt(ksq[ksq > 0].astype(np.float64))).ravel()
+
+
+def test_j1_matches_scipy_bitwise():
+    from scipy.special import j1 as scipy_j1
+
+    rng = np.random.default_rng(20260101)
+    five = np.array([np.nextafter(5.0, 0.0), 5.0, np.nextafter(5.0, 6.0)])
+    edges = np.array([0.0, -0.0, -1e-300, -3.0, -5.0, -7.5, -2500.0, np.inf, -np.inf, np.nan])
+    sets = {f"structure_curve N={N}": _structure_curve_arguments(N) for N in (8, 16, 32, 64, 128)}
+    sets.update({
+        "(0, 5]": 5.0 - rng.uniform(0.0, 5.0, 10**5),
+        "(5, 50]": 50.0 - rng.uniform(0.0, 45.0, 10**5),
+        "(50, 3000]": 3000.0 - rng.uniform(0.0, 2950.0, 10**5),
+        "log-uniform up to 1e300": np.exp(rng.uniform(np.log(1e-300), np.log(1e300), 10**5)),
+        "5 and its neighbours, signed zeros, negatives, inf, nan": np.concatenate([five, edges]),
+    })
+    for name, x in sets.items():
+        mismatched = np.flatnonzero(_j1(x).view(np.uint64) != scipy_j1(x).view(np.uint64))
+        assert mismatched.size == 0, (name, x[mismatched[:5]])
 
 
 def test_kernel_bounds():
@@ -69,7 +94,7 @@ def test_kernel_bounds():
 def test_kernel_series_branch_is_continuous():
     # the small-x series and the direct formula agree near the switch point
     x = np.linspace(0.02, 0.2, 400)
-    direct = 2.0 * (1.0 - 2.0 * scipy_j1(x) / x)
+    direct = 2.0 * (1.0 - 2.0 * _j1(x) / x)
     assert np.abs(increment_kernel(x) / direct - 1.0).max() < 1e-10
 
 
