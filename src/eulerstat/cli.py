@@ -590,7 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="config file path or preset name")
     p_run.add_argument("--force", action="store_true", help="overwrite existing artifacts")
     p_run.add_argument("--workers", type=int, default=1,
-                       help="parallel sample workers (>= 1; at most m are used)")
+                       help="parallel sample workers (>= 1; at most m are used); each "
+                            "splits the steps of large grids over cpus // workers threads, "
+                            "with the same outputs")
     p_run.add_argument("--large", action="store_true", help="lift desk-scale N/m caps")
     p_run.set_defaults(func=cmd_run)
 

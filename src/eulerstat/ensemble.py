@@ -126,7 +126,7 @@ class EnsembleSnapshot:
 
 def _evolve_one(task):
     """Evolve one sample; return (index, output fields, (t, E, D) per step) or its BlowUpError."""
-    spec, solver, sample_index, output_times = task
+    spec, solver, sample_index, output_times, threads = task
     u0 = generate_sample(spec, sample_index)
     fields, rows = [], []
 
@@ -136,10 +136,17 @@ def _evolve_one(task):
             fields.append(u)
 
     try:
-        evolve(u0, output_times[-1], solver, output_times, on_step)
+        evolve(u0, output_times[-1], solver, output_times, on_step, threads=threads)
     except BlowUpError as err:
         return BlowUpError(str(err), time=err.time, sample_index=sample_index)
     return sample_index, fields, rows
+
+
+def _solver_threads(workers: int) -> int:
+    """Threads per sample when workers processes share this process's CPUs:
+    cpus // workers, at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, cpus // workers)
 
 
 def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failures: bool = False,
@@ -156,12 +163,15 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     the samples written); otherwise the first failure raises its
     BlowUpError, carrying the sample index, and cancels the samples still
     queued. On any exception no file of paths is written and no .tmp is left.
+    Each evolve splits the steps of large grids over cpus // workers threads
+    (_solver_threads, solver.evolve); no byte of the output depends on it.
     """
+    workers = min(workers, manifest.m)
+    threads = _solver_threads(workers)
     tasks = [
-        (manifest.spec, manifest.solver, i, manifest.output_times)
+        (manifest.spec, manifest.solver, i, manifest.output_times, threads)
         for i in range(1, manifest.m + 1)
     ]
-    workers = min(workers, manifest.m)
     pool = None
     if workers > 1:
         # imported here, so that a process that starts no pool never imports multiprocessing

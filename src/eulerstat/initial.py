@@ -33,7 +33,8 @@ import numpy as np
 
 from .spectral import (
     SpectralField,
-    _fold,
+    _synthesize_cols,
+    _synthesize_rows,
     from_physical,
     leray_project,
     scalar_from_physical,
@@ -255,10 +256,11 @@ def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.nd
     k2 >= 0 half plane, before the real inverse transform along x2.
     """
     N = field.N
-    mixed = _fold(field.coeffs[..., N:], M, -2)
-    np.fft.ifft(mixed, axis=-2, norm="forward", out=mixed)  # (2, x1, k2 = 0..N)
+    mixed = np.empty((2, M, N + 1), dtype=np.complex128)
+    _synthesize_cols(field.coeffs[..., N:], mixed)  # (2, x1, k2 = 0..N)
     mixed *= np.exp(1j * np.outer(shifts, np.arange(N + 1)))
-    grid = np.fft.irfft(mixed, n=M, axis=-1, norm="forward")
+    grid = np.empty((2, M, M))
+    _synthesize_rows(mixed, grid)
     return np.ascontiguousarray(grid.transpose(1, 2, 0))
 
 

@@ -22,10 +22,11 @@ one along x2; _analyze_half is the reverse, and _full_plane rebuilds the
 k2 < 0 half (and the k1 < 0 half of the k2 = 0 column) by conjugate
 symmetry, so analyzed coefficients are exactly Hermitian. Both accept any
 grid size M >= 2N+1; sample_at_grid (also behind to_physical) takes any M.
-_synthesize returns a fresh grid unless given buffers to write into
-(numpy.fft's out=), and _analyze_half can take a buffer for its real FFT;
-only the solver passes buffers, and the grid it gets back stays valid only
-until its next synthesis.
+Each is its two 1-D passes, a column pass over k2 columns
+(_synthesize_cols, _analyze_cols) and a row pass over x1 rows
+(_synthesize_rows, _analyze_rows), over one slab that holds everything,
+into fresh arrays. The solver runs the same passes on slabs of its own,
+into buffers (numpy.fft's out=).
 
 All arithmetic is float64/complex128.
 """
@@ -178,47 +179,94 @@ def _fold(a: np.ndarray, M: int, axis: int, out: np.ndarray | None = None) -> np
     return out
 
 
-def _synthesize(half: np.ndarray, M: int, rows: np.ndarray | None = None,
-                out: np.ndarray | None = None) -> np.ndarray:
+def _synthesize_cols(half: np.ndarray, rows: np.ndarray, cols: slice = slice(None)) -> None:
+    """Column pass of a synthesis: the k2 columns cols of half, folded onto
+    k1 mod M in rows (complex, (..., M, C)) and inverse transformed along x1."""
+    r = rows[..., cols]
+    _fold(half[..., cols], rows.shape[-2], -2, out=r)
+    np.fft.ifft(r, axis=-2, norm="forward", out=r)
+
+
+def _synthesize_rows(rows: np.ndarray, out: np.ndarray, xrows: slice = slice(None)) -> None:
+    """Row pass of a synthesis: the real inverse transform along x2 of the x1
+    rows xrows of rows (from _synthesize_cols) into out (float, (..., M, M))."""
+    np.fft.irfft(rows[..., xrows, :], n=out.shape[-1], axis=-1, norm="forward", out=out[..., xrows, :])
+
+
+def _synthesize(half: np.ndarray, M: int) -> np.ndarray:
     """Real values on the M x M grid of a Hermitian field given by its k2 >= 0 half.
 
     half has shape (..., 2N+1, C): rows k1 = -N..N, which are folded onto
     k1 mod M, and columns k2 = 0..C-1 with C <= M//2 + 1. The inverse
     transform along x1 is complex, the one along x2 real, so the k2 < 0
-    half is implied by conjugate symmetry. Returns shape (..., M, M).
-
-    rows (complex, (..., M, C)) and out (float, (..., M, M)), when given,
-    are buffers that are overwritten; the result is then out itself.
+    half is implied by conjugate symmetry. Returns a fresh (..., M, M) grid.
     """
-    rows = _fold(half, M, -2, out=rows)
-    np.fft.ifft(rows, axis=-2, norm="forward", out=rows)
-    return np.fft.irfft(rows, n=M, axis=-1, norm="forward", out=out)
+    lead = half.shape[:-2]
+    rows = np.empty((*lead, M, half.shape[-1]), dtype=np.complex128)
+    out = np.empty((*lead, M, M))
+    _synthesize_cols(half, rows)
+    _synthesize_rows(rows, out)
+    return out
 
 
-def _analyze_half(grid: np.ndarray, N: int, spec: np.ndarray | None = None) -> np.ndarray:
+def _analyze_rows(grid: np.ndarray, spec: np.ndarray, xrows: slice = slice(None)) -> None:
+    """Row pass of an analysis: the real FFT along x2 of the x1 rows xrows of
+    a real (..., M, M) grid into spec (complex, (..., M, M//2+1))."""
+    np.fft.rfft(grid[..., xrows, :], axis=-1, norm="forward", out=spec[..., xrows, :])
+
+
+def _analyze_cols(spec: np.ndarray, out: np.ndarray, cols: slice = slice(None),
+                  work: np.ndarray | None = None) -> None:
+    """Column pass of an analysis: the FFT along x1 of the k2 columns cols of
+    spec (from _analyze_rows) into work (complex, (..., M, N+1); spec's own
+    columns when not given), and its modes k1 = -N..N gathered into the same
+    columns of out (complex, (..., 2N+1, N+1))."""
+    N = out.shape[-1] - 1
+    M = spec.shape[-2]
+    c = spec[..., : N + 1][..., cols]
+    w = c if work is None else work[..., cols]
+    np.fft.fft(c, axis=-2, norm="forward", out=w)
+    out[..., :N, cols] = w[..., M - N :, :]
+    out[..., N:, cols] = w[..., : N + 1, :]
+
+
+def _analyze_half(grid: np.ndarray, N: int) -> np.ndarray:
     """Modes k1 = -N..N, k2 = 0..N of a real (..., M, M) grid, M >= 2N+1.
 
-    spec (complex, (..., M, M//2+1)), when given, is a buffer for the real
-    FFT that is overwritten; the result is a fresh array either way.
+    The result and the real spectrum are laid out in memory like grid, as
+    numpy lays out the result of an FFT: analyzed coefficients keep that
+    layout, and sums over them (modal_energy) add in memory order.
     """
     M = grid.shape[-1]
-    cols = np.fft.rfft(grid, axis=-1, norm="forward", out=spec)[..., : N + 1]
-    np.fft.fft(cols, axis=-2, norm="forward", out=cols)
-    return np.concatenate((cols[..., M - N :, :], cols[..., : N + 1, :]), axis=-2)
+    spec = np.empty_like(grid, dtype=np.complex128, shape=(*grid.shape[:-1], M // 2 + 1))
+    out = np.empty_like(spec[..., : 2 * N + 1, : N + 1])
+    _analyze_rows(grid, spec)
+    _analyze_cols(spec, out)
+    return out
 
 
-def _full_plane(half: np.ndarray) -> np.ndarray:
+def _full_plane(half: np.ndarray, out: np.ndarray | None = None,
+                cols: slice = slice(None)) -> np.ndarray:
     """The exactly Hermitian (..., 2N+1, 2N+1) array with the given k2 >= 0 half.
 
     The k1 < 0 part of the k2 = 0 column is rebuilt (in half, in place)
     from its k1 > 0 part and the mean mode made real; the k2 < 0 half
-    follows from coeff(-k) = conj(coeff(k)).
+    follows from coeff(-k) = conj(coeff(k)). A fresh result is laid out in
+    memory like half. out, when given, is filled and returned; with cols,
+    only its columns k2 and -k2 for the k2 in cols are.
     """
     N = half.shape[-1] - 1
-    col = half[..., 0]
-    col[..., :N] = np.conj(col[..., :N:-1])
-    col[..., N] = col[..., N].real
-    return np.concatenate((np.conj(half[..., ::-1, :0:-1]), half), axis=-1)
+    if out is None:
+        out = np.empty_like(half, shape=(*half.shape[:-1], 2 * N + 1))
+    c0, c1, _ = cols.indices(N + 1)
+    if c0 == 0:
+        col = half[..., 0]
+        np.conj(col[..., :N:-1], out=col[..., :N])
+        col[..., N] = col[..., N].real
+    lo = max(c0, 1)
+    out[..., N + c0 : N + c1] = half[..., c0:c1]
+    np.conj(half[..., ::-1, lo:c1][..., ::-1], out=out[..., N + 1 - c1 : N + 1 - lo])
+    return out
 
 
 def synthesis_grid(N: int) -> int:

@@ -235,10 +235,13 @@ def test_diagnose_leaves_scipy_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # run_ensemble imports ProcessPoolExecutor only when it starts a pool
+    # run_ensemble imports ProcessPoolExecutor only when it starts a pool,
+    # evolve ThreadPoolExecutor only when it starts threads; `presets` does neither
     src = os.path.dirname(os.path.dirname(eulerstat.__file__))
-    code = ("import sys, eulerstat.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    code = ("import contextlib, io, sys, eulerstat.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): eulerstat.cli.main(['presets'])\n"
+            "print(sorted(m for m in sys.modules if m.startswith("
+            "('multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread'))))")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import eulerstat.ensemble as ens
+import eulerstat.solver as solver
+from eulerstat.cli import main
 from eulerstat.ensemble import (
     EnsembleSnapshot,
     RunManifest,
@@ -226,6 +228,52 @@ def test_pool_size_capped_at_sample_count(monkeypatch, tmp_path, m, workers, poo
     snaps, _ = run_snapshots(small_manifest(m=m, times=(0.0,)), tmp_path, workers=workers)
     assert created == ([] if pool is None else [pool])
     assert snaps[0].sample_seeds == list(range(1, m + 1))
+
+
+@pytest.mark.parametrize("cpus, workers, threads", [(2, 2, 1), (2, 1, 2), (4, 2, 2), (1, 3, 1)])
+def test_solver_threads_share_the_cpus(monkeypatch, cpus, workers, threads):
+    monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert ens._solver_threads(workers) == threads
+
+
+SPLIT_CONFIG = """\
+[experiment]
+name = split
+base_seed = 7
+output_dir = out
+
+[initial]
+family = flat_sheet
+rho = 0.1
+delta = 0.025
+
+[run]
+resolutions = 16 24
+samples = 3
+output_times = 0 0.05 0.1
+"""
+
+
+def test_cli_run_bytes_do_not_depend_on_the_slab_split(monkeypatch, tmp_path):
+    # `run --workers 1` on 2 CPUs evolves with 2 threads; with the split
+    # forced onto these small grids every file is the bytes of one slab.
+    monkeypatch.setattr(ens.os, "sched_getaffinity", lambda pid: {0, 1})
+    threads = []
+    monkeypatch.setattr(ens, "evolve", lambda *a, **kw: threads.append(kw["threads"]) or evolve(*a, **kw))
+    outputs = {}
+    for split in (False, True):
+        run_dir = tmp_path / str(split)
+        run_dir.mkdir()
+        (run_dir / "split.cfg").write_text(SPLIT_CONFIG)
+        monkeypatch.chdir(run_dir)
+        monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0 if split else 10**9)
+        assert main(["run", "split.cfg", "--workers", "1"]) == 0
+        outputs[split] = {p.name: p.read_bytes() for p in sorted((run_dir / "out").iterdir())}
+    assert threads == [2] * 12  # two runs, two resolutions, three samples
+    names = sorted(outputs[False])
+    assert [n for n in names if n.endswith(".euss")] and [n for n in names if n.endswith(".manifest")]
+    assert [n for n in names if n.endswith("_energy.csv")]
+    assert outputs[True] == outputs[False]
 
 
 def test_mean_field_cases():

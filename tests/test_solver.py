@@ -1,4 +1,6 @@
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +449,86 @@ def test_rk_step_allocates_no_padded_grid_array(monkeypatch, request, N, patched
     if patched_M is not None:
         assert 8 * M * M > bound
     assert peak <= bound
+
+
+def trajectory(u0, params, t_end, threads):
+    """(fnv1a64 of the coefficients, their strides, t, E, D) after every step of evolve."""
+    rows = []
+    evolve(u0, t_end, params, threads=threads,
+           on_step=lambda t, u, ledger: rows.append(
+               (fnv1a64(u.coeffs.tobytes()), u.coeffs.strides, t, ledger.E, ledger.D)))
+    return rows
+
+
+@pytest.mark.parametrize("family", ["flat_sheet", "sinusoidal_sheet"])
+@pytest.mark.parametrize("N, M", [(8, 25), (16, 50), (24, 75), (32, 100)])  # odd and even padded grids
+def test_slab_split_step_keeps_bytes(monkeypatch, family, N, M):
+    # Two slabs on every grid: each step, its energy ledger and its memory
+    # layout are the bits of one slab, for the generated coefficients and
+    # for a C-contiguous copy of them (which sums its energy in another order).
+    monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0)
+    p = SolverParams(N=N)
+    assert p.padded_grid == M
+    u0 = generate_sample(golden_spec(family, N), 2)
+    for u in (u0, SpectralField(N, np.ascontiguousarray(u0.coeffs))):
+        one = trajectory(u, p, 0.25, threads=1)
+        assert len(one) > 2
+        assert {row[1] for row in one} == {u.coeffs.strides}
+        assert trajectory(u, p, 0.25, threads=2) == one
+
+
+def test_energy_bits_depend_on_coefficient_layout():
+    # modal_energy adds in memory order, so its last bits follow the layout
+    # of the coefficients, which each step passes on to the next: generated
+    # fields are not C-contiguous, and a step must keep their layout.
+    u0 = generate_sample(InitialMeasureSpec("flat_sheet", 32, rho=0.1, delta=0.025, base_seed=7), 1)
+    c = np.ascontiguousarray(u0.coeffs)
+    assert not u0.coeffs.flags.c_contiguous
+    assert modal_energy(u0) == 0.5983335716741534
+    assert modal_energy(SpectralField(32, c)) == 0.5983335716741532
+
+
+def test_slab_split_at_the_real_threshold():
+    # N = 128 (M = 400) is above _SLAB_MIN_GRID; N = 64 (M = 200) is below,
+    # and threads = 2 then runs one slab.
+    with solver._slabs(SolverParams(N=64), 2) as slabs:
+        assert len(slabs.cols) == 1 and slabs.pool is None
+    p = SolverParams(N=128)
+    assert p.padded_grid >= solver._SLAB_MIN_GRID
+    with solver._slabs(p, 2) as slabs:
+        assert len(slabs.rows) == len(slabs.cols) == 2
+    u0 = generate_sample(InitialMeasureSpec("flat_sheet", 128, rho=0.1, delta=0.025, base_seed=7), 1)
+    one = trajectory(u0, p, 0.01, threads=1)
+    assert len(one) > 1
+    assert trajectory(u0, p, 0.01, threads=2) == one
+
+
+def test_slab_split_under_thread_switching_stress(monkeypatch):
+    # More threads than CPUs, switching as often as the interpreter allows:
+    # a slab that read or wrote outside its rows or columns would change bits.
+    monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0)
+    p = SolverParams(N=16)
+    u0 = generate_sample(golden_spec("flat_sheet", 16), 2)
+    one = trajectory(u0, p, 0.1, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert trajectory(u0, p, 0.1, threads=5) == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_slab_threads_keep_the_callers_error_state(monkeypatch):
+    # The pool's threads run under the numpy error state of evolve's caller.
+    monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0)
+    N = 8
+    c = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=complex)
+    c[0, N + 1, N] = c[0, N - 1, N] = np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowUpError):
+                evolve(SpectralField(N, c), 1.0, SolverParams(N=N), threads=2)
 
 
 def test_damping_rates_finite_for_large_s():
