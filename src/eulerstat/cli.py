@@ -10,9 +10,16 @@
 sample to the snapshot files (*.euss) as it is taken, and writes a resolved
 manifest per resolution and an energy CSV. `diagnose` turns snapshot files
 into diagnostic CSV tables, reading each snapshot once, one sample at a
-time, for all of them. Snapshot and CSV outputs are byte-deterministic for a fixed config, regardless of
-worker count. The environment variable EULER_STAT_SEED overrides the
-configured base seed.
+time, for all of them. Its work comes in units: one per group of inputs
+(an input and every input it is paired with at a common time; the W1
+tuple values of a group never leave its process) and one per resolution
+for time regularity. With --wasserstein and more than one group, the
+units are dealt round-robin over the CPUs, the first share in this
+process and each other share in a pool process of its own; otherwise all
+run here and no pool is imported. Snapshot and CSV outputs are
+byte-deterministic for a fixed config, regardless of worker and CPU
+count. The environment variable EULER_STAT_SEED overrides the configured
+base seed.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 solver blow-up.
 """
@@ -50,6 +57,7 @@ from .ensemble import (
     iter_snapshot,
     read_snapshot_header,
     run_ensemble,
+    usable_cpus,
     write_csv,
 )
 from .errors import BlowUpError
@@ -385,42 +393,51 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     """(file name, writer taking the path) of every table `diagnose` writes.
 
     loaded holds (path, header) of each input, pairs the (N, 2N) pairs and
-    by_n the inputs per resolution for time regularity. Each input is read
-    once, one sample at a time, into every statistic it feeds: its radial
-    power (structure and spectrum), its coefficient sum (mean and Cauchy
-    rates), and per grid size one synthesis of each sample, shared by the
-    variance moments and the W1 tuple values at that size. After its pass
-    the input's own results are finished (curves, mean field, mean and
-    variance grids), so that only they outlive the pass; the W1 values wait
-    for the pair's other input. Time regularity then reads the inputs of
-    each resolution again, in lockstep. A statistic that fails is raised
-    when its table is built, tables in the order below, so the failure
-    reported does not depend on the order in which the inputs are read.
+    by_n the inputs per resolution for time regularity. The work is split
+    into units: one per group of inputs (an input and every input it is
+    paired with, directly or through others; _stream_group) and one per
+    resolution for time regularity (_time_regularity). With --wasserstein
+    and more than one group, the units are dealt round-robin into one share
+    per CPU (at most one per unit); this process runs the first share and a
+    pool of one process per other share runs the rest (_run_shares). The
+    tables are then built and ordered here, from the results alone, so no
+    output byte or error message depends on the CPU count.
+
+    A failure is raised when its table is built, tables in the order below,
+    except that an input that cannot be streamed fails first, the earliest
+    such input in the order of loaded, so the failure reported does not
+    depend on the order in which the inputs are read.
     """
     # The grid sizes at which each input's variance is needed: its own (mean
     # and variance grids) and the coarse member's of each pair it is in
-    # (variance Cauchy rate). The W1 values of a pair are gathered at the
-    # coarse member's size too.
+    # (variance Cauchy rate).
     variance_sizes = {path: [] for path, _ in loaded}
-    values, tuples = {}, {}         # (path, M) -> TupleValues; M -> W1 tuples
     if args.mean_variance:
         for path, head in loaded:
             variance_sizes[path].append(synthesis_grid(head.N))
-    for pa, sa, pb, sb in pairs:
-        M = synthesis_grid(sa.N)
-        for path, head in ((pa, sa), (pb, sb)):
-            if args.cauchy and sa.m == sb.m and M not in variance_sizes[path]:
-                variance_sizes[path].append(M)
-            if args.wasserstein is not None and (path, M) not in values:
-                if M not in tuples:
-                    tuples[M] = marginal_tuples(args.wasserstein, M)[0]
-                values[path, M] = TupleValues(tuples[M], head.m)
-    paired = {p for pa, _, pb, _ in pairs for p in (pa, pb)}
-
-    done = {}       # (path, statistic or grid size) -> result, or the ValueError it raised
-    for path, head in loaded:
-        done.update(_stream_input(args, path, head, variance_sizes[path], path in paired,
-                                  {M: acc for (p, M), acc in values.items() if p == path}))
+    if args.cauchy:
+        for pa, sa, pb, _ in pairs:
+            M = synthesis_grid(sa.N)
+            for path in (pa, pb):
+                if M not in variance_sizes[path]:
+                    variance_sizes[path].append(M)
+    units = []
+    for group in _groups(loaded, pairs):
+        paths = {path for path, _ in group}
+        units.append(partial(_stream_group, args, group, [p for p in pairs if p[0] in paths],
+                             variance_sizes))
+    one_share = args.wasserstein is None or len(units) == 1
+    regularity = {N: sorted((h for _, h in entries), key=lambda h: h.time)
+                  for N, entries in sorted(by_n.items()) if len(entries) >= 2}
+    units += [partial(_time_regularity, N, heads, args.time_regularity)
+              for N, heads in regularity.items()]
+    shares = 1 if one_share else min(len(units), usable_cpus())
+    done = {}
+    for part in _run_shares([units[i::shares] for i in range(shares)]):
+        done.update(part)
+    for path, _ in loaded:
+        if (path, "read") in done:
+            raise done[path, "read"]
 
     outputs, summary_rows = [], []
     if args.structure:
@@ -440,18 +457,15 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
                 curve = compensated_spectrum(curve, args.spectrum)
             outputs.append((f"{_stem(path)}_spectrum.csv", partial(write_curve_csv, curve)))
     if args.wasserstein is not None:
-        for pa, sa, pb, sb in pairs:
-            M = synthesis_grid(sa.N)
-            report = marginal_report(values[pa, M], values[pb, M], sa, sb, M, DEFAULT_DIAGNOSTIC_SEED)
+        for pa, _, pb, _ in pairs:
+            report = _now(done[pa, pb, "wasserstein"])
             outputs.append((f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv",
                             partial(write_report_csv, report)))
     if args.cauchy:
-        for pa, sa, pb, sb in pairs:
-            rows = [("mean", cauchy_rate_of(done[pb, "mean"], done[pa, "mean"], "mean", sa))]
-            if sa.m == sb.m:
-                M = synthesis_grid(sa.N)
-                fine = _now(done[pb, M])
-                rows.append(("variance", cauchy_rate_of(fine, _now(done[pa, M]), "variance", sa)))
+        for pa, sa, pb, _ in pairs:
+            M = synthesis_grid(sa.N)
+            rows = [("mean", cauchy_rate_of(done[pb, "mean"], done[pa, "mean"], "mean", sa)),
+                    ("variance", cauchy_rate_of(_now(done[pb, M]), _now(done[pa, M]), "variance", sa))]
             outputs.append((f"{_stem(pa)}__{_stem(pb)}_cauchy.csv",
                             partial(write_csv, header=("cauchy", sa.time, sa.N, sa.m), rows=rows)))
     if args.mean_variance:
@@ -460,20 +474,10 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
                               ("variance", _now(done[path, synthesis_grid(head.N)]))):
                 outputs.append((f"{_stem(path)}_{tag}.csv",
                                 partial(write_csv, header=(tag, head.time, head.N, head.m), rows=grid)))
-    for N, entries in sorted(by_n.items()):
-        if len(entries) < 2:
-            continue
-        heads = sorted((h for _, h in entries), key=lambda h: h.time)
-        common = min(h.m for h in heads)
-        streams = [iter_snapshot(h) for h in heads]
-        try:
-            rows = [(samples[0][0], time_regularity_ratio(
-                [(h.time, field) for h, (_, field) in zip(heads, samples)], L=args.time_regularity))
-                for samples in zip(*streams)]
-        finally:
-            for stream in streams:
-                stream.close()
-        header = (f"time_regularity_L{args.time_regularity:g}", heads[-1].time, N, common)
+    for N, heads in regularity.items():
+        header = (f"time_regularity_L{args.time_regularity:g}", heads[-1].time, N,
+                  min(h.m for h in heads))
+        rows = _now(done[N, "time_regularity"])
         outputs.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
 
     if summary_rows:
@@ -482,17 +486,109 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     return outputs
 
 
+def _groups(loaded, pairs) -> list:
+    """The inputs of loaded split into groups, each an input with every input
+    it is paired with, directly or through others; groups and their members
+    are in the order of loaded."""
+    index = {path: i for i, (path, _) in enumerate(loaded)}
+    root = list(range(len(loaded)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for pa, _, pb, _ in pairs:
+        a, b = find(index[pa]), find(index[pb])
+        root[max(a, b)] = min(a, b)
+    groups = {}
+    for i, entry in enumerate(loaded):
+        groups.setdefault(find(i), []).append(entry)
+    return list(groups.values())
+
+
+def _run_shares(shares) -> list:
+    """_run_units of each share: the first in this process, each other one in
+    a process of its own, from a pool that lives for the call."""
+    if len(shares) == 1:
+        return [_run_units(shares[0])]
+    # imported here, so that a process that starts no pool never imports multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=len(shares) - 1)
+    try:
+        futures = [pool.submit(_run_units, share) for share in shares[1:]]
+        first = _run_units(shares[0])
+        return [first, *(f.result() for f in futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_units(units) -> dict:
+    """The merged results of the units, each a call returning a dict."""
+    done = {}
+    for unit in units:
+        done.update(unit())
+    return done
+
+
+def _stream_group(args, group, pairs, variance_sizes) -> dict:
+    """The results of one group of inputs: _stream_input of each of them, in
+    order, then the W1 report of each of its pairs, under the key (path a,
+    path b, "wasserstein"). The W1 tuple values are gathered here and
+    dropped with the group. If an input cannot be streamed, the result is
+    its error alone, under (path, "read"), and the group stops there.
+    """
+    paired = {p for pa, _, pb, _ in pairs for p in (pa, pb)}
+    w1_pairs = pairs if args.wasserstein is not None else []
+    values = {}         # (path, M) -> TupleValues
+    for pa, sa, pb, sb in w1_pairs:
+        M = synthesis_grid(sa.N)
+        tuples = marginal_tuples(args.wasserstein, M)[0]
+        for path, head in ((pa, sa), (pb, sb)):
+            if (path, M) not in values:
+                values[path, M] = TupleValues(tuples, head.m)
+    done = {}
+    for path, head in group:
+        streamed = _later(_stream_input, args, path, head, variance_sizes[path], path in paired,
+                          {M: acc for (p, M), acc in values.items() if p == path})
+        if isinstance(streamed, Exception):
+            return {(path, "read"): streamed}
+        done.update(streamed)
+    for pa, sa, pb, sb in w1_pairs:
+        M = synthesis_grid(sa.N)
+        done[pa, pb, "wasserstein"] = _later(marginal_report, values[pa, M], values[pb, M],
+                                             sa, sb, M, DEFAULT_DIAGNOSTIC_SEED)
+    return done
+
+
+def _time_regularity(N, heads, L) -> dict:
+    """{(N, "time_regularity"): the (seed, ratio) rows of the N inputs with
+    headers heads, in time order, read in lockstep; or the error raised}."""
+    def rows():
+        streams = [iter_snapshot(h) for h in heads]
+        try:
+            return [(samples[0][0], time_regularity_ratio(
+                [(h.time, field) for h, (_, field) in zip(heads, samples)], L=L))
+                for samples in zip(*streams)]
+        finally:
+            for stream in streams:
+                stream.close()
+
+    return {(N, "time_regularity"): _later(rows)}
+
+
 def _later(fn, *args):
-    """fn(*args), or the ValueError it raised, for _now to raise."""
+    """fn(*args), or the OSError or ValueError it raised, for _now to raise."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return exc
 
 
 def _now(result):
-    """result of _later, or raise the ValueError it holds."""
-    if isinstance(result, ValueError):
+    """result of _later, or raise the error it holds."""
+    if isinstance(result, (OSError, ValueError)):
         raise result
     return result
 

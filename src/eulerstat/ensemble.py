@@ -142,11 +142,15 @@ def _evolve_one(task):
     return sample_index, fields, rows
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _solver_threads(workers: int) -> int:
     """Threads per sample when workers processes share this process's CPUs:
     cpus // workers, at least one."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, cpus // workers)
+    return max(1, usable_cpus() // workers)
 
 
 def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failures: bool = False,

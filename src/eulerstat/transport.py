@@ -616,14 +616,21 @@ def marginal_report(values_a: TupleValues, values_b: TupleValues, snapA, snapB,
                     grid_points: int, seed: int | None) -> MarginalDistanceReport:
     """The marginal_w1 report from the values of two ensembles at the same
     tuples of an M-point grid; snapA and snapB are the snapshots or their
-    headers, seed the one the tuples were drawn from (or None)."""
+    headers, seed the one the tuples were drawn from (or None).
+
+    A tuple drawn more than once has the same clouds each time, so each
+    distinct tuple is solved once and its distance listed at every draw.
+    """
     A, B = values_a.clouds(), values_b.clouds()
     tuples, M = values_a.tuples, grid_points
-    k = tuples.shape[1]
+    T, k = tuples.shape[:2]
+    _, first, inverse = np.unique(tuples.reshape(T, -1), axis=0, return_index=True, return_inverse=True)
     batch = _tuples_within(_BATCH_BYTES, snapA.m)
-    dists = []
-    for start in range(0, len(tuples), batch):
-        dists.extend(_w1_batch(A[start:start + batch], B[start:start + batch]))
+    solved = []
+    for start in range(0, len(first), batch):
+        rows = first[start:start + batch]
+        solved.extend(_w1_batch(A[rows], B[rows]))
+    dists = [solved[i] for i in inverse.reshape(-1).tolist()]
     per_tuple = []
     for tup, dist in zip(tuples, dists):
         coords = tuple((2.0 * np.pi * i1 / M, 2.0 * np.pi * i2 / M) for i1, i2 in tup)

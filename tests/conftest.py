@@ -1,5 +1,6 @@
 """Shared fixtures: the expensive flat-sheet ensembles reused by the
-acceptance criteria and the slow integration properties."""
+acceptance criteria and the slow integration properties, and the CPU count
+`run` and `diagnose` see."""
 
 import os
 import sys
@@ -40,3 +41,12 @@ def flat_smooth_snapshots(tmp_path_factory):
 def flat_rough_snapshots(tmp_path_factory):
     """rho = 0 (discontinuous sheet), delta = 0.025, m = 32; N = 64, 128; t = 0, 0.4."""
     return {N: _flat_sheet_run(tmp_path_factory, N, 0.0) for N in (64, 128)}
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """pin_cpus(n) makes `run` and `diagnose` see n CPUs (ensemble.usable_cpus)
+    for the rest of the test."""
+    def pin(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    return pin

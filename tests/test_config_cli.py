@@ -234,17 +234,30 @@ def test_diagnose_leaves_scipy_unloaded(tmp_path):
     assert len(list((tmp_path / "diag").glob("*_structure.csv"))) == 4
 
 
-def test_cli_import_leaves_process_pools_unloaded():
+def test_cli_import_leaves_process_pools_unloaded(tmp_path):
     # run_ensemble imports ProcessPoolExecutor only when it starts a pool,
-    # evolve ThreadPoolExecutor only when it starts threads; `presets` does neither
+    # evolve ThreadPoolExecutor only when it starts threads; `presets` does
+    # neither, nor does a `diagnose` without --wasserstein or at 1 CPU. At 2
+    # CPUs the --wasserstein of two groups starts a pool.
+    paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (16, 2, 0.0), (8, 2, 0.1), (16, 2, 0.1)))
     src = os.path.dirname(os.path.dirname(eulerstat.__file__))
-    code = ("import contextlib, io, sys, eulerstat.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()): eulerstat.cli.main(['presets'])\n"
-            "print(sorted(m for m in sys.modules if m.startswith("
-            "('multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread'))))")
+    pools = "('multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread')"
+    loaded = f"sorted(m for m in sys.modules if m.startswith({pools}))"
+    code = ("import contextlib, io, os, sys, eulerstat.cli\n"
+            "def call(*args, cpus=2):\n"
+            "    os.sched_getaffinity = lambda pid: set(range(cpus))\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert eulerstat.cli.main(list(args)) == 0\n"
+            f"    print({loaded})\n"
+            "call('presets')\n"
+            f"call('diagnose', *{paths!r}, '--structure', '--cauchy', '--time-regularity', '2', '--out', 'a')\n"
+            f"call('diagnose', *{paths!r}, '--wasserstein', '1', '--time-regularity', '2', '--out', 'b', cpus=1)\n"
+            f"call('diagnose', *{paths!r}, '--wasserstein', '1', '--out', 'c')\n")
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+                         cwd=tmp_path, capture_output=True, text=True, check=True).stdout
+    *serial, pooled = out.splitlines()
+    assert serial == ["[]"] * 3
+    assert "concurrent.futures.process" in pooled
 
 
 def test_run_invalid_config_exits_2(tmp_path, capsys, monkeypatch):
@@ -524,6 +537,18 @@ def _assert_diagnose_writes_nothing(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert err.startswith("eulerstat: ") and "Traceback" not in err
     return err
+
+
+def test_variance_cauchy_rate_of_unequal_sample_counts(tmp_path, capsys):
+    # The variance Cauchy rate is defined for any two sample counts.
+    paths = _write_snapshots(tmp_path, ((8, 3, 0.0), (16, 5, 0.0)))
+    assert main(["diagnose", *paths, "--cauchy", "--out", str(tmp_path / "d")]) == 0
+    lines = (tmp_path / "d" / "s_N0008_t0__s_N0016_t0_cauchy.csv").read_text().splitlines()
+    rows = {name: float(value) for name, value in (line.split(",") for line in lines[1:])}
+    coarse, fine = (read_snapshot(p) for p in paths)
+    assert list(rows) == ["mean", "variance"]
+    for statistic, value in rows.items():
+        assert value == cauchy_rate(coarse, fine, statistic)
 
 
 @pytest.mark.parametrize("flag", [["--wasserstein", "1"], ["--time-regularity", "2"]])

@@ -8,12 +8,16 @@ resolution).
 
 import builtins
 import hashlib
+import multiprocessing
 import os
+import pathlib
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from eulerstat import cli
 from eulerstat.cli import main
 from eulerstat.ensemble import EnsembleSnapshot, write_snapshot
 from eulerstat.solver import SolverParams
@@ -86,14 +90,29 @@ GOLDEN_W1 = {
 
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, k):
-    assert main(["diagnose", *inputs, *EVERY_TABLE_BUT_W1, "--wasserstein", str(k),
-                 "--out", str(tmp_path)]) == 0
-    assert csv_digests(tmp_path) == {**GOLDEN, **GOLDEN_W1[k]}
+def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, monkeypatch, pin_cpus, k):
+    # At 2 CPUs the two groups (one per time) and the two time-regularity
+    # units run in two processes; at 1 CPU all in this one.
+    counts = []
+    run_shares = cli._run_shares
+    monkeypatch.setattr(cli, "_run_shares", lambda shares: counts.append(len(shares)) or run_shares(shares))
+    out = tmp_path / "out"
+    wrote = []
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        assert main(["diagnose", *inputs, *EVERY_TABLE_BUT_W1, "--wasserstein", str(k),
+                     "--out", str(out)]) == 0
+        assert csv_digests(out) == {**GOLDEN, **GOLDEN_W1[k]}
+        wrote.append(capsys.readouterr().out)
+        shutil.rmtree(out)
+    assert counts == [1, 2]
+    assert wrote[0] == wrote[1] and wrote[0].count("wrote ") == len(GOLDEN) + 2
 
 
-def test_memory_is_bounded_in_samples_not_in_m(inputs, tmp_path, capsys):
+def test_memory_is_bounded_in_samples_not_in_m(inputs, tmp_path, capsys, pin_cpus):
     # A quarter of the inputs' bytes: one whole snapshot of N = 32 is ~40%.
+    # One CPU: tracemalloc sees this process only.
+    pin_cpus(1)
     args = ["diagnose", *inputs, *EVERY_TABLE_BUT_W1]
     assert main([*args, "--out", str(tmp_path / "warm")]) == 0    # imports and caches
     tracemalloc.start()
@@ -131,8 +150,10 @@ class _CountingReader:
         return getattr(self._fh, name)
 
 
-def test_each_snapshot_is_read_at_most_twice(inputs, tmp_path, capsys, monkeypatch):
+def test_each_snapshot_is_read_at_most_twice(inputs, tmp_path, capsys, monkeypatch, pin_cpus):
     # One pass feeds every table; time regularity adds one lockstep pass.
+    # One CPU: the tally counts the reads of this process only.
+    pin_cpus(1)
     tally = {}
     real_open = builtins.open
 
@@ -151,22 +172,51 @@ def test_each_snapshot_is_read_at_most_twice(inputs, tmp_path, capsys, monkeypat
         assert 0 < tally[os.path.realpath(path)] <= 2 * os.path.getsize(path), path
 
 
-def test_non_finite_sample_mid_stream_exits_2_and_writes_nothing(inputs, tmp_path, capsys):
-    # The last input's sample 41 (of 64) holds a NaN: the first three inputs
-    # have been streamed into their tables when it is found.
-    raw = bytearray(open(inputs[-1], "rb").read())
-    K = 2 * 32 + 1
-    sample = 8 + K * K * 2 * 16                     # seed, then the coefficients
-    at = 32 + 40 * sample + 8
+def _with_nan(path, sample, directory):
+    """A copy of the snapshot at path, named alike in directory, whose sample
+    (0-based) holds a NaN."""
+    raw = bytearray(pathlib.Path(path).read_bytes())
+    N = int(os.path.basename(path).split("_N")[1][:4])
+    K = 2 * N + 1
+    size = 8 + K * K * 2 * 16                       # seed, then the coefficients
+    at = 32 + sample * size + 8
     raw[at:at + 8] = np.array([np.nan], dtype="<f8").tobytes()
-    bad = tmp_path / "bad_N0032_t0.1.euss"
-    bad.write_bytes(bytes(raw))
-    folders = (tmp_path, os.path.dirname(inputs[0]))
+    bad = os.path.join(directory, "bad_" + os.path.basename(path)[4:])
+    pathlib.Path(bad).write_bytes(bytes(raw))
+    return bad
+
+
+def _assert_fails_cleanly(args, folders, capsys):
+    """diagnose args, with and without --out, exits 2, writes nothing to the
+    folders and leaves no child process; returns stderr."""
     before = [sorted(os.listdir(d)) for d in folders]
-    for out in ([], ["--out", str(tmp_path / "diag")]):
-        assert main(["diagnose", *inputs[:-1], str(bad), *EVERY_TABLE_BUT_W1,
-                     "--wasserstein", "1", *out]) == 2
+    for out in ([], ["--out", str(os.path.join(folders[0], "diag"))]):
+        assert main(["diagnose", *args, *out]) == 2
         assert [sorted(os.listdir(d)) for d in folders] == before
+        assert multiprocessing.active_children() == []
     err = capsys.readouterr().err
     assert err.startswith("eulerstat: ") and "Traceback" not in err
-    assert str(bad) in err and "sample 41" in err
+    return err
+
+
+def test_non_finite_sample_mid_stream_exits_2_and_writes_nothing(inputs, tmp_path, capsys, pin_cpus):
+    # The last input's sample 41 (of 64) holds a NaN: the first three inputs
+    # have been streamed into their tables when it is found. It is in the
+    # second group (t = 0.1), which at 2 CPUs runs in a worker process.
+    bad = _with_nan(inputs[-1], 40, tmp_path)
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        err = _assert_fails_cleanly([*inputs[:-1], bad, *EVERY_TABLE_BUT_W1, "--wasserstein", "1"],
+                                    (str(tmp_path), os.path.dirname(inputs[0])), capsys)
+        assert bad in err and "sample 41" in err
+
+
+def test_the_earliest_failing_input_is_reported(inputs, tmp_path, capsys, pin_cpus):
+    # Inputs 2 (N = 16, t = 0.1; second group) and 3 (N = 32, t = 0; first
+    # group) both hold a NaN; input 2 is named, as when they are read in order.
+    bad = [_with_nan(inputs[1], 60, tmp_path), _with_nan(inputs[2], 3, tmp_path)]
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        err = _assert_fails_cleanly([inputs[0], *bad, inputs[3], *EVERY_TABLE_BUT_W1, "--wasserstein", "1"],
+                                    (str(tmp_path), os.path.dirname(inputs[0])), capsys)
+        assert bad[0] in err and "sample 61" in err and bad[1] not in err

@@ -412,6 +412,26 @@ def test_marginal_batch_and_slice_sizes_do_not_change_values(monkeypatch, batch,
     assert parts.value == whole.value
 
 
+def test_repeated_tuple_is_solved_once(monkeypatch):
+    # Tuples 1 and 3 are one node: its W1 is solved once and listed twice,
+    # and the report is the one of solving every tuple on its own.
+    rng = np.random.default_rng(19)
+    a = snapshot_of([hermitian_random_field(6, rng) for _ in range(7)])
+    b = snapshot_of([hermitian_random_field(6, rng) for _ in range(7)])
+    x_tuples = np.array([[[0, 1]], [[5, 2]], [[3, 3]], [[5, 2]], [[17, 9]]])
+    solved = []
+    w1_batch = transport._w1_batch
+    monkeypatch.setattr(transport, "_w1_batch", lambda A, B: solved.append(len(A)) or w1_batch(A, B))
+    report = marginal_w1(a, b, 1, x_tuples=x_tuples)
+    assert sum(solved) == 4
+    monkeypatch.undo()
+    alone = [marginal_w1(a, b, 1, x_tuples=x_tuples[t:t + 1]) for t in range(len(x_tuples))]
+    assert report.per_tuple == tuple(r.per_tuple[0] for r in alone)
+    dists = [r.per_tuple[0][1] for r in alone]
+    assert report.value == report.volume_factor * float(np.mean(dists))
+    assert report.per_tuple[1][1] == report.per_tuple[3][1]
+
+
 def test_marginal_memory_is_bounded_by_batch_and_slices():
     # m = 64, 256 tuples: two candidate stacks of _BATCH_BYTES, each
     # certified in slices of _CHUNK_BYTES, of which the certificate holds
