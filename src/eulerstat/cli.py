@@ -57,12 +57,13 @@ from .ensemble import (
     iter_snapshot,
     read_snapshot_header,
     run_ensemble,
+    same_time,
     usable_cpus,
     write_csv,
 )
 from .errors import BlowUpError
 from .initial import PRNG_ID
-from .solver import _RK3_REAL_STABILITY, damping_rates
+from .solver import viscous_dt
 from .spectral import sample_at_grid, synthesis_grid
 from .transport import (
     DEFAULT_DIAGNOSTIC_SEED,
@@ -252,9 +253,7 @@ def cmd_run(args) -> int:
             return 2
         for N in cfg.resolutions:
             params = cfg.solver_params(N)
-            # t_last over the viscous step bound (solver.adaptive_dt)
-            lam_max = float(np.max(damping_rates(params)))
-            steps = cfg.output_times[-1] * lam_max / (_RK3_REAL_STABILITY * params.visc_safety)
+            steps = cfg.output_times[-1] / viscous_dt(params)
             if steps > MAX_DESK_STEPS:
                 _err(f"N={N}: s = {params.s} needs ~{steps:.2g} steps to t = {cfg.output_times[-1]:g} "
                      f"under the viscous step bound, over the desk-scale cap of {MAX_DESK_STEPS}; "
@@ -341,7 +340,7 @@ def cmd_diagnose(args) -> int:
     if args.wasserstein is not None or args.cauchy:
         for pa, sa in loaded:
             for pb, sb in loaded:
-                if sb.N == 2 * sa.N and abs(sa.time - sb.time) <= 1e-12 * max(1.0, sa.time):
+                if sb.N == 2 * sa.N and same_time(sa.time, sb.time):
                     pairs.append((pa, sa, pb, sb))
         if not pairs:
             _err("no (N, 2N) snapshot pair at a common time among the inputs")

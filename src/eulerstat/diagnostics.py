@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot, check_finite, mean_field, variance_field, write_csv
+from .ensemble import EnsembleSnapshot, check_finite, mean_field, same_time, variance_field, write_csv
 from .spectral import SpectralField, sobolev_norm, synthesis_grid, truncate_to, wavenumbers
 
 __all__ = [
@@ -333,7 +333,7 @@ def cauchy_rate(snapA: EnsembleSnapshot, snapB: EnsembleSnapshot, statistic="mea
     """
     if snapB.N != 2 * snapA.N:
         raise ValueError(f"resolution pair ({snapA.N}, {snapB.N}) is not a doubling")
-    if abs(snapA.time - snapB.time) > 1e-12 * max(1.0, abs(snapA.time)):
+    if not same_time(snapA.time, snapB.time):
         raise ValueError(f"snapshot times differ: {snapA.time} vs {snapB.time}")
     with np.errstate(over="ignore", invalid="ignore"):
         if statistic == "variance":

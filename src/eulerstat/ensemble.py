@@ -46,6 +46,7 @@ __all__ = [
     "RunManifest",
     "EnsembleSnapshot",
     "SnapshotHeader",
+    "same_time",
     "run_ensemble",
     "CoefficientSum",
     "GridMoments",
@@ -122,6 +123,11 @@ class EnsembleSnapshot:
     @property
     def m(self) -> int:
         return len(self.fields)
+
+
+def same_time(ta: float, tb: float) -> bool:
+    """Whether two snapshot times are one output time: within 1e-12 relative to max(1, |ta|)."""
+    return abs(ta - tb) <= 1e-12 * max(1.0, abs(ta))
 
 
 def _evolve_one(task):

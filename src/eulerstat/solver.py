@@ -39,17 +39,14 @@ splits each pass into n row or column slabs on padded grids of at least
 _SLAB_MIN_GRID points (below it, one slab) and runs them on its own
 threads; every operation is the same, so the bits are those of one slab.
 
-An RK step allocates no padded-grid-sized array. Each SolverParams has
-one set of buffers in the _workspace cache (two params at most): the
-padded velocity grid and its synthesis rows, a and b (also |u|^2 for the
-step bound) and their real spectrum. At N = 128 a set takes 8.9 MiB, at
-N = 512 142 MiB. The modal arrays of the column passes (the analyzed
-products, the stage field, the RHS) are made once per evolve, rhs or
-step call, before it starts any thread. A synthesized grid is valid only
-until the next synthesis with the same params; rhs, step and evolve
-return fresh arrays. Call the solver from one thread per process
-(ensemble uses processes): calls with equal params share one buffer set,
-so two threads must not call rhs, step, adaptive_dt or evolve at once.
+An RK step allocates no padded-grid-sized array. Each evolve, rhs, step
+or adaptive_dt call makes one set of arrays (_Slabs) before it starts
+any thread and holds it until it returns: the padded velocity grid and
+its synthesis rows, a and b (also |u|^2 for the step bound), their real
+spectrum and the modal arrays of the column passes. At N = 128 the grids
+take 8.9 MiB, at N = 512 142 MiB. No two calls share an array, so calls
+from several threads, with equal params or not, give the bits of serial
+calls; rhs, step and evolve return fresh arrays.
 
 The padded grid has M points per axis, the smallest 5-smooth M >= 3N+1
 (padded_grid; 50, 100, 200, 400 for N = 16, 32, 64, 128): products reach
@@ -63,7 +60,6 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +80,7 @@ __all__ = [
     "EnergyLedger",
     "multiplier_profile",
     "damping_rates",
+    "viscous_dt",
     "rhs",
     "adaptive_dt",
     "step",
@@ -197,6 +194,17 @@ def damping_rates(params: SolverParams) -> np.ndarray:
     return params.eps * params.N * multiplier_profile(params) * (ksq / params.N**2) ** params.s
 
 
+def viscous_dt(params: SolverParams, lam_max: float | None = None) -> float:
+    """The explicit-diffusion step bound visc_safety * 2.5 / lam_max (inf without damping).
+
+    lam_max, the largest damping rate, is taken from damping_rates(params)
+    unless the caller already has it.
+    """
+    if lam_max is None:
+        lam_max = float(np.max(damping_rates(params)))
+    return params.visc_safety * _RK3_REAL_STABILITY / lam_max if lam_max > 0.0 else math.inf
+
+
 def _k2_major(a: np.ndarray) -> np.ndarray:
     """A copy of a (..., 2N+1, N+1) modal array whose k2 columns are contiguous.
 
@@ -206,43 +214,21 @@ def _k2_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
 
 
-@lru_cache(maxsize=2)
-def _workspace(params: SolverParams):
-    """The arrays of an RK step for params: read-only constants and buffers.
-
-    Read-only: the k2 >= 0 halves of the damping and 1/|k|^2 arrays, and k1
-    and k2 as a column and a row that broadcast to them, all complex128
-    with zero imaginary parts (what numpy casts real ones to in the RHS
-    products) and k2-major. Buffers, overwritten by every call that uses
-    them: "rows" (k2-major) and "U" hold a synthesis (_velocity_grid),
-    "prod" the two products of an RHS (and |U|^2 in _dt_bound), "spec"
-    their real FFT along x2; the FFT along x1 goes back into "rows". The
-    cache keeps two params, so a multi-resolution run holds at most two
-    buffer sets.
-    """
-    N, M = params.N, params.padded_grid
-    k1, k2, ksq = wavenumbers(N)
-    damping = damping_rates(params)
-    halves = {
-        "k1": k1[:, N : N + 1],
-        "k2": k2[:1, N:],
-        "inv_ksq": np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))[:, N:],
-        "damping": damping[:, N:],
-    }
-    for name, a in halves.items():
-        halves[name] = a = _k2_major(a.astype(np.complex128))
-        a.flags.writeable = False
-    buffers = {
-        "rows": _k2_major(np.empty((2, M, N + 1), dtype=np.complex128)),
-        "U": np.empty((2, M, M)),
-        "prod": np.empty((2, M, M)),
-        "spec": np.empty((2, M, M // 2 + 1), dtype=np.complex128),
-    }
-    return {**halves, **buffers, "lam_max": float(np.max(damping))}
-
-
 class _Slabs:
-    """The slabs of an RK step, the threads that run them and their modal arrays.
+    """The arrays, slabs and threads of the RK steps of one solver call.
+
+    Read-only: damping, the real damping rates of the whole modal square
+    (for the energy ledger), and lam_max, their largest; the k2 >= 0 halves
+    of the damping and 1/|k|^2 arrays, and k1 and k2 as a column and a row
+    that broadcast to them, all complex128 with zero imaginary parts (what
+    numpy casts real ones to in the RHS products) and k2-major (see
+    _k2_major). Buffers, overwritten by every step: work (k2-major) and U
+    hold a synthesis (_velocity_grid), prod the two products of an RHS (and
+    |U|^2 in _dt_bound), spec their real FFT along x2; the FFT along x1
+    goes back into work. The modal arrays of the column passes (k2-major):
+    ab the analyzed products (then scratch terms), u1 the stage field (u1,
+    then u2) and du the RHS (the step's half plane at the end). At N = 128
+    the buffers take 8.9 MiB, at N = 512 142 MiB.
 
     A synthesis or analysis is a pass of 1-D transforms along x1 (the k2
     columns of the half plane) and one along x2 (the x1 rows of the padded
@@ -251,22 +237,29 @@ class _Slabs:
     run calls fn on the first slab on the calling thread and on the others
     on the pool, and returns when all are done. One slab (no pool) makes
     the whole-array calls of a serial step.
-
-    modal, made by the calling thread unless modal=False, holds the modal
-    arrays of the column passes (k2-major, see _k2_major): "ab" the
-    analyzed products (then scratch terms), "u1" the stage field (u1, then
-    u2) and "du" the RHS (the step's half plane at the end).
     """
 
-    def __init__(self, params: SolverParams, pool=None, n: int = 1, modal: bool = True):
+    def __init__(self, params: SolverParams, pool=None, n: int = 1):
         N, M = params.N, params.padded_grid
+        self.params = params
+        k1, k2, ksq = wavenumbers(N)
+        self.damping = damping_rates(params)
+        self.lam_max = float(np.max(self.damping))
+        halves = (k1[:, N : N + 1], k2[:1, N:],
+                  np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))[:, N:], self.damping[:, N:])
+        self.k1, self.k2, self.inv_ksq, self.damping_half = (
+            _k2_major(a.astype(np.complex128)) for a in halves)
+        for a in (self.k1, self.k2, self.inv_ksq, self.damping_half):
+            a.flags.writeable = False
+        self.work = _k2_major(np.empty((2, M, N + 1), dtype=np.complex128))
+        self.U = np.empty((2, M, M))
+        self.prod = np.empty((2, M, M))
+        self.spec = np.empty((2, M, M // 2 + 1), dtype=np.complex128)
+        self.ab, self.u1, self.du = (_k2_major(np.empty((2, 2 * N + 1, N + 1), dtype=np.complex128))
+                                     for _ in range(3))
         self.rows = tuple(slice(M * i // n, M * (i + 1) // n) for i in range(n))
         self.cols = tuple(slice((N + 1) * i // n, (N + 1) * (i + 1) // n) for i in range(n))
         self.pool = pool
-        if modal:
-            shape = (2, 2 * N + 1, N + 1)
-            self.modal = {name: _k2_major(np.empty(shape, dtype=np.complex128))
-                          for name in ("ab", "u1", "du")}
 
     def run(self, fn, slabs) -> list:
         # A copied context carries the caller's numpy error state into the pool.
@@ -293,36 +286,30 @@ def _slabs(params: SolverParams, threads: int):
         yield _Slabs(params, pool, n)
 
 
-def _velocity_grid(half: np.ndarray, params: SolverParams, slabs: _Slabs | None = None) -> np.ndarray:
-    """The padded velocity grid of half, in the workspace's "U" buffer.
-
-    Valid until the next _velocity_grid call with the same params.
-    """
-    ws = _workspace(params)
-    slabs = slabs or _Slabs(params, modal=False)
-    rows, U = ws["rows"], ws["U"]
-    slabs.run(lambda c: _synthesize_cols(half, rows, c), slabs.cols)
-    slabs.run(lambda r: _synthesize_rows(rows, U, r), slabs.rows)
-    return U
+def _velocity_grid(half: np.ndarray, slabs: _Slabs) -> np.ndarray:
+    """The padded velocity grid of half, in slabs.U until its next synthesis."""
+    slabs.run(lambda c: _synthesize_cols(half, slabs.work, c), slabs.cols)
+    slabs.run(lambda r: _synthesize_rows(slabs.work, slabs.U, r), slabs.rows)
+    return slabs.U
 
 
-def _rhs_rows(U: np.ndarray, ws: dict, r: slice) -> None:
+def _rhs_rows(U: np.ndarray, slabs: _Slabs, r: slice) -> None:
     """Row pass of an RHS on the x1 rows r: the products a and b (module
     docstring; a not yet halved) of U, the padded velocity grid, and their
-    real FFT along x2, in the workspace's "prod" and "spec"."""
-    prod = ws["prod"]
+    real FFT along x2, in slabs.prod and slabs.spec."""
+    prod = slabs.prod
     U0, U1, p0, p1 = U[0, r], U[1, r], prod[0, r], prod[1, r]
     # u1^2 - u2^2 as (u1 - u2)(u1 + u2): no grid-sized temporary
     np.subtract(U0, U1, out=p0)
     np.add(U0, U1, out=p1)
     np.multiply(p0, p1, out=p0)
     np.multiply(U0, U1, out=p1)
-    _analyze_rows(prod, ws["spec"], r)
+    _analyze_rows(prod, slabs.spec, r)
 
 
-def _rhs_cols(half: np.ndarray, ws: dict, modal: dict, c: slice) -> None:
+def _rhs_cols(half: np.ndarray, slabs: _Slabs, c: slice) -> None:
     """Column pass of an RHS on the k2 columns c, after _rhs_rows: du/dt of
-    half on the k2 >= 0 half plane, into modal["du"].
+    half on the k2 >= 0 half plane, into slabs.du.
 
     One operation per line of
         a *= 0.5
@@ -332,10 +319,10 @@ def _rhs_cols(half: np.ndarray, ws: dict, modal: dict, c: slice) -> None:
     with the terms in the slots of du, a and b.
     """
     N = half.shape[-1] - 1
-    ab, du = modal["ab"][..., c], modal["du"][..., c]
-    _analyze_cols(ws["spec"], modal["ab"], c, work=ws["rows"])
+    ab, du = slabs.ab[..., c], slabs.du[..., c]
+    _analyze_cols(slabs.spec, slabs.ab, c, work=slabs.work)
     a, b, div0, div1 = ab[0], ab[1], du[0], du[1]
-    k1, k2 = ws["k1"], ws["k2"][:, c]
+    k1, k2 = slabs.k1, slabs.k2[:, c]
     a *= 0.5
     np.multiply(k1, a, out=div0)
     np.multiply(k2, b, out=div1)
@@ -349,12 +336,12 @@ def _rhs_cols(half: np.ndarray, ws: dict, modal: dict, c: slice) -> None:
     np.multiply(k1, div0, out=a)
     np.multiply(k2, div1, out=b)
     np.add(a, b, out=a)
-    np.multiply(a, ws["inv_ksq"][:, c], out=kdot)
+    np.multiply(a, slabs.inv_ksq[:, c], out=kdot)
     for k, d in ((k1, div0), (k2, div1)):
         np.multiply(k, kdot, out=b)
         np.subtract(d, b, out=b)
         np.negative(b, out=d)
-    np.multiply(ws["damping"][:, c], half[..., c], out=ab)
+    np.multiply(slabs.damping_half[:, c], half[..., c], out=ab)
     np.subtract(du, ab, out=du)
     if c.start == 0:
         du[:, N, 0] = 0.0
@@ -363,37 +350,30 @@ def _rhs_cols(half: np.ndarray, ws: dict, modal: dict, c: slice) -> None:
 def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
     """Time derivative of the modal coefficients under the scheme.
 
-    Runs on the calling thread and returns a fresh field. Not thread-safe:
-    calls with equal params share one set of buffers, so call the solver
-    from one thread per process (ensemble uses processes; evolve may start
-    threads of its own).
+    Runs on the calling thread and returns a fresh field.
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    ws = _workspace(params)
     slabs = _Slabs(params)
     half = u.coeffs[:, :, params.N :]
-    U = _velocity_grid(half, params, slabs)
-    _rhs_rows(U, ws, slabs.rows[0])
-    _rhs_cols(half, ws, slabs.modal, slabs.cols[0])
-    return SpectralField._wrap(params.N, _full_plane(slabs.modal["du"], np.empty_like(u.coeffs)))
+    U = _velocity_grid(half, slabs)
+    _rhs_rows(U, slabs, slabs.rows[0])
+    _rhs_cols(half, slabs, slabs.cols[0])
+    return SpectralField._wrap(params.N, _full_plane(slabs.du, np.empty_like(u.coeffs)))
 
 
-def _dt_bound(U: np.ndarray, params: SolverParams, slabs: _Slabs | None = None) -> float:
+def _dt_bound(U: np.ndarray, slabs: _Slabs) -> float:
     """adaptive_dt from U, the velocity on the padded grid.
 
-    |U|^2 goes into the workspace's "prod" buffer, which U must not be.
-    max sqrt(|U|^2) is taken as sqrt(max |U|^2): sqrt is correctly rounded
-    and so monotone, and the two are the same double. The max over row
-    slabs is the max of their maxima (NaN if one is NaN), the same double.
+    |U|^2 goes into slabs.prod, which U must not be. max sqrt(|U|^2) is
+    taken as sqrt(max |U|^2): sqrt is correctly rounded and so monotone,
+    and the two are the same double. The max over row slabs is the max of
+    their maxima (NaN if one is NaN), the same double.
     """
-    ws = _workspace(params)
-    slabs = slabs or _Slabs(params, modal=False)
-    candidates = []
-    if ws["lam_max"] > 0.0:
-        candidates.append(params.visc_safety * _RK3_REAL_STABILITY / ws["lam_max"])
+    params = slabs.params
+    dt = viscous_dt(params, slabs.lam_max)
     if params.cfl > 0.0:
-        sq = ws["prod"]
+        sq = slabs.prod
 
         def speed_sq_max(r):
             s0, s1 = sq[0, r], sq[1, r]
@@ -405,10 +385,10 @@ def _dt_bound(U: np.ndarray, params: SolverParams, slabs: _Slabs | None = None) 
         umax = float(np.sqrt(np.max(slabs.run(speed_sq_max, slabs.rows))))
         if umax > 0.0:
             h = 2.0 * np.pi / (2 * params.N)
-            candidates.append(params.cfl * h / umax)
-    if not candidates:
+            return min(dt, params.cfl * h / umax)
+    if dt == math.inf:
         raise ValueError("no finite step bound: zero damping and zero velocity")
-    return min(candidates)
+    return dt
 
 
 def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
@@ -416,20 +396,18 @@ def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
 
     dt_adv = cfl * h / max|u| with h = 2pi/(2N) and max|u| the largest
     velocity magnitude on the padded synthesis grid; dt_visc =
-    visc_safety * 2.5 / lam_max. A zero field (or cfl = 0) leaves only
-    the viscous bound. evolve reuses the padded grid it already built; this
-    entry point is for one field (tests, the per-layer benchmark).
-    Runs on the calling thread. Not thread-safe: calls with equal params
-    share one set of buffers, so call the solver from one thread per
-    process (ensemble uses processes; evolve may start threads of its own).
+    viscous_dt(params). A zero field (or cfl = 0) leaves only the viscous
+    bound. evolve reuses the padded grid it already built; this entry point
+    is for one field (tests, the per-layer benchmark). Runs on the calling
+    thread.
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    return _dt_bound(_velocity_grid(u.coeffs[:, :, params.N :], params), params)
+    slabs = _Slabs(params)
+    return _dt_bound(_velocity_grid(u.coeffs[:, :, params.N :], slabs), slabs)
 
 
-def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverParams,
-                 slabs: _Slabs | None = None) -> np.ndarray:
+def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, slabs: _Slabs) -> np.ndarray:
     """One Shu-Osher SSP-RK3 step; U is the padded velocity grid of coeffs.
 
     The stages run on the k2 >= 0 half plane, each as a row pass (the
@@ -439,11 +417,8 @@ def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverPar
     x1). The result is a fresh, exactly Hermitian array laid out in memory
     like coeffs.
     """
-    N = params.N
-    ws = _workspace(params)
-    slabs = slabs or _Slabs(params)
-    modal = slabs.modal
-    rows, V = ws["rows"], ws["U"]
+    N = slabs.params.N
+    work, V = slabs.work, slabs.U
     half = coeffs[:, :, N:]
     out = np.empty_like(coeffs)
 
@@ -455,27 +430,27 @@ def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverPar
     # reads it transposed without a buffer, where an operation mixing the
     # two layouts would make one.
     def stage1(c):
-        u0, u1, du = half[..., c], modal["u1"][..., c], modal["du"][..., c]
+        u0, u1, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
         np.copyto(u1, u0)
-        _rhs_cols(modal["u1"], ws, modal, c)
+        _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u1, du, out=u1)
-        _synthesize_cols(modal["u1"], rows, c)
+        _synthesize_cols(slabs.u1, work, c)
 
     def stage2(c):
-        u0, u1, du, ab = half[..., c], modal["u1"][..., c], modal["du"][..., c], modal["ab"][..., c]
-        _rhs_cols(modal["u1"], ws, modal, c)
+        u0, u1, du, ab = half[..., c], slabs.u1[..., c], slabs.du[..., c], slabs.ab[..., c]
+        _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u1, du, out=du)
         np.multiply(0.25, du, out=du)
         np.copyto(ab, u0)
         np.multiply(0.75, ab, out=u1)
         np.add(u1, du, out=u1)
-        _synthesize_cols(modal["u1"], rows, c)
+        _synthesize_cols(slabs.u1, work, c)
 
     def stage3(c):
-        u0, u2, du, ab = half[..., c], modal["u1"][..., c], modal["du"][..., c], modal["ab"][..., c]
-        _rhs_cols(modal["u1"], ws, modal, c)
+        u0, u2, du, ab = half[..., c], slabs.u1[..., c], slabs.du[..., c], slabs.ab[..., c]
+        _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u2, du, out=du)
         np.multiply(2.0, du, out=du)
@@ -483,17 +458,17 @@ def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, params: SolverPar
         np.add(ab, du, out=du)
         np.divide(du, 3.0, out=du)
         if c.start == 0:
-            modal["du"][:, N, 0] = 0.0
-        _full_plane(modal["du"], out, c)
+            slabs.du[:, N, 0] = 0.0
+        _full_plane(slabs.du, out, c)
 
     def synth_rows(r):
-        _synthesize_rows(rows, V, r)
-        _rhs_rows(V, ws, r)
+        _synthesize_rows(work, V, r)
+        _rhs_rows(V, slabs, r)
 
-    # U (the workspace's "U" buffer when evolve or step built it) is valid
-    # for stage 1 only: the stage-2 synthesis overwrites it with u1's grid,
-    # and the stage-3 synthesis with u2's.
-    slabs.run(lambda r: _rhs_rows(U, ws, r), slabs.rows)
+    # U (slabs.U when evolve or step built it) is valid for stage 1 only:
+    # the stage-2 synthesis overwrites it with u1's grid, and the stage-3
+    # synthesis with u2's.
+    slabs.run(lambda r: _rhs_rows(U, slabs, r), slabs.rows)
     slabs.run(stage1, slabs.cols)
     slabs.run(synth_rows, slabs.rows)
     slabs.run(stage2, slabs.cols)
@@ -507,16 +482,15 @@ def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
 
     evolve reuses the padded grid it built for the step bound; this entry
     point is for one field (tests, the per-layer benchmark). Runs on the
-    calling thread. Not thread-safe: calls with equal params share one set
-    of buffers, so call the solver from one thread per process (ensemble
-    uses processes; evolve may start threads of its own).
+    calling thread.
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    U = _velocity_grid(u.coeffs[:, :, params.N :], params)
-    out = _step_coeffs(u.coeffs, U, dt, params)
+    slabs = _Slabs(params)
+    U = _velocity_grid(u.coeffs[:, :, params.N :], slabs)
+    out = _step_coeffs(u.coeffs, U, dt, slabs)
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after time step")
     return SpectralField._wrap(params.N, out)
@@ -554,9 +528,8 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     each pass of a step is split into that many row or column slabs, run by
     this thread and a pool of threads - 1 that lives for this call; the
     results are the same bits as with one thread. on_step runs on this
-    thread. Not thread-safe: calls with equal params share one set of
-    buffers, so call the solver from one thread per process (ensemble uses
-    processes).
+    thread. Every call holds its own arrays: calls from other threads, with
+    equal params or not, leave its bits alone.
     """
     if u0.N != params.N:
         raise ValueError(f"field resolution {u0.N} does not match params.N={params.N}")
@@ -575,25 +548,25 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     if on_step is not None:
         on_step(t, u, ledger)
 
-    # The slabs' modal arrays come before the dissipation rate's temporaries:
-    # flat128's peak RSS was ~2 MiB lower than with them made at the first step.
+    # The slabs' buffers and modal arrays come before the dissipation rate's
+    # temporaries: flat128's peak RSS was ~2 MiB lower than with them made
+    # at the first step.
     with _slabs(params, threads) as slabs:
-        damping = damping_rates(params)
-        g = _dissipation_rate(u.coeffs, damping)
+        g = _dissipation_rate(u.coeffs, slabs.damping)
         while t < t_end:
             # One synthesis per step: it bounds dt and is RK stage 1's velocity.
-            # U is a workspace buffer, valid until stage 2 synthesizes u1.
-            U = _velocity_grid(u.coeffs[:, :, params.N :], params, slabs)
+            # U is slabs.U, valid until stage 2 synthesizes u1.
+            U = _velocity_grid(u.coeffs[:, :, params.N :], slabs)
             horizon = pending[0] if pending else t_end
-            dt = min(_dt_bound(U, params, slabs), horizon - t)
-            coeffs = _step_coeffs(u.coeffs, U, dt, params, slabs)
+            dt = min(_dt_bound(U, slabs), horizon - t)
+            coeffs = _step_coeffs(u.coeffs, U, dt, slabs)
             if not np.all(np.isfinite(coeffs)):
                 raise BlowUpError(
                     f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
                     time=t + dt,
                 )
             u = SpectralField._wrap(params.N, coeffs)
-            g_after = _dissipation_rate(coeffs, damping)
+            g_after = _dissipation_rate(coeffs, slabs.damping)
             ledger.D += 0.5 * dt * (g + g_after)
             g = g_after
             ledger.E = modal_energy(u)

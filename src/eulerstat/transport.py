@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot, write_csv
+from .ensemble import EnsembleSnapshot, same_time, write_csv
 from .spectral import sample_at_grid, synthesis_grid
 
 __all__ = [
@@ -596,7 +596,7 @@ def marginal_w1(
     """
     if k not in (1, 2, 3):
         raise ValueError(f"k={k} unsupported (correlation order must be 1, 2 or 3)")
-    if abs(snapA.time - snapB.time) > 1e-12 * max(1.0, abs(snapA.time)):
+    if not same_time(snapA.time, snapB.time):
         raise ValueError(f"snapshot times differ: {snapA.time} vs {snapB.time}")
     if snapA.m != snapB.m:
         raise ValueError(f"sample counts differ ({snapA.m} vs {snapB.m})")

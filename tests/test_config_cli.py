@@ -551,6 +551,24 @@ def test_variance_cauchy_rate_of_unequal_sample_counts(tmp_path, capsys):
         assert value == cauchy_rate(coarse, fine, statistic)
 
 
+def test_diagnose_pairs_exactly_the_times_cauchy_rate_accepts(tmp_path, capsys):
+    # One same-time rule: at t = 2 it admits offsets up to 2e-12, so diagnose
+    # pairs the N = 16 input 1.5e-12 away and not the one 3e-12 away, as
+    # cauchy_rate accepts the first and rejects the second.
+    rng = np.random.default_rng(5)
+    snaps = {}
+    for name, N, t in (("a", 8, 2.0), ("near", 16, 2.0 + 1.5e-12), ("far", 16, 2.0 + 3e-12)):
+        snaps[name] = EnsembleSnapshot(time=t, N=N, fields=[hermitian_random_field(N, rng) for _ in range(2)],
+                                       sample_seeds=[1, 2], params=SolverParams(N=N))
+        write_snapshot(tmp_path / f"{name}.euss", snaps[name])
+    assert cauchy_rate(snaps["a"], snaps["near"]) >= 0.0
+    with pytest.raises(ValueError, match="times differ"):
+        cauchy_rate(snaps["a"], snaps["far"])
+    paths = [str(tmp_path / f"{name}.euss") for name in snaps]
+    assert main(["diagnose", *paths, "--cauchy", "--out", str(tmp_path / "d")]) == 0
+    assert [p.name for p in (tmp_path / "d").glob("*_cauchy.csv")] == ["a__near_cauchy.csv"]
+
+
 @pytest.mark.parametrize("flag", [["--wasserstein", "1"], ["--time-regularity", "2"]])
 def test_diagnose_failure_writes_nothing(tmp_path, capsys, flag):
     # N = 8 with m = 2 and N = 16 with m = 3, one time each: W1 needs equal

@@ -164,7 +164,7 @@ def test_run_memory_does_not_grow_with_sample_count(tmp_path):
         finally:
             tracemalloc.stop()
 
-    peak(1)  # caches (wavenumbers, solver workspace) are filled before measuring
+    peak(1)  # caches (wavenumbers) are filled before measuring
     small, large = peak(4), peak(128)
     assert large < 2 * small, (small, large)
 

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -14,7 +15,6 @@ from eulerstat.solver import (
     _dt_bound,
     _step_coeffs,
     _velocity_grid,
-    _workspace,
     adaptive_dt,
     damping_rates,
     evolve,
@@ -111,13 +111,11 @@ def test_rhs_matches_complex_fft_reference_at_derived_grid(N, M):
 
 @pytest.mark.parametrize("N", [8, 16])
 @pytest.mark.parametrize("extra", [0, 1])  # patched padded grid M = 3N (even) and 3N + 1 (odd)
-def test_rhs_matches_complex_fft_reference(monkeypatch, request, N, extra):
+def test_rhs_matches_complex_fft_reference(monkeypatch, N, extra):
     # On grids below the derived one the |k| = 2N products alias into the
     # band; the two-product RHS must still agree with the three-product
     # reference there, since the aliased isotropic part is a gradient too.
     monkeypatch.setattr(SolverParams, "padded_grid", 3 * N + extra)
-    _workspace.cache_clear()
-    request.addfinalizer(_workspace.cache_clear)
     p = SolverParams(N=N)
     u = hermitian_random_field(N, np.random.default_rng(N + extra), decay=0.0)  # full band
     got = rhs(u, p).coeffs
@@ -393,18 +391,16 @@ def test_evolve_matches_golden_bytes(family, N):
 
 
 def test_workspace_eviction_keeps_bytes():
-    # The workspace cache holds two params: N = 24 evicts a buffer set, and
-    # every resolution still reproduces its fresh-process bytes.
-    assert _workspace.cache_info().maxsize == 2
+    # Interleaved resolutions in one process: every evolve reproduces its
+    # fresh-process bytes, whatever ran before it.
     for N in (16, 32, 16, 24):
         assert golden_digests("flat_sheet", N) == GOLDEN["flat_sheet", N]
-        assert _workspace.cache_info().currsize <= 2
 
 
 def test_returned_results_survive_later_calls():
     # rhs, step and adaptive_dt return fresh arrays and floats: later calls
-    # with the same params overwrite the workspace buffers, not the results,
-    # and repeating a call gives the same bytes.
+    # with the same params leave the results alone, and repeating a call
+    # gives the same bytes.
     N = 16
     p = SolverParams(N=N)
     rng = np.random.default_rng(21)
@@ -419,33 +415,30 @@ def test_returned_results_survive_later_calls():
 
 
 @pytest.mark.parametrize("N, patched_M", [(32, None), (16, 192)])
-def test_rk_step_allocates_no_padded_grid_array(monkeypatch, request, N, patched_M):
-    # After the first step at these params, one step (_dt_bound and
+def test_rk_step_allocates_no_padded_grid_array(monkeypatch, N, patched_M):
+    # After the first step on the slabs of a call, one step (_dt_bound and
     # _step_coeffs) holds at most five modal arrays at a time (about four
     # are used: the output, the stage fields and the RHS terms). On a
     # padded grid of M = 12N points one M x M grid alone is larger than that.
     if patched_M is not None:
-        # No buffer set of the derived grid may serve the patched one, or
-        # outlive the patch.
         monkeypatch.setattr(SolverParams, "padded_grid", patched_M)
-        _workspace.cache_clear()
-        request.addfinalizer(_workspace.cache_clear)
     p = SolverParams(N=N)
     M = p.padded_grid
 
     def one_step(coeffs):
-        U = _velocity_grid(coeffs[:, :, N:], p)
-        return _step_coeffs(coeffs, U, _dt_bound(U, p), p)
+        U = _velocity_grid(coeffs[:, :, N:], slabs)
+        return _step_coeffs(coeffs, U, _dt_bound(U, slabs), slabs)
 
-    coeffs = one_step(hermitian_random_field(N, np.random.default_rng(4)).coeffs)
-    bound = 5 * coeffs.nbytes
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        one_step(coeffs)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    with solver._slabs(p, 1) as slabs:
+        coeffs = one_step(hermitian_random_field(N, np.random.default_rng(4)).coeffs)
+        bound = 5 * coeffs.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            one_step(coeffs)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
     if patched_M is not None:
         assert 8 * M * M > bound
     assert peak <= bound
@@ -514,6 +507,37 @@ def test_slab_split_under_thread_switching_stress(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         assert trajectory(u0, p, 0.1, threads=5) == one
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_solver_calls_from_two_threads_keep_bytes():
+    # Every call holds its own arrays: two threads that evolve, differentiate
+    # and step different fields with equal params, switching as often as the
+    # interpreter allows, give the bytes of serial calls.
+    p = SolverParams(N=16)
+    fields = [generate_sample(golden_spec("flat_sheet", 16), i) for i in (1, 2)]
+
+    def calls(u):
+        return (trajectory(u, p, 0.1, threads=1), rhs(u, p).coeffs.tobytes(),
+                step(u, 0.01, p).coeffs.tobytes(), adaptive_dt(u, p))
+
+    def call(i):
+        got[i] = calls(fields[i])
+
+    serial = [calls(u) for u in fields]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            got = [None, None]
+            workers = [threading.Thread(target=call, args=(i,), daemon=True) for i in (0, 1)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)  # a shared buffer can shrink dt until evolve never ends
+            assert not any(w.is_alive() for w in workers)
+            assert got == serial
     finally:
         sys.setswitchinterval(interval)
 
