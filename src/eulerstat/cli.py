@@ -9,14 +9,14 @@
 `run` evolves the configured ensembles for every resolution, appends each
 sample to the snapshot files (*.euss) as it is taken, and writes a resolved
 manifest per resolution and an energy CSV. `diagnose` turns snapshot files
-into diagnostic CSV tables, reading each snapshot once, one sample at a
-time, for all of them. Its work comes in units: one per group of inputs
+into CSV tables and .npz grids, reading each snapshot once, one sample at
+a time, for all of them. Its work comes in units: one per group of inputs
 (an input and every input it is paired with at a common time; the W1
 tuple values of a group never leave its process) and one per resolution
 for time regularity. With --wasserstein and more than one group, the
 units are dealt round-robin over the CPUs, the first share in this
 process and each other share in a pool process of its own; otherwise all
-run here and no pool is imported. Snapshot and CSV outputs are
+run here and no pool is imported. Snapshot, CSV and .npz outputs are
 byte-deterministic for a fixed config, regardless of worker and CPU
 count. The environment variable EULER_STAT_SEED overrides the configured
 base seed.
@@ -63,7 +63,7 @@ from .ensemble import (
 )
 from .errors import BlowUpError
 from .initial import PRNG_ID
-from .solver import viscous_dt
+from .solver import MAX_STEPS, viscous_dt
 from .spectral import sample_at_grid, synthesis_grid
 from .transport import (
     DEFAULT_DIAGNOSTIC_SEED,
@@ -81,7 +81,6 @@ from .transport import marginal_w1  # noqa: F401
 
 MAX_DESK_N = 256
 MAX_DESK_M = 64
-MAX_DESK_STEPS = 10**6
 
 PRESETS = {
     "taylor_green_check": """\
@@ -243,9 +242,7 @@ def cmd_run(args) -> int:
             return 2
 
     if not args.large:
-        over = [N for N in cfg.resolutions if N > MAX_DESK_N]
-        over_m = [cfg.samples(N) for N in cfg.resolutions if cfg.samples(N) > MAX_DESK_M]
-        if over or over_m:
+        if any(N > MAX_DESK_N or cfg.samples(N) > MAX_DESK_M for N in cfg.resolutions):
             _err(
                 f"desk-scale caps N <= {MAX_DESK_N}, m <= {MAX_DESK_M} exceeded; "
                 "pass --large to override"
@@ -254,9 +251,9 @@ def cmd_run(args) -> int:
         for N in cfg.resolutions:
             params = cfg.solver_params(N)
             steps = cfg.output_times[-1] / viscous_dt(params)
-            if steps > MAX_DESK_STEPS:
+            if steps > MAX_STEPS:
                 _err(f"N={N}: s = {params.s} needs ~{steps:.2g} steps to t = {cfg.output_times[-1]:g} "
-                     f"under the viscous step bound, over the desk-scale cap of {MAX_DESK_STEPS}; "
+                     f"under the viscous step bound, over the desk-scale cap of {MAX_STEPS}; "
                      "pass --large to override")
                 return 2
 
@@ -302,8 +299,7 @@ def cmd_run(args) -> int:
 
 
 def _stem(path: str) -> str:
-    base = os.path.basename(path)
-    return base[:-5] if base.endswith(".euss") else base
+    return os.path.basename(path).removesuffix(".euss")
 
 
 def cmd_diagnose(args) -> int:
@@ -469,10 +465,10 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
                             partial(write_csv, header=("cauchy", sa.time, sa.N, sa.m), rows=rows)))
     if args.mean_variance:
         for path, head in loaded:
-            for tag, grid in (("mean_u1", _now(done[path, "mean_u1"])),
-                              ("variance", _now(done[path, synthesis_grid(head.N)]))):
-                outputs.append((f"{_stem(path)}_{tag}.csv",
-                                partial(write_csv, header=(tag, head.time, head.N, head.m), rows=grid)))
+            arrays = {"mean_u1": _now(done[path, "mean_u1"]),
+                      "variance": _now(done[path, synthesis_grid(head.N)]),
+                      "time": np.float64(head.time), "N": np.int64(head.N), "m": np.int64(head.m)}
+            outputs.append((f"{_stem(path)}_mean_variance.npz", partial(_write_npz, arrays)))
     for N, heads in regularity.items():
         header = (f"time_regularity_L{args.time_regularity:g}", heads[-1].time, N,
                   min(h.m for h in heads))
@@ -483,6 +479,12 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
         header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
         outputs.append(("summary.csv", partial(write_csv, header=header, rows=summary_rows)))
     return outputs
+
+
+def _write_npz(arrays, path) -> None:
+    """The named arrays as one uncompressed .npz at path, via atomic_open."""
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def _groups(loaded, pairs) -> list:
@@ -700,10 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="marginal W1 of order K between (N, 2N) snapshot pairs")
     p_diag.add_argument("--cauchy", action="store_true",
                         help="mean/variance Cauchy rates between (N, 2N) pairs")
-    p_diag.add_argument("--mean-variance", action="store_true", help="mean and variance grids")
+    p_diag.add_argument("--mean-variance", action="store_true", help="mean and variance grids (.npz)")
     p_diag.add_argument("--time-regularity", type=float, default=None, metavar="L",
                         help="negative-Sobolev time regularity ratios with exponent L")
-    p_diag.add_argument("--out", default=None, help="output directory for CSV files")
+    p_diag.add_argument("--out", default=None, help="output directory for CSV tables and .npz grids")
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_pre = sub.add_parser("presets", help="list built-in experiment presets")

@@ -305,17 +305,9 @@ def write_csv(path, header, rows) -> None:
     """CSV via atomic_open: '# ' + header cells, then one line per row.
 
     Cells are joined by ','; float cells are written .17g, others with str().
-    Each line is one '%' format, the same bytes as formatting cell by cell; a
-    1-d float64 array row takes a format built once per row length.
+    Each line is one '%' format, the same bytes as formatting cell by cell.
     """
-    float_formats = {}
-
     def line(cells):
-        if isinstance(cells, np.ndarray) and cells.dtype == np.float64 and cells.ndim == 1:
-            fmt = float_formats.get(len(cells))
-            if fmt is None:
-                fmt = float_formats[len(cells)] = ",".join(["%.17g"] * len(cells)) + "\n"
-            return fmt % tuple(cells.tolist())
         return ",".join("%.17g" if isinstance(c, float) else "%s" for c in cells) % tuple(cells) + "\n"
 
     with atomic_open(path) as fh:

@@ -101,6 +101,9 @@ _SLAB_MIN_GRID = 225
 # Recorded in every manifest; bumped when equal parameters start to give other bits.
 SCHEME_VERSION = 2
 
+# The most steps one evolve call takes; run's desk-scale estimate also uses it.
+MAX_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -522,7 +525,7 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     Steps are clipped so that every requested output time (and t_end) is hit
     exactly. on_step(t, field, ledger), when given, is called at t = 0 and
     after every accepted step; at an output time, t is that time exactly.
-    Blow-ups raise BlowUpError carrying the failure time.
+    Blow-ups, and steps past MAX_STEPS, raise BlowUpError carrying the time.
 
     With threads > 1 and a padded grid of at least _SLAB_MIN_GRID points,
     each pass of a step is split into that many row or column slabs, run by
@@ -553,7 +556,10 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     # at the first step.
     with _slabs(params, threads) as slabs:
         g = _dissipation_rate(u.coeffs, slabs.damping)
+        steps = 0
         while t < t_end:
+            if (steps := steps + 1) > MAX_STEPS:
+                raise BlowUpError(f"{MAX_STEPS} steps spent at t={t:.6g} of {t_end:g}", time=t)
             # One synthesis per step: it bounds dt and is RK stage 1's velocity.
             # U is slabs.U, valid until stage 2 synthesizes u1.
             U = _velocity_grid(u.coeffs[:, :, params.N :], slabs)

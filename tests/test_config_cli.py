@@ -7,6 +7,7 @@ import pytest
 
 import eulerstat
 import eulerstat.ensemble as ens
+import eulerstat.solver as solver
 from eulerstat.cli import PRESETS, main
 from eulerstat.config import ConfigError, ExperimentConfig, canonical_manifest_text, parse_config
 from eulerstat.diagnostics import cauchy_rate, structure_function
@@ -362,6 +363,19 @@ def test_run_blow_up_exits_3_leaving_no_files_for_that_n(tmp_path, capsys, monke
     assert "N=16" in capsys.readouterr().err
     assert sorted(p.name for p in (tmp_path / "out" / "demo").iterdir()) == [
         "demo_N0008.manifest", "demo_N0008_energy.csv", "demo_N0008_t00.euss", "demo_N0008_t01.euss"]
+
+
+@pytest.mark.parametrize("large", [[], ["--large"]])
+def test_run_past_the_step_budget_exits_3(tmp_path, capsys, monkeypatch, large):
+    # --large lifts the desk-scale estimate only, not evolve's step budget.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(solver, "MAX_STEPS", 50)
+    real = ens.generate_sample
+    monkeypatch.setattr(ens, "generate_sample",
+                        lambda spec, i: SpectralField(spec.N, 1e6 * real(spec, i).coeffs))
+    assert main(["run", _write_config(tmp_path, GOOD), *large]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: N=8: 50 steps spent at t=") and err.count("\n") == 1
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,7 @@ import pytest
 
 from eulerstat import cli
 from eulerstat.cli import main
-from eulerstat.ensemble import EnsembleSnapshot, write_snapshot
+from eulerstat.ensemble import EnsembleSnapshot, write_csv, write_snapshot
 from eulerstat.solver import SolverParams
 from oracles import hermitian_random_field
 
@@ -53,29 +53,38 @@ def inputs(tmp_path_factory):
 
 
 # sha256 prefixes of every table, written before `diagnose` streamed its
-# inputs (when it read every snapshot whole first).
+# inputs (when it read every snapshot whole first); the .npz grids since they
+# replaced the grid CSVs of RETIRED_GRID_CSV.
 GOLDEN = {
     "summary.csv": "b23c361baebc9ba6",
     "syn_N0016_t0.1__syn_N0032_t0.1_cauchy.csv": "41462067f3739ca2",
-    "syn_N0016_t0.1_mean_u1.csv": "ab575e346466dc2a",
+    "syn_N0016_t0.1_mean_variance.npz": "cfa7c45fed4f9195",
     "syn_N0016_t0.1_spectrum.csv": "c14a3229575f4610",
     "syn_N0016_t0.1_structure.csv": "be9a8a7b8e529757",
-    "syn_N0016_t0.1_variance.csv": "f7270e8058faf8ab",
     "syn_N0016_t0__syn_N0032_t0_cauchy.csv": "7cca45d6c7056375",
-    "syn_N0016_t0_mean_u1.csv": "28610328d94740e5",
+    "syn_N0016_t0_mean_variance.npz": "0ac6fe441db97245",
     "syn_N0016_t0_spectrum.csv": "8a36a720bc4081e5",
     "syn_N0016_t0_structure.csv": "7e587fb3ec34333f",
-    "syn_N0016_t0_variance.csv": "cdb694cc315b0d26",
-    "syn_N0032_t0.1_mean_u1.csv": "109b628cd56c89f1",
+    "syn_N0032_t0.1_mean_variance.npz": "546747ff34418630",
     "syn_N0032_t0.1_spectrum.csv": "86d0201ea53c04f6",
     "syn_N0032_t0.1_structure.csv": "e9a8df10571b68af",
-    "syn_N0032_t0.1_variance.csv": "df536e5858676bdf",
-    "syn_N0032_t0_mean_u1.csv": "64fb0b408055bd11",
+    "syn_N0032_t0_mean_variance.npz": "5bd01ca470f1a9fe",
     "syn_N0032_t0_spectrum.csv": "cefd33510ff5d043",
     "syn_N0032_t0_structure.csv": "b3419c41c6ee4429",
-    "syn_N0032_t0_variance.csv": "d41c731f2f87b8fb",
     "time_regularity_N0016.csv": "8ff60c2703922994",
     "time_regularity_N0032.csv": "3819596650eabff8",
+}
+# sha256 prefixes of the grid CSVs (header "# <tag>,time,N,m", then one .17g
+# row per grid row) that `diagnose --mean-variance` wrote before the .npz.
+RETIRED_GRID_CSV = {
+    "syn_N0016_t0.1_mean_u1.csv": "ab575e346466dc2a",
+    "syn_N0016_t0.1_variance.csv": "f7270e8058faf8ab",
+    "syn_N0016_t0_mean_u1.csv": "28610328d94740e5",
+    "syn_N0016_t0_variance.csv": "cdb694cc315b0d26",
+    "syn_N0032_t0.1_mean_u1.csv": "109b628cd56c89f1",
+    "syn_N0032_t0.1_variance.csv": "df536e5858676bdf",
+    "syn_N0032_t0_mean_u1.csv": "64fb0b408055bd11",
+    "syn_N0032_t0_variance.csv": "d41c731f2f87b8fb",
 }
 GOLDEN_W1 = {
     1: {
@@ -107,6 +116,45 @@ def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, monkeypatch, pin_
         shutil.rmtree(out)
     assert counts == [1, 2]
     assert wrote[0] == wrote[1] and wrote[0].count("wrote ") == len(GOLDEN) + 2
+
+
+def test_grid_csvs_rebuild_from_the_npz(inputs, tmp_path, capsys):
+    # The .npz holds the float64 bits and the header values the grid CSVs
+    # held: written back as CSV, each gives the retired digest.
+    out = tmp_path / "out"
+    assert main(["diagnose", *inputs, "--mean-variance", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(n for n in GOLDEN if n.endswith(".npz"))
+    rebuilt = tmp_path / "rebuilt"
+    rebuilt.mkdir()
+    for name in os.listdir(out):
+        with np.load(out / name, allow_pickle=False) as npz:
+            assert sorted(npz.files) == ["N", "m", "mean_u1", "time", "variance"]
+            time, N, m = npz["time"][()], npz["N"][()], npz["m"][()]
+            assert (type(time), type(N), type(m)) == (np.float64, np.int64, np.int64)
+            for tag in ("mean_u1", "variance"):
+                grid = npz[tag]
+                assert grid.dtype == np.float64 and grid.shape == (3 * N, 3 * N)
+                write_csv(rebuilt / name.replace("mean_variance.npz", f"{tag}.csv"),
+                          (tag, time, N, m), grid)
+    assert csv_digests(rebuilt) == RETIRED_GRID_CSV
+
+
+def test_interrupted_npz_write_leaves_existing_file_intact(inputs, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    args = ["diagnose", *inputs, "--mean-variance", "--out", str(out)]
+    assert main(args) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    real_savez = np.savez
+
+    def savez_first_grid_then_fail(fh, **arrays):
+        real_savez(fh, mean_u1=arrays["mean_u1"])
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(np, "savez", savez_first_grid_then_fail)
+    with pytest.raises(KeyboardInterrupt):
+        main(args)
+    assert not list(out.glob("*.npz.tmp"))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_memory_is_bounded_in_samples_not_in_m(inputs, tmp_path, capsys, pin_cpus):

@@ -275,6 +275,18 @@ def test_evolve_blowup_reports_failure_time():
     assert "blow-up at t=" in str(info.value)
 
 
+def test_evolve_stops_at_the_step_budget(monkeypatch):
+    # A flat sheet scaled by 1e6 takes steps of ~1e-7: 50 of them reach
+    # t ~ 5e-6 of 0.4, and the 51st raises.
+    monkeypatch.setattr(solver, "MAX_STEPS", 50)
+    spec = InitialMeasureSpec(family="flat_sheet", N=16, rho=0.1, delta=0.025, base_seed=7)
+    u0 = SpectralField(16, 1e6 * generate_sample(spec, 0).coeffs)
+    times = []
+    with pytest.raises(BlowUpError, match="50 steps spent") as info:
+        evolve(u0, 0.4, SolverParams(N=16), on_step=lambda t, u, ledger: times.append(t))
+    assert len(times) == 51 and 0.0 < info.value.time == times[-1] < 0.4
+
+
 def test_evolve_hits_output_times_exactly(monkeypatch):
     # on_step runs at t = 0 and after every accepted step, at output times exactly
     rng = np.random.default_rng(6)
