@@ -21,7 +21,7 @@ byte-deterministic for a fixed config, regardless of worker and CPU
 count. The environment variable EULER_STAT_SEED overrides the configured
 base seed.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 solver blow-up.
+Exit codes: 0 success, 2 configuration/usage error or interrupt, 3 solver blow-up.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import signal
 import sys
 from functools import partial
 
@@ -53,6 +54,7 @@ from .ensemble import (
     RunManifest,
     atomic_open,
     check_finite,
+    first_here,
     fnv1a64,
     iter_snapshot,
     read_snapshot_header,
@@ -511,18 +513,7 @@ def _groups(loaded, pairs) -> list:
 def _run_shares(shares) -> list:
     """_run_units of each share: the first in this process, each other one in
     a process of its own, from a pool that lives for the call."""
-    if len(shares) == 1:
-        return [_run_units(shares[0])]
-    # imported here, so that a process that starts no pool never imports multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(max_workers=len(shares) - 1)
-    try:
-        futures = [pool.submit(_run_units, share) for share in shares[1:]]
-        first = _run_units(shares[0])
-        return [first, *(f.result() for f in futures)]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return first_here(_run_units, shares)
 
 
 def _run_units(units) -> dict:
@@ -715,7 +706,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # SIGTERM raises KeyboardInterrupt too, so that cleanup code runs
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        return args.func(args)
+    except KeyboardInterrupt:
+        # 2, not 128 + the signal (130, 143): the signal was caught and cleanup ran
+        # (.tmp files removed, pool shut down), so, as after bad input, every
+        # file left is complete and the command need only be run again.
+        _err("interrupted")
+        return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

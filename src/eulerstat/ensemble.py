@@ -32,13 +32,14 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import signal
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowUpError, ShapeError, SnapshotFormatError
-from .initial import InitialMeasureSpec, generate_sample
+from .initial import InitialMeasureSpec, generate_sample, sample_base
 from .solver import SolverParams, evolve
 from .spectral import SpectralField, sample_at_grid, synthesis_grid
 
@@ -130,10 +131,13 @@ def same_time(ta: float, tb: float) -> bool:
     return abs(ta - tb) <= 1e-12 * max(1.0, abs(ta))
 
 
-def _evolve_one(task):
-    """Evolve one sample; return (index, output fields, (t, E, D) per step) or its BlowUpError."""
+def _evolve_one(task, base=None):
+    """Evolve one sample from the run's sample base (by default this pool worker's);
+    return (index, output fields, (t, E, D) per step) or its BlowUpError."""
     spec, solver, sample_index, output_times, threads = task
-    u0 = generate_sample(spec, sample_index)
+    base = _shared if base is None else base
+    u0 = (generate_sample(spec, sample_index) if base is None
+          else generate_sample(spec, sample_index, base))
     fields, rows = [], []
 
     def on_step(t, u, ledger):
@@ -159,6 +163,42 @@ def _solver_threads(workers: int) -> int:
     return max(1, usable_cpus() // workers)
 
 
+_shared = None     # in a pool worker: what process_pool handed it
+
+
+def _start_worker(shared) -> None:
+    """A pool worker keeps shared, leaves SIGINT to its parent and dies of SIGTERM."""
+    global _shared
+    _shared = shared
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+@contextlib.contextmanager
+def process_pool(workers: int, shared=None):
+    """A pool of `workers` processes (None for 0), each handed shared once; leaving
+    the with block, also by an exception, cancels queued tasks and waits for running ones."""
+    if workers < 1:
+        yield None
+        return
+    # imported here, so that a process that starts no pool never imports multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(shared,))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def first_here(fn, parts) -> list:
+    """[fn(part) for part in parts]: the first part in this process, each other
+    one in a process of its own, from a pool that lives for the call."""
+    with process_pool(len(parts) - 1) as pool:
+        futures = [pool.submit(fn, part) for part in parts[1:]]
+        return [fn(parts[0]), *(f.result() for f in futures)]
+
+
 def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failures: bool = False,
                  manifest_hash: int = 0):
     """Run the ensemble into one snapshot file per output time; return the
@@ -168,13 +208,16 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     indexed 1..m and evolved in this process, or in a pool of
     min(workers, m) processes; each is written as it is taken, in sample
     order, so the run holds one sample's fields plus the results the pool
-    finished ahead of the next sample in order. With tolerate_failures,
-    samples whose trajectories blow up are dropped (the header's m counts
-    the samples written); otherwise the first failure raises its
-    BlowUpError, carrying the sample index, and cancels the samples still
-    queued. On any exception no file of paths is written and no .tmp is left.
-    Each evolve splits the steps of large grids over cpus // workers threads
-    (_solver_threads, solver.evolve); no byte of the output depends on it.
+    finished ahead of the next sample in order. What every sample shares
+    (initial.sample_base) is built first, in one column block per worker
+    (first_here), and handed to each pool worker once. With
+    tolerate_failures, samples whose trajectories blow up are dropped (the
+    header's m counts the samples written); otherwise the first failure
+    raises its BlowUpError, carrying the sample index, and cancels the
+    samples still queued. On any exception no file of paths is written and
+    no .tmp is left. Each evolve splits the steps of large grids over
+    cpus // workers threads (_solver_threads, solver.evolve); no byte of
+    the output depends on either split.
     """
     workers = min(workers, manifest.m)
     threads = _solver_threads(workers)
@@ -182,33 +225,24 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
         (manifest.spec, manifest.solver, i, manifest.output_times, threads)
         for i in range(1, manifest.m + 1)
     ]
-    pool = None
-    if workers > 1:
-        # imported here, so that a process that starts no pool never imports multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(max_workers=workers)
     energy_rows = None
-    try:
-        with contextlib.ExitStack() as stack:
-            writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
-                       for path, t in zip(paths, manifest.output_times, strict=True)]
-            outcomes = pool.map(_evolve_one, tasks) if pool else map(_evolve_one, tasks)
-            for outcome in outcomes:
-                if isinstance(outcome, BlowUpError):
-                    if not tolerate_failures:
-                        raise outcome
-                    continue
-                i, fields, rows = outcome
-                for write, field in zip(writers, fields):
-                    write(i, field)
-                if energy_rows is None:
-                    energy_rows = rows
+    base = sample_base(manifest.spec, workers, first_here)
+    with process_pool(workers if workers > 1 else 0, base) as pool, contextlib.ExitStack() as stack:
+        writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
+                   for path, t in zip(paths, manifest.output_times, strict=True)]
+        outcomes = pool.map(_evolve_one, tasks) if pool else (_evolve_one(t, base) for t in tasks)
+        for outcome in outcomes:
+            if isinstance(outcome, BlowUpError):
+                if not tolerate_failures:
+                    raise outcome
+                continue
+            i, fields, rows = outcome
+            for write, field in zip(writers, fields):
+                write(i, field)
             if energy_rows is None:
-                raise BlowUpError("all samples failed", sample_index=None)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+                energy_rows = rows
+        if energy_rows is None:
+            raise BlowUpError("all samples failed", sample_index=None)
     return energy_rows
 
 

@@ -10,7 +10,7 @@ Divergence-free random velocity fields on the torus:
   quadrature along the curve, over the band of the grid within rho of it;
   the velocity is recovered by inverting the curl, then the interface is
   randomly perturbed as above. The unperturbed velocity depends on no
-  sample, so each process builds it once and its samples share it.
+  sample, so a run builds it once (sample_base) and its samples share it.
 - fbm: each velocity component an independent fractional Brownian surface
   of Hurst index H, generated by midpoint displacement (diamond-square).
 - taylor_green: the deterministic stationary vortex array, as a solver check.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -192,8 +192,9 @@ def bspline_bump(r) -> np.ndarray:
     return (80.0 / (7.0 * np.pi)) * np.where(rr < 1.0, val, 0.0)
 
 
-def _sheet_vorticity_grid(M: int, rho: float, Q: int, d: float) -> np.ndarray:
-    """Mollified sinusoidal-sheet vorticity on an M x M unit-coordinate grid.
+def _sheet_columns(M: int, rho: float, Q: int, d: float, cols: range) -> np.ndarray:
+    """Columns cols of the sinusoidal-sheet vorticity on an M x M unit-coordinate
+    grid, as unscaled quadrature sums (_sheet_vorticity joins and scales them).
 
     The line measure on the curve (xi, g(xi)), g(xi) = d sin(2 pi xi), is
     convolved with psi_rho(x) = rho^-2 psi(|x|/rho) by the arclength
@@ -201,51 +202,66 @@ def _sheet_vorticity_grid(M: int, rho: float, Q: int, d: float) -> np.ndarray:
     with xi_i = x1 + i rho/Q sweeping the mollifier support, i in [-Q, Q].
 
     psi vanishes for r >= 1, so an offset reaches only the rows x2 within
-    rho of g(xi_i). Per column it visits W = 2 ceil(rho M) + 1 rows centred
-    on the row nearest g(xi_i) (the whole column when that exceeds M): a
-    row j with |j/M - g| < rho lies within rho M + 1/2 of that row, so
-    within ceil(rho M) of it. Within those rows psi is evaluated only where
-    r < 1, with the terms of bspline_bump that are not exactly +0.0 there.
-    The terms skipped are exact zeros (omega is never -0.0, so adding +0.0
-    changes no bit) and each grid point sums its terms in offset order, so
-    the result has the bits of the sum over the full grid.
+    c = sqrt(rho^2 - dx1^2) of g(xi_i). Per column it visits the rows within
+    h = ceil(c M) of the row nearest g(xi_i) (the whole column when 2h + 1
+    exceeds M): a row j with |j/M - g| < c lies within c M + 1/2 of that
+    row, so within h of it, and the next row out has r^2 >= 1 + (2 rho M)^-2,
+    too far above 1 for rounding to matter. On those rows psi is evaluated
+    with the terms of bspline_bump that are not exactly +0.0 for r < 1, and
+    is +0.0 for r >= 1. Adding +0.0 changes no bit (omega is never -0.0) and
+    each grid point sums its terms in offset order, within its column, so
+    any split of the columns joins to the bits of the sum over the full grid.
     """
-    xi = np.arange(M) / M
-    omega = np.zeros((M, M))
+    x1 = np.arange(cols.start, cols.stop) / M
+    omega = np.zeros((len(cols), M))
     flat = omega.reshape(-1)
-    W = min(M, 2 * math.ceil(rho * M) + 1)
-    window = np.arange(W) - W // 2
+    starts = M * np.arange(len(cols))[:, None]
     scale = 80.0 / (7.0 * np.pi)
     for i in range(-Q, Q + 1):
         dx1 = -i * rho / Q                       # x1 - xi_i, constant per offset
-        xi_i = xi + i * rho / Q                  # per x1 column
+        W = min(M, 2 * math.ceil(M * math.sqrt(max(rho * rho - dx1 * dx1, 0.0))) + 1)
+        window = np.arange(W) - W // 2
+        xi_i = x1 + i * rho / Q                  # per x1 column
         g = d * np.sin(2.0 * np.pi * xi_i)
         gp = 2.0 * np.pi * d * np.cos(2.0 * np.pi * xi_i)
         rows = (np.rint(g * M).astype(np.intp)[:, None] + window) % M   # (x1, W)
-        dx2 = (xi[rows] - g[:, None] + 0.5) % 1.0 - 0.5
+        y = rows / M - g[:, None] + 0.5
+        dx2 = y - np.floor(y) - 0.5              # y - floor(y) is exact: the bits of y % 1.0
         r = np.sqrt(dx1 * dx1 + dx2 * dx2) / rho
-        col, w = np.nonzero(r < 1.0)
-        r = r[col, w]
         # bspline_bump for 0 <= r < 1: the clamps of (r+1)^3, (r+1/2)^3 and
         # r^3 are identities and (r-1)^3_+ is +0.0, kept as "+ 0.0" so that
         # a -0.0 sum becomes +0.0 as it does there.
-        half = r - 0.5
         val = ((r + 1.0) ** 3 - 4.0 * (r + 0.5) ** 3 + 6.0 * r ** 3
-               - 4.0 * np.where(half > 0, half, 0.0) ** 3 + 0.0)
-        flat[col * M + rows[col, w]] += scale * val * np.sqrt(1.0 + gp * gp)[col]
-    omega *= rho / Q / (rho * rho)               # quadrature weight and psi_rho scaling
+               - 4.0 * np.maximum(r - 0.5, 0.0) ** 3 + 0.0)
+        flat[starts + rows] += scale * np.where(r < 1.0, val, 0.0) * np.sqrt(1.0 + gp * gp)[:, None]
+    return omega
+
+
+def _sheet_vorticity(M: int, rho: float, Q: int, d: float, parts: int = 1, run=None) -> np.ndarray:
+    """The mollified sheet vorticity on the M x M grid, mean removed, from
+    `parts` column blocks of _sheet_columns that run(fn, blocks) computes in
+    order (map here if None); no bit depends on the split."""
+    cuts = [M * k // parts for k in range(parts + 1)]
+    cols = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+    kernel = partial(_sheet_columns, M, rho, Q, d)
+    omega = np.concatenate(run(kernel, cols) if run else list(map(kernel, cols)))
+    omega *= rho / Q / (rho * rho)
     return omega - omega.mean()
+
+
+def sample_base(spec: InitialMeasureSpec, parts: int = 1, run=None) -> SpectralField | None:
+    """The read-only field all of spec's samples share, or None: a sinusoidal
+    sheet's unperturbed velocity, from _sheet_vorticity(..., parts, run)."""
+    if spec.family != "sinusoidal_sheet":
+        return None
+    omega = _sheet_vorticity(synthesis_grid(spec.N), spec.rho, spec.quad_points, spec.d, parts, run)
+    return velocity_from_vorticity(scalar_from_physical(omega, spec.N))
 
 
 @lru_cache(maxsize=1)
 def _sheet_base(N: int, rho: float, Q: int, d: float) -> SpectralField:
-    """The unperturbed sheet velocity: the curl inverted from the sheet vorticity.
-
-    It depends on no sample, so a process builds it once per parameter set
-    (the last one is kept); the field is read-only, so samples share it.
-    """
-    M = synthesis_grid(N)
-    return velocity_from_vorticity(scalar_from_physical(_sheet_vorticity_grid(M, rho, Q, d), N))
+    """sample_base for generator calls given none; a process keeps the last one."""
+    return sample_base(InitialMeasureSpec("sinusoidal_sheet", N, rho=rho, quad_points=Q, d=d))
 
 
 def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.ndarray:
@@ -264,19 +280,21 @@ def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.nd
     return np.ascontiguousarray(grid.transpose(1, 2, 0))
 
 
-def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
+def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int,
+                            base: SpectralField | None = None) -> SpectralField:
     """One random sinusoidal-sheet field.
 
-    Takes the unperturbed sheet velocity (the curl inverted from the
-    mollified sheet vorticity, mean removed; built once per process),
-    shifts x2 by the random perturbation, and projects.
+    Takes the unperturbed sheet velocity, base = sample_base(spec) (built
+    here, once per parameter set, if not given), shifts x2 by the random
+    perturbation, and projects.
     """
     if spec.family != "sinusoidal_sheet":
         raise ValueError(f"spec.family is {spec.family!r}, not 'sinusoidal_sheet'")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
     M = synthesis_grid(spec.N)
-    base = _sheet_base(spec.N, spec.rho, spec.quad_points, spec.d)
+    if base is None:
+        base = _sheet_base(spec.N, spec.rho, spec.quad_points, spec.d)
     xi = np.arange(M) / M
     shifts = 2.0 * np.pi * perturbation(draw, xi)
     grid = _evaluate_shifted(base, shifts, M)
@@ -396,6 +414,9 @@ _GENERATORS = {
 }
 
 
-def generate_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
-    """Dispatch to the family generator. Deterministic in (spec, sample_index)."""
-    return _GENERATORS[spec.family](spec, sample_index)
+def generate_sample(spec: InitialMeasureSpec, sample_index: int,
+                    base: SpectralField | None = None) -> SpectralField:
+    """Dispatch to the family generator. Deterministic in (spec, sample_index);
+    base is sample_base(spec) where the family has one, then not built again."""
+    make = _GENERATORS[spec.family]
+    return make(spec, sample_index) if base is None else make(spec, sample_index, base)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eulerstat.ensemble as ens
+import eulerstat.initial as initial
 import eulerstat.solver as solver
 from eulerstat.cli import main
 from eulerstat.ensemble import (
@@ -22,7 +23,7 @@ from eulerstat.ensemble import (
     write_snapshot,
 )
 from eulerstat.errors import BlowUpError, SnapshotFormatError
-from eulerstat.initial import InitialMeasureSpec, _sheet_base, generate_sample
+from eulerstat.initial import InitialMeasureSpec, generate_sample
 from eulerstat.solver import SolverParams, evolve
 from eulerstat.spectral import SpectralField, l2_norm, sample_at_grid
 from oracles import hermitian_random_field
@@ -100,16 +101,40 @@ def test_run_deterministic_across_runs_and_workers(tmp_path):
         assert a == b == c
 
 
+def sheet_manifest():
+    return small_manifest(N=12, m=4, family="sinusoidal_sheet", rho=5 / 12, delta=0.003125,
+                          quad_points=20)
+
+
 def test_sinusoidal_sheet_run_deterministic_across_workers(tmp_path):
-    manifest = small_manifest(N=12, m=4, family="sinusoidal_sheet", rho=5 / 12, delta=0.003125,
-                              quad_points=20)
-    _sheet_base.cache_clear()  # the pool workers build their own base
-    pooled, _ = run_snapshots(manifest, tmp_path / "pooled", workers=2)
+    # the base is built in one column block per worker
+    manifest = sheet_manifest()
     serial, _ = run_snapshots(manifest, tmp_path / "serial", workers=1)
-    for s1, s2 in zip(serial, pooled):
-        assert s1.sample_seeds == s2.sample_seeds == [1, 2, 3, 4]
-        for f1, f2 in zip(s1.fields, s2.fields):
-            assert f1.coeffs.tobytes() == f2.coeffs.tobytes()
+    for workers in (2, 3):
+        pooled, _ = run_snapshots(manifest, tmp_path / f"pooled{workers}", workers=workers)
+        for s1, s2 in zip(serial, pooled):
+            assert s1.sample_seeds == s2.sample_seeds == [1, 2, 3, 4]
+            for f1, f2 in zip(s1.fields, s2.fields):
+                assert f1.coeffs.tobytes() == f2.coeffs.tobytes()
+
+
+@needs_fork
+def test_sheet_run_builds_its_base_once_for_all_samples(monkeypatch, tmp_path):
+    # No sample builds the base itself (that would call _sheet_base, which
+    # raises here, also in the forked workers), and the run's base gives the
+    # fields of generate_sample's own.
+    manifest = sheet_manifest()
+    first = generate_sample(manifest.spec, 1)
+
+    def refuse(*args):
+        raise AssertionError("a sample built the sheet base")
+
+    monkeypatch.setattr(initial, "_sheet_base", refuse)
+    serial, _ = run_snapshots(manifest, tmp_path / "serial", workers=1)
+    pooled, _ = run_snapshots(manifest, tmp_path / "pooled", workers=2)
+    assert serial[0].fields[0].coeffs.tobytes() == first.coeffs.tobytes()
+    for name in ("t00.euss", "t01.euss"):
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
 
 
 def test_run_energy_decays_per_sample(tmp_path):
@@ -215,7 +240,7 @@ def test_pool_size_capped_at_sample_count(monkeypatch, tmp_path, m, workers, poo
     class InProcessPool:
         """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None, initargs=()):
             created.append(max_workers)
 
         def map(self, fn, iterable):

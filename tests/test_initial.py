@@ -137,27 +137,31 @@ SHEET_RHOS = {
 @pytest.mark.parametrize("N", [8, 16, 32])
 def test_banded_sheet_grid_matches_dense_sum(N, rho, d):
     M, r = 3 * N, rho(N)
-    banded = initial._sheet_vorticity_grid(M, r, 6, d)
-    assert banded.tobytes() == dense_sheet_vorticity_grid(M, r, 6, d).tobytes()
+    dense = dense_sheet_vorticity_grid(M, r, 6, d).tobytes()
+    for parts in (1, 2, 3, 4, M):
+        assert initial._sheet_vorticity(M, r, 6, d, parts).tobytes() == dense, parts
 
 
 def test_banded_sheet_grid_matches_dense_sum_at_preset_quadrature():
-    # the sinusoidal_sheet preset's Q = 400, rho = 5/N and d = 0.2, at N = 16
-    banded = initial._sheet_vorticity_grid(48, 5 / 16, 400, 0.2)
-    assert banded.tobytes() == dense_sheet_vorticity_grid(48, 5 / 16, 400, 0.2).tobytes()
+    # the sinusoidal_sheet preset's Q = 400 and rho = 5/N at N = 16, with
+    # its d = 0.2 and with d = 1, where rows wrap
+    for d in (0.2, 1.0):
+        dense = dense_sheet_vorticity_grid(48, 5 / 16, 400, d).tobytes()
+        for parts in (1, 2, 3, 4, 48):
+            assert initial._sheet_vorticity(48, 5 / 16, 400, d, parts).tobytes() == dense, (d, parts)
 
 
 @pytest.fixture
 def counted_sheet_grids(monkeypatch):
     """Clears the sheet base cache and counts the vorticity grids built."""
     calls = []
-    real = initial._sheet_vorticity_grid
+    real = initial._sheet_vorticity
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(initial, "_sheet_vorticity_grid", counted)
+    monkeypatch.setattr(initial, "_sheet_vorticity", counted)
     initial._sheet_base.cache_clear()
     yield calls
     initial._sheet_base.cache_clear()
