@@ -164,14 +164,33 @@ def _solver_threads(workers: int) -> int:
 
 
 _shared = None     # in a pool worker: what process_pool handed it
+_INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
 
 
 def _start_worker(shared) -> None:
-    """A pool worker keeps shared, leaves SIGINT to its parent and dies of SIGTERM."""
+    """A pool worker keeps shared, leaves SIGINT to its parent, dies of SIGTERM,
+    and takes both from here on (_interrupts_held blocked them)."""
     global _shared
     _shared = shared
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
+
+
+@contextlib.contextmanager
+def _interrupts_held():
+    """SIGINT and SIGTERM held back in this thread for the with block: a pool
+    starting its workers in it is not interrupted half-way, and each worker
+    starts with them blocked until _start_worker has set them up."""
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
+    try:
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
 
 @contextlib.contextmanager
@@ -195,7 +214,8 @@ def first_here(fn, parts) -> list:
     """[fn(part) for part in parts]: the first part in this process, each other
     one in a process of its own, from a pool that lives for the call."""
     with process_pool(len(parts) - 1) as pool:
-        futures = [pool.submit(fn, part) for part in parts[1:]]
+        with _interrupts_held():
+            futures = [pool.submit(fn, part) for part in parts[1:]]
         return [fn(parts[0]), *(f.result() for f in futures)]
 
 
@@ -230,7 +250,8 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     with process_pool(workers if workers > 1 else 0, base) as pool, contextlib.ExitStack() as stack:
         writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
                    for path, t in zip(paths, manifest.output_times, strict=True)]
-        outcomes = pool.map(_evolve_one, tasks) if pool else (_evolve_one(t, base) for t in tasks)
+        with _interrupts_held():
+            outcomes = pool.map(_evolve_one, tasks) if pool else (_evolve_one(t, base) for t in tasks)
         for outcome in outcomes:
             if isinstance(outcome, BlowUpError):
                 if not tolerate_failures:
