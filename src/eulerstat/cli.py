@@ -396,7 +396,7 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     resolution for time regularity (_time_regularity). With --wasserstein
     and more than one group, the units are dealt round-robin into one share
     per CPU (at most one per unit); this process runs the first share and a
-    pool of one process per other share runs the rest (_run_shares). The
+    pool of one process per other share runs the rest (first_here). The
     tables are then built and ordered here, from the results alone, so no
     output byte or error message depends on the CPU count.
 
@@ -429,8 +429,10 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     units += [partial(_time_regularity, N, heads, args.time_regularity)
               for N, heads in regularity.items()]
     shares = 1 if one_share else min(len(units), usable_cpus())
+    if shares > 1:   # numpy's lazy modules the shares use, imported once, before the pool forks
+        import numpy.fft, numpy.random  # noqa: E401, F401
     done = {}
-    for part in _run_shares([units[i::shares] for i in range(shares)]):
+    for part in first_here(_run_units, [units[i::shares] for i in range(shares)]):
         done.update(part)
     for path, _ in loaded:
         if (path, "read") in done:
@@ -508,12 +510,6 @@ def _groups(loaded, pairs) -> list:
     for i, entry in enumerate(loaded):
         groups.setdefault(find(i), []).append(entry)
     return list(groups.values())
-
-
-def _run_shares(shares) -> list:
-    """_run_units of each share: the first in this process, each other one in
-    a process of its own, from a pool that lives for the call."""
-    return first_here(_run_units, shares)
 
 
 def _run_units(units) -> dict:

@@ -29,7 +29,9 @@ path + ".tmp", then renamed into place); its CSV tables through write_csv.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import itertools
 import math
 import os
 import signal
@@ -131,13 +133,12 @@ def same_time(ta: float, tb: float) -> bool:
     return abs(ta - tb) <= 1e-12 * max(1.0, abs(ta))
 
 
-def _evolve_one(task, base=None):
-    """Evolve one sample from the run's sample base (by default this pool worker's);
-    return (index, output fields, (t, E, D) per step) or its BlowUpError."""
+def _evolve_one(task):
+    """Evolve one sample from the run's sample base (_shared); return (index,
+    output fields, (t, E, D) per step) or its BlowUpError."""
     spec, solver, sample_index, output_times, threads = task
-    base = _shared if base is None else base
-    u0 = (generate_sample(spec, sample_index) if base is None
-          else generate_sample(spec, sample_index, base))
+    u0 = (generate_sample(spec, sample_index) if _shared is None
+          else generate_sample(spec, sample_index, _shared))
     fields, rows = [], []
 
     def on_step(t, u, ledger):
@@ -163,7 +164,7 @@ def _solver_threads(workers: int) -> int:
     return max(1, usable_cpus() // workers)
 
 
-_shared = None     # in a pool worker: what process_pool handed it
+_shared = None     # what ordered_map handed this process for its tasks
 _INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
 
 
@@ -194,18 +195,37 @@ def _interrupts_held():
 
 
 @contextlib.contextmanager
-def process_pool(workers: int, shared=None):
-    """A pool of `workers` processes (None for 0), each handed shared once; leaving
-    the with block, also by an exception, cancels queued tasks and waits for running ones."""
+def ordered_map(fn, tasks, workers: int, shared=None):
+    """Yields fn(task) for each task, in task order: in this process for 0
+    workers, else on `workers` processes, each handed shared once, with at most
+    2 x workers tasks submitted and not yet read (fn reads shared as _shared).
+    Leaving the block, also by an exception, cancels queued tasks, waits for running ones."""
+    global _shared
     if workers < 1:
-        yield None
+        kept, _shared = _shared, shared
+        try:
+            yield map(fn, tasks)
+        finally:
+            _shared = kept
         return
     # imported here, so that a process that starts no pool never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    tasks, queued = iter(tasks), collections.deque()
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(shared,))
+
+    def submit(n):
+        with _interrupts_held():
+            queued.extend(pool.submit(fn, task) for task in itertools.islice(tasks, n))
+
+    def results():
+        while queued:
+            yield queued.popleft().result()
+            submit(1)
+
     try:
-        yield pool
+        submit(2 * workers)
+        yield results()
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -213,10 +233,8 @@ def process_pool(workers: int, shared=None):
 def first_here(fn, parts) -> list:
     """[fn(part) for part in parts]: the first part in this process, each other
     one in a process of its own, from a pool that lives for the call."""
-    with process_pool(len(parts) - 1) as pool:
-        with _interrupts_held():
-            futures = [pool.submit(fn, part) for part in parts[1:]]
-        return [fn(parts[0]), *(f.result() for f in futures)]
+    with ordered_map(fn, parts[1:], len(parts) - 1) as rest:
+        return [fn(parts[0]), *rest]
 
 
 def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failures: bool = False,
@@ -226,11 +244,11 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
 
     paths[j] receives the snapshot at manifest.output_times[j]. Samples are
     indexed 1..m and evolved in this process, or in a pool of
-    min(workers, m) processes; each is written as it is taken, in sample
-    order, so the run holds one sample's fields plus the results the pool
-    finished ahead of the next sample in order. What every sample shares
-    (initial.sample_base) is built first, in one column block per worker
-    (first_here), and handed to each pool worker once. With
+    min(workers, m) processes (ordered_map); each is written as it is taken,
+    in sample order, so the run holds one sample's fields plus at most
+    2 x workers results submitted and not yet read, whatever m is. What every
+    sample shares (initial.sample_base) is built first, in one column block
+    per worker (first_here), and handed to each pool worker once. With
     tolerate_failures, samples whose trajectories blow up are dropped (the
     header's m counts the samples written); otherwise the first failure
     raises its BlowUpError, carrying the sample index, and cancels the
@@ -247,11 +265,11 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     ]
     energy_rows = None
     base = sample_base(manifest.spec, workers, first_here)
-    with process_pool(workers if workers > 1 else 0, base) as pool, contextlib.ExitStack() as stack:
+    with contextlib.ExitStack() as stack:
         writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
                    for path, t in zip(paths, manifest.output_times, strict=True)]
-        with _interrupts_held():
-            outcomes = pool.map(_evolve_one, tasks) if pool else (_evolve_one(t, base) for t in tasks)
+        pooled = workers if workers > 1 else 0
+        outcomes = stack.enter_context(ordered_map(_evolve_one, tasks, pooled, base))
         for outcome in outcomes:
             if isinstance(outcome, BlowUpError):
                 if not tolerate_failures:

@@ -847,6 +847,49 @@ def test_interrupted_run_exits_2_leaving_nothing(tmp_path, signum, group):
             os.killpg(proc.pid, signal.SIGKILL)   # nothing of a failed run outlives the test
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc") or ens.usable_cpus() < 2,
+                    reason="finds the pool worker through /proc; pins diagnose to 2 CPUs")
+@pytest.mark.parametrize("signum, group", [(signal.SIGINT, False), (signal.SIGTERM, False),
+                                           (signal.SIGINT, True)],
+                         ids=["SIGINT", "SIGTERM", "SIGINT-group"])
+def test_interrupted_pooled_diagnose_exits_2_leaving_nothing(tmp_path, signum, group):
+    # --wasserstein over two groups (one per time) of 64 samples at 2 CPUs:
+    # this process runs one group's W1 and a pool worker the other's. The
+    # signal goes out as soon as that worker is forked.
+    paths = _write_snapshots(tmp_path, ((16, 64, 0.0), (32, 64, 0.0), (16, 64, 0.1), (32, 64, 0.1)))
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    src = os.path.dirname(os.path.dirname(eulerstat.__file__))
+    out = tmp_path / "diag"
+    proc = subprocess.Popen([sys.executable, "-m", "eulerstat.cli", "diagnose", *paths,
+                             "--wasserstein", "1", "--out", str(out)],
+                            cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                            preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        while not workers and time.monotonic() < deadline and proc.poll() is None:
+            workers = _children(proc.pid)
+            time.sleep(0.002)
+        assert proc.poll() is None and workers, "diagnose ended before it could be interrupted"
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        workers = set(workers) | set(_children(proc.pid))
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode == 2, err.decode()
+        assert err.decode().splitlines() == ["eulerstat: interrupted"]
+        assert not out.exists() or not list(out.iterdir())
+        deadline = time.monotonic() + 10
+        while any(os.path.exists(f"/proc/{pid}") for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if os.path.exists(f"/proc/{pid}")]
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)   # nothing of a failed run outlives the test
+
+
 @pytest.mark.parametrize("cut", ["four_bytes", "truncated_body", "extended"])
 def test_diagnose_damaged_snapshot_exits_2(tmp_path, capsys, monkeypatch, cut):
     monkeypatch.chdir(tmp_path)

@@ -103,8 +103,9 @@ def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, monkeypatch, pin_
     # At 2 CPUs the two groups (one per time) and the two time-regularity
     # units run in two processes; at 1 CPU all in this one.
     counts = []
-    run_shares = cli._run_shares
-    monkeypatch.setattr(cli, "_run_shares", lambda shares: counts.append(len(shares)) or run_shares(shares))
+    first_here = cli.first_here
+    monkeypatch.setattr(cli, "first_here",
+                        lambda fn, shares: counts.append(len(shares)) or first_here(fn, shares))
     out = tmp_path / "out"
     wrote = []
     for cpus in (1, 2):

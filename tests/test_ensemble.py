@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import re
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -233,18 +234,41 @@ def test_pooled_blow_up_cancels_queued_samples(monkeypatch, tmp_path):
     assert len(list(tmp_path.glob("started_*"))) < m // 2
 
 
+@needs_fork
+def test_pooled_run_holds_a_bounded_window_of_samples(monkeypatch, tmp_path):
+    # Sample 1 is slow: while it runs, the other worker may take only the
+    # samples within the window of 2 x workers submitted and not yet read.
+    m, workers = 24, 2
+    real = generate_sample
+
+    def slow_first(spec, i):
+        (tmp_path / f"started_{i}").touch()
+        if i == 1:
+            time.sleep(1.5)
+            (tmp_path / "seen").write_text(str(len(list(tmp_path.glob("started_*")))))
+        return real(spec, i)
+
+    monkeypatch.setattr(ens, "generate_sample", slow_first)
+    run_ensemble(small_manifest(m=m), [tmp_path / "t00.euss", tmp_path / "t01.euss"], workers=workers)
+    assert int((tmp_path / "seen").read_text()) <= 2 * workers
+    assert len(list(tmp_path.glob("started_*"))) == m
+
+
 @pytest.mark.parametrize("m, workers, pool", [(3, 64, 3), (1, 64, None), (3, 2, 2)])
 def test_pool_size_capped_at_sample_count(monkeypatch, tmp_path, m, workers, pool):
     created = []
 
     class InProcessPool:
-        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+        """Stands in for ProcessPoolExecutor: records its size, runs each task
+        in-process as it is submitted."""
 
         def __init__(self, max_workers, initializer=None, initargs=()):
             created.append(max_workers)
 
-        def map(self, fn, iterable):
-            return map(fn, iterable)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
         def shutdown(self, cancel_futures=False):
             pass
