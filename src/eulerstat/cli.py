@@ -9,17 +9,18 @@
 `run` evolves the configured ensembles for every resolution, appends each
 sample to the snapshot files (*.euss) as it is taken, and writes a resolved
 manifest per resolution and an energy CSV. `diagnose` turns snapshot files
-into CSV tables and .npz grids, reading each snapshot once, one sample at
-a time, for all of them. Its work comes in units: one per group of inputs
-(an input and every input it is paired with at a common time; the W1
-tuple values of a group never leave its process) and one per resolution
-for time regularity. With --wasserstein and more than one group, the
-units are dealt round-robin over the CPUs, the first share in this
-process and each other share in a pool process of its own; otherwise all
-run here and no pool is imported. Snapshot, CSV and .npz outputs are
-byte-deterministic for a fixed config, regardless of worker and CPU
-count. The environment variable EULER_STAT_SEED overrides the configured
-base seed.
+into CSV tables and .npz grids. It reads each snapshot once, one sample at
+a time, for every table but the time regularity ones, which take one more
+pass over the snapshots of each resolution in lockstep. Its work comes in
+units: one per group of inputs (an input and every input it is paired with
+at a common time; the W1 tuple values of a group never leave its process)
+and one per resolution for time regularity. With --wasserstein and more
+than one group, the units are dealt round-robin over the CPUs, the first
+share in this process and each other share in a pool process of its own;
+otherwise all run here and no pool is imported. Snapshot, CSV and .npz
+outputs are byte-deterministic for a fixed config, regardless of worker and
+CPU count. The environment variable EULER_STAT_SEED overrides the
+configured base seed.
 
 Exit codes: 0 success, 2 configuration/usage error or interrupt, 3 solver blow-up.
 """
@@ -54,6 +55,7 @@ from .ensemble import (
     RunManifest,
     atomic_open,
     check_finite,
+    feed,
     first_here,
     fnv1a64,
     iter_snapshot,
@@ -392,8 +394,10 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     loaded holds (path, header) of each input, pairs the (N, 2N) pairs and
     by_n the inputs per resolution for time regularity. The work is split
     into units: one per group of inputs (an input and every input it is
-    paired with, directly or through others; _stream_group) and one per
-    resolution for time regularity (_time_regularity). With --wasserstein
+    paired with, directly or through others), which streams each input once
+    through ensemble.feed into every statistic its tables need
+    (_stream_group), and one per resolution for time regularity, which
+    reads its inputs again, in lockstep (_time_regularity). With --wasserstein
     and more than one group, the units are dealt round-robin into one share
     per CPU (at most one per unit); this process runs the first share and a
     pool of one process per other share runs the rest (first_here). The
@@ -405,24 +409,10 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     such input in the order of loaded, so the failure reported does not
     depend on the order in which the inputs are read.
     """
-    # The grid sizes at which each input's variance is needed: its own (mean
-    # and variance grids) and the coarse member's of each pair it is in
-    # (variance Cauchy rate).
-    variance_sizes = {path: [] for path, _ in loaded}
-    if args.mean_variance:
-        for path, head in loaded:
-            variance_sizes[path].append(synthesis_grid(head.N))
-    if args.cauchy:
-        for pa, sa, pb, _ in pairs:
-            M = synthesis_grid(sa.N)
-            for path in (pa, pb):
-                if M not in variance_sizes[path]:
-                    variance_sizes[path].append(M)
     units = []
     for group in _groups(loaded, pairs):
         paths = {path for path, _ in group}
-        units.append(partial(_stream_group, args, group, [p for p in pairs if p[0] in paths],
-                             variance_sizes))
+        units.append(partial(_stream_group, args, group, [p for p in pairs if p[0] in paths]))
     one_share = args.wasserstein is None or len(units) == 1
     regularity = {N: sorted((h for _, h in entries), key=lambda h: h.time)
                   for N, entries in sorted(by_n.items()) if len(entries) >= 2}
@@ -520,30 +510,51 @@ def _run_units(units) -> dict:
     return done
 
 
-def _stream_group(args, group, pairs, variance_sizes) -> dict:
-    """The results of one group of inputs: _stream_input of each of them, in
-    order, then the W1 report of each of its pairs, under the key (path a,
-    path b, "wasserstein"). The W1 tuple values are gathered here and
-    dropped with the group. If an input cannot be streamed, the result is
-    its error alone, under (path, "read"), and the group stops there.
+def _stream_group(args, group, pairs) -> dict:
+    """The results of one group of inputs, under (path, statistic or grid
+    size), and the W1 report of each of its pairs, under (path a, path b,
+    "wasserstein").
+
+    Each input, in order, is fed (feed) in one pass to the statistics its
+    tables need: radial power, coefficient sum, variance moments on its own
+    grid and on each pair's coarse grid, and W1 tuple values on that grid,
+    which are kept for the pair's report. An input with none is not read.
+    Every other statistic is dropped once finished. If an input cannot be
+    streamed, the result is its error alone, under (path, "read"), and the
+    group stops there.
     """
-    paired = {p for pa, _, pb, _ in pairs for p in (pa, pb)}
-    w1_pairs = pairs if args.wasserstein is not None else []
-    values = {}         # (path, M) -> TupleValues
-    for pa, sa, pb, sb in w1_pairs:
-        M = synthesis_grid(sa.N)
-        tuples = marginal_tuples(args.wasserstein, M)[0]
-        for path, head in ((pa, sa), (pb, sb)):
-            if (path, M) not in values:
-                values[path, M] = TupleValues(tuples, head.m)
-    done = {}
+    done, values = {}, {}       # values: (path, M) -> TupleValues
     for path, head in group:
-        streamed = _later(_stream_input, args, path, head, variance_sizes[path], path in paired,
-                          {M: acc for (p, M), acc in values.items() if p == path})
-        if isinstance(streamed, Exception):
-            return {(path, "read"): streamed}
-        done.update(streamed)
-    for pa, sa, pb, sb in w1_pairs:
+        # the coarse grid size of each of its pairs, once each
+        coarse = dict.fromkeys(synthesis_grid(sa.N) for pa, sa, pb, _ in pairs if path in (pa, pb))
+        radial = RadialPower(head.N) if args.structure or args.spectrum is not None else None
+        total = CoefficientSum(head.N) if args.mean_variance or (args.cauchy and coarse) else None
+        sizes = [synthesis_grid(head.N)] if args.mean_variance else []
+        if args.cauchy:
+            sizes += coarse
+        moments = {M: GridMoments(M) for M in dict.fromkeys(sizes)}
+        for M in coarse if args.wasserstein is not None else ():
+            values[path, M] = TupleValues(marginal_tuples(args.wasserstein, M)[0], head.m, M)
+        stats = [s for s in (radial, total, *moments.values()) if s is not None]
+        stats += [v for (p, _), v in values.items() if p == path]
+        failed = _later(feed, (field for _, field in iter_snapshot(head)), stats)
+        if failed is not None:
+            return {(path, "read"): failed}
+        del stats               # each statistic is dropped as soon as it is finished
+        for M in list(moments):
+            done[path, M] = _later(moments.pop(M).variance, head)
+        if args.structure:
+            done[path, "structure"] = _later(structure_curve, radial, head)
+        if args.spectrum is not None:
+            done[path, "spectrum"] = _later(spectrum_curve, radial, head)
+        if total is not None:
+            mean = total.mean()
+            if args.cauchy:
+                done[path, "mean"] = mean
+            if args.mean_variance:
+                done[path, "mean_u1"] = _later(_mean_u1, mean, head)
+        del radial, total
+    for pa, sa, pb, sb in pairs if args.wasserstein is not None else ():
         M = synthesis_grid(sa.N)
         done[pa, pb, "wasserstein"] = _later(marginal_report, values[pa, M], values[pb, M],
                                              sa, sb, M, DEFAULT_DIAGNOSTIC_SEED)
@@ -588,58 +599,6 @@ def _mean_u1(mean, head) -> np.ndarray:
         u1 = sample_at_grid(mean, synthesis_grid(head.N))[:, :, 0].copy()
     check_finite(u1, "mean", head)
     return u1
-
-
-def _stream_input(args, path, head, variance_sizes, paired, values) -> dict:
-    """Read one input once, one sample at a time, and finish the statistics
-    it alone determines; returns {(path, statistic or grid size): result, or
-    the ValueError it raised}.
-
-    Each sample field feeds the input's radial power and coefficient sum.
-    Its grid, synthesized once per size M, feeds the variance moments at
-    each size in variance_sizes and the W1 tuple values values[M], which
-    the caller keeps for the pair's other input. paired says whether the
-    input is in an (N, 2N) pair.
-    """
-    radial = RadialPower(head.N) if args.structure or args.spectrum is not None else None
-    total = (CoefficientSum(head.N)
-             if args.mean_variance or (args.cauchy and paired) else None)
-    moments = {M: GridMoments(M) for M in variance_sizes}
-    feeds = [acc for acc in (radial, total) if acc is not None]
-    grids = {M: [acc] for M, acc in moments.items()}    # M -> statistics fed M-grids
-    for M, acc in values.items():
-        grids.setdefault(M, []).append(acc)
-    if not feeds and not grids:
-        return {}
-    _stream_into(head, feeds, grids)
-
-    # Each accumulator is dropped as soon as its result is done.
-    del grids
-    done = {(path, M): _later(moments.pop(M).variance, head) for M in variance_sizes}
-    if args.structure:
-        done[path, "structure"] = _later(structure_curve, radial, head)
-    if args.spectrum is not None:
-        done[path, "spectrum"] = _later(spectrum_curve, radial, head)
-    if total is not None:
-        mean, total = total.mean(), None
-        if args.cauchy:
-            done[path, "mean"] = mean
-        if args.mean_variance:
-            done[path, "mean_u1"] = _later(_mean_u1, mean, head)
-    return done
-
-
-def _stream_into(head, feeds, grids) -> None:
-    """Feed each sample of the input with header head to the statistics in
-    feeds, and its M-point grid, synthesized once per M, to those in grids[M]."""
-    for _, field in iter_snapshot(head):
-        for acc in feeds:
-            acc.add(field)
-        for M, accs in grids.items():
-            with np.errstate(over="ignore", invalid="ignore"):
-                grid = sample_at_grid(field, M)
-            for acc in accs:
-                acc.add(grid)
 
 
 def cmd_presets(_args) -> int:

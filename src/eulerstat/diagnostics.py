@@ -17,8 +17,8 @@ energy. The compensated spectrum multiplies by K^gamma.
 Scaling exponents are least-squares slopes in log-log coordinates.
 
 Both curves are built from the mean modal power per |k|^2, a RadialPower
-accumulator fed one sample at a time; structure_function and
-energy_spectrum feed it from a snapshot's fields, and structure_curve and
+accumulator fed one sample at a time by ensemble.feed; structure_function
+and energy_spectrum feed it a snapshot's fields, and structure_curve and
 spectrum_curve turn a fed one into a curve, so a caller streaming samples
 computes the power once for both.
 """
@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot, check_finite, mean_field, same_time, variance_field, write_csv
+from .ensemble import (EnsembleSnapshot, check_finite, feed, mean_field, same_time, variance_field,
+                       write_csv)
 from .spectral import SpectralField, sobolev_norm, synthesis_grid, truncate_to, wavenumbers
 
 __all__ = [
@@ -188,6 +189,8 @@ class RadialPower:
     """Modal power per integer |k|^2, summed over the N-mode sample fields
     fed to add, in order."""
 
+    grid_points = None      # ensemble.feed adds the fields themselves
+
     def __init__(self, N: int):
         _, _, ksq = wavenumbers(N)
         self.flat_ksq = ksq.ravel()
@@ -217,8 +220,7 @@ class RadialPower:
 
 def _radial_power(snapshot: EnsembleSnapshot) -> RadialPower:
     acc = RadialPower(snapshot.N)
-    for f in snapshot.fields:
-        acc.add(f)
+    feed(snapshot.fields, [acc])
     return acc
 
 

@@ -19,9 +19,10 @@ Snapshot files use a fixed little-endian binary layout (magic "EUSS"):
 A file is read as a stream: read_snapshot_header checks the header and the
 file length, and iter_snapshot then yields one sample at a time, so a
 reader holds one sample of a file, not m. read_snapshot collects the stream.
-The ensemble statistics here are accumulators fed one sample at a time
-(CoefficientSum, GridMoments); mean_field and variance_field feed them from
-a snapshot's fields.
+The ensemble statistics are accumulators fed one sample at a time, by feed
+alone: CoefficientSum and GridMoments here, RadialPower (diagnostics) and
+TupleValues (transport). mean_field and variance_field feed them a
+snapshot's fields; `diagnose` feeds them the stream of iter_snapshot.
 
 Every file the command line writes goes through atomic_open (written to
 path + ".tmp", then renamed into place); its CSV tables through write_csv.
@@ -53,6 +54,7 @@ __all__ = [
     "run_ensemble",
     "CoefficientSum",
     "GridMoments",
+    "feed",
     "mean_field",
     "variance_field",
     "check_finite",
@@ -288,6 +290,8 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
 class CoefficientSum:
     """Coefficient-wise sum of the N-mode sample fields fed to add, in order."""
 
+    grid_points = None      # feed adds the fields themselves
+
     def __init__(self, N: int):
         self.N = N
         self.total = np.zeros((2, 2 * N + 1, 2 * N + 1), dtype=np.complex128)
@@ -306,8 +310,7 @@ class CoefficientSum:
 def mean_field(snapshot: EnsembleSnapshot) -> SpectralField:
     """Coefficient-wise ensemble mean (equals the pointwise mean field)."""
     acc = CoefficientSum(snapshot.N)
-    for f in snapshot.fields:
-        acc.add(f)
+    feed(snapshot.fields, [acc])
     return acc.mean()
 
 
@@ -326,6 +329,7 @@ class GridMoments:
     of their squares."""
 
     def __init__(self, M: int):
+        self.grid_points = M
         self.s1 = np.zeros((M, M, 2))
         self.s2 = np.zeros((M, M, 2))
         self.count = 0
@@ -354,10 +358,26 @@ def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -
     """
     M = synthesis_grid(snapshot.N) if grid_points is None else int(grid_points)
     acc = GridMoments(M)
-    for f in snapshot.fields:
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc.add(sample_at_grid(f, M))
+    feed(snapshot.fields, [acc])
     return acc.variance(snapshot)
+
+
+def feed(fields, stats) -> None:
+    """Feed each sample field of fields, in order, to every statistic of stats:
+    the field itself if its grid_points is None, else the field's (M, M, 2)
+    grid for M = grid_points, synthesized once per sample and M with overflow
+    left to the statistic to report. With no stats, fields is not iterated."""
+    if not stats:
+        return
+    sizes = {}              # grid_points -> the statistics fed at it, in order
+    for stat in stats:
+        sizes.setdefault(stat.grid_points, []).append(stat)
+    for field in fields:
+        for M, fed in sizes.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = field if M is None else sample_at_grid(field, M)
+            for stat in fed:
+                stat.add(value)
 
 
 @contextlib.contextmanager
@@ -447,8 +467,8 @@ def read_snapshot_header(path) -> SnapshotHeader:
     """Read and check the header of a snapshot written by write_snapshot.
 
     Raises SnapshotFormatError (a ValueError) naming the path for bad magic
-    or version, a non-finite time, no samples, or a length other than the
-    header implies. Samples are checked as iter_snapshot reads them.
+    or version, a non-finite time, N < 1, no samples, or a length other than
+    the header implies. Samples are checked as iter_snapshot reads them.
     """
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
@@ -464,6 +484,8 @@ def read_snapshot_header(path) -> SnapshotHeader:
         _check_length(fh, path, N, m)
         if m < 1:
             raise SnapshotFormatError(f"{path}: a snapshot needs at least one sample")
+        if N < 1:
+            raise SnapshotFormatError(f"{path}: resolution N={N}, but a snapshot needs N >= 1")
     return SnapshotHeader(path=path, N=N, m=m, time=time, manifest_hash=manifest_hash)
 
 

@@ -45,10 +45,10 @@ spatial k-tuples, the clouds of stacked velocity values
 (u_i(x_1), ..., u_i(x_k)) in R^(2k) across samples, and averages the
 per-tuple W1 over the tuples; the average is scaled by the domain volume
 (2 pi)^(2k), the quadrature weight of uniformly drawn tuples. The values
-are gathered by a TupleValues accumulator fed one sample grid at a time:
-marginal_w1 feeds it from a snapshot's fields, and marginal_report turns
-two fed ones into the report, so a caller streaming samples can share each
-sample's grid with other statistics.
+are gathered by a TupleValues accumulator fed one sample grid at a time by
+ensemble.feed: marginal_w1 feeds it a snapshot's fields, and
+marginal_report turns two fed ones into the report, so a caller streaming
+samples can share each sample's grid with other statistics.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import EnsembleSnapshot, same_time, write_csv
-from .spectral import sample_at_grid, synthesis_grid
+from .ensemble import EnsembleSnapshot, feed, same_time, write_csv
+from .spectral import synthesis_grid
 
 __all__ = [
     "PointCloud",
@@ -555,9 +555,10 @@ def marginal_tuples(k: int, grid_points: int, x_tuples=None, num_tuples: int | N
 
 class TupleValues:
     """(m, T, k, 2) sample values at the grid nodes of (T, k, 2) index
-    tuples, gathered from the m sample grids fed to add, in order."""
+    tuples, gathered from the m (M, M, 2) sample grids fed to add, in order."""
 
-    def __init__(self, tuples: np.ndarray, m: int):
+    def __init__(self, tuples: np.ndarray, m: int, grid_points: int):
+        self.grid_points = grid_points
         self.tuples = tuples
         self.values = np.empty((m, *tuples.shape))
         self.count = 0
@@ -602,14 +603,10 @@ def marginal_w1(
         raise ValueError(f"sample counts differ ({snapA.m} vs {snapB.m})")
     M = synthesis_grid(min(snapA.N, snapB.N)) if grid_points is None else int(grid_points)
     tuples, used_seed = marginal_tuples(k, M, x_tuples, num_tuples, seed)
-    gathered = []
-    for snap in (snapA, snapB):
-        values = TupleValues(tuples, snap.m)
-        for f in snap.fields:
-            with np.errstate(over="ignore", invalid="ignore"):
-                values.add(sample_at_grid(f, M))
-        gathered.append(values)
-    return marginal_report(*gathered, snapA, snapB, M, used_seed)
+    values_a, values_b = (TupleValues(tuples, snap.m, M) for snap in (snapA, snapB))
+    feed(snapA.fields, [values_a])
+    feed(snapB.fields, [values_b])
+    return marginal_report(values_a, values_b, snapA, snapB, M, used_seed)
 
 
 def marginal_report(values_a: TupleValues, values_b: TupleValues, snapA, snapB,

@@ -1,6 +1,7 @@
 import contextlib
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -902,6 +903,22 @@ def test_diagnose_damaged_snapshot_exits_2(tmp_path, capsys, monkeypatch, cut):
     assert main(["diagnose", str(path), "--structure"]) == 2
     err = capsys.readouterr().err
     assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", [["--structure"], ["--spectrum", "0"]])
+def test_diagnose_snapshot_of_no_modes_exits_2(tmp_path, capsys, flag):
+    # A well-formed header with N = 0 and m = 2, then two 40-byte records (a
+    # seed and the two components of the one mode k = (0, 0)): its length
+    # matches, but a snapshot needs N >= 1.
+    path = tmp_path / "zero_N0000_t0.euss"
+    records = b"".join(struct.pack("<Q", seed) + bytes(32) for seed in (1, 2))
+    path.write_bytes(struct.pack("<4sIIIdQ", b"EUSS", 1, 0, 2, 0.0, 0) + records)
+    for out in ([], ["--out", str(tmp_path / "diag")]):
+        assert main(["diagnose", str(path), *flag, *out]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        printed = capsys.readouterr()
+        assert printed.out == "" and printed.err.startswith(f"eulerstat: {path}: ")
+        assert printed.err.count("\n") == 1
 
 
 def test_full_pipeline_byte_determinism(tmp_path, monkeypatch):

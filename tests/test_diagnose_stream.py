@@ -19,8 +19,12 @@ import pytest
 
 from eulerstat import cli
 from eulerstat.cli import main
-from eulerstat.ensemble import EnsembleSnapshot, write_csv, write_snapshot
+from eulerstat.diagnostics import energy_spectrum, structure_function
+from eulerstat.ensemble import (EnsembleSnapshot, mean_field, read_snapshot, variance_field, write_csv,
+                                write_snapshot)
 from eulerstat.solver import SolverParams
+from eulerstat.spectral import sample_at_grid
+from eulerstat.transport import marginal_w1
 from oracles import hermitian_random_field
 
 SAMPLES = 64
@@ -117,6 +121,39 @@ def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, monkeypatch, pin_
         shutil.rmtree(out)
     assert counts == [1, 2]
     assert wrote[0] == wrote[1] and wrote[0].count("wrote ") == len(GOLDEN) + 2
+
+
+def _csv_rows(path) -> list:
+    """The cells of every row after the header, as floats where they parse."""
+    def cell(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+    return [[cell(c) for c in line.split(",")] for line in path.read_text().splitlines()[1:]]
+
+
+def test_streamed_tables_equal_the_library_on_read_snapshots(inputs, tmp_path, capsys):
+    # `diagnose` feeds each sample of the stream to its statistics; the
+    # library feeds them the fields of a snapshot read whole. A .17g cell
+    # parses back to the double written, so every value must be equal.
+    out = tmp_path / "out"
+    assert main(["diagnose", *inputs, "--structure", "--spectrum", "0", "--mean-variance",
+                 "--wasserstein", "1", "--out", str(out)]) == 0
+    snaps = {pathlib.Path(p).stem: read_snapshot(p) for p in inputs}
+    for stem, snap in snaps.items():
+        for tag, curve in (("structure", structure_function(snap)), ("spectrum", energy_spectrum(snap))):
+            assert _csv_rows(out / f"{stem}_{tag}.csv") == [list(row) for row in zip(
+                curve.abscissa.tolist(), curve.values.tolist())], (stem, tag)
+        with np.load(out / f"{stem}_mean_variance.npz") as npz:
+            mean_u1 = sample_at_grid(mean_field(snap), 3 * snap.N)[:, :, 0]
+            assert npz["mean_u1"].tobytes() == mean_u1.tobytes(), stem
+            assert npz["variance"].tobytes() == variance_field(snap).tobytes(), stem
+    for t in ("0", "0.1"):
+        a, b = f"syn_N0016_t{t}", f"syn_N0032_t{t}"
+        report = marginal_w1(snaps[a], snaps[b], 1)
+        expected = [[*coords[0], dist] for coords, dist in report.per_tuple] + [["summary", report.value]]
+        assert _csv_rows(out / f"{a}__{b}_wass1.csv") == expected, t
 
 
 def test_grid_csvs_rebuild_from_the_npz(inputs, tmp_path, capsys):
