@@ -22,7 +22,9 @@ outputs are byte-deterministic for a fixed config, regardless of worker and
 CPU count. The environment variable EULER_STAT_SEED overrides the
 configured base seed.
 
-Exit codes: 0 success, 2 configuration/usage error or interrupt, 3 solver blow-up.
+Exit codes: 0 success; 2 bad input, configuration or flags, a failed read or write,
+out of memory, a lost worker process, or an interrupt; 3 a blow-up or a spent step
+budget. Every failure prints one `eulerstat: ` line (main's) and leaves no partial file.
 """
 
 from __future__ import annotations
@@ -195,8 +197,12 @@ output_times = 0 0.4
 """
 
 
-def _err(msg: str) -> None:
-    print(f"eulerstat: {msg}", file=sys.stderr)
+class _Failure(Exception):
+    """A command's failure: main prints its message and exits with its code."""
+
+    def __init__(self, message: str, code: int = 2):
+        super().__init__(message)
+        self.code = code
 
 
 def _snapshot_paths(cfg: ExperimentConfig, N: int):
@@ -216,25 +222,21 @@ def _make_writable_dir(path: str) -> None:
 
 def cmd_run(args) -> int:
     if args.workers < 1:
-        _err(f"--workers must be >= 1, got {args.workers}")
-        return 2
+        raise _Failure(f"--workers must be >= 1, got {args.workers}")
     if os.path.isfile(args.config):
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            _err(f"cannot read config {args.config!r}: {exc}")
-            return 2
+            raise _Failure(f"cannot read config {args.config!r}: {exc}")
     elif args.config in PRESETS:
         text = PRESETS[args.config]
     else:
-        _err(f"config {args.config!r} is neither a file nor a preset name")
-        return 2
+        raise _Failure(f"config {args.config!r} is neither a file nor a preset name")
     try:
         cfg = parse_config(text)
     except ConfigError as exc:
-        _err(f"{args.config}: {exc}")
-        return 2
+        raise _Failure(f"{args.config}: {exc}")
 
     env_seed = os.environ.get("EULER_STAT_SEED")
     if env_seed is not None:
@@ -242,38 +244,31 @@ def cmd_run(args) -> int:
             cfg.base_seed = int(env_seed)
             cfg.check()
         except ValueError as exc:
-            _err(f"EULER_STAT_SEED={env_seed!r}: {exc}")
-            return 2
+            raise _Failure(f"EULER_STAT_SEED={env_seed!r}: {exc}")
 
     if not args.large:
         if any(N > MAX_DESK_N or cfg.samples(N) > MAX_DESK_M for N in cfg.resolutions):
-            _err(
-                f"desk-scale caps N <= {MAX_DESK_N}, m <= {MAX_DESK_M} exceeded; "
-                "pass --large to override"
-            )
-            return 2
+            raise _Failure(f"desk-scale caps N <= {MAX_DESK_N}, m <= {MAX_DESK_M} exceeded; "
+                           "pass --large to override")
         for N in cfg.resolutions:
             params = cfg.solver_params(N)
             steps = cfg.output_times[-1] / viscous_dt(params)
             if steps > MAX_STEPS:
-                _err(f"N={N}: s = {params.s} needs ~{steps:.2g} steps to t = {cfg.output_times[-1]:g} "
-                     f"under the viscous step bound, over the desk-scale cap of {MAX_STEPS}; "
-                     "pass --large to override")
-                return 2
+                raise _Failure(f"N={N}: s = {params.s} needs ~{steps:.2g} steps to "
+                               f"t = {cfg.output_times[-1]:g} under the viscous step bound, over "
+                               f"the desk-scale cap of {MAX_STEPS}; pass --large to override")
 
     try:
         _make_writable_dir(cfg.output_dir)
     except OSError as exc:
-        _err(f"output_dir {cfg.output_dir!r} is not writable: {exc}")
-        return 2
+        raise _Failure(f"output_dir {cfg.output_dir!r} is not writable: {exc}")
 
     # Every resolution is checked before the first one runs.
     for N in cfg.resolutions:
         snap_paths, manifest_path, energy_path = _snapshot_paths(cfg, N)
         existing = [p for p in snap_paths + [manifest_path, energy_path] if os.path.exists(p)]
         if existing and not args.force:
-            _err(f"artifacts exist for N={N} (e.g. {existing[0]}); use --force to overwrite")
-            return 2
+            raise _Failure(f"artifacts exist for N={N} (e.g. {existing[0]}); use --force to overwrite")
 
     for N in cfg.resolutions:
         snap_paths, manifest_path, energy_path = _snapshot_paths(cfg, N)
@@ -289,16 +284,12 @@ def cmd_run(args) -> int:
             energy_rows = run_ensemble(manifest, snap_paths, workers=args.workers,
                                        tolerate_failures=cfg.tolerate_failures, manifest_hash=mhash)
         except BlowUpError as exc:
-            _err(f"N={N}: {exc} (sample {exc.sample_index}, t={exc.time})")
-            return 3
-        for path in snap_paths:
-            print(f"wrote {path}")
+            raise _Failure(f"N={N}: {exc} (sample {exc.sample_index}, t={exc.time})", 3)
         with atomic_open(manifest_path) as fh:
             fh.write(manifest_text)
-        header = ("energy", cfg.output_times[-1], N, manifest.m)
-        write_csv(energy_path, header, energy_rows)
-        print(f"wrote {manifest_path}")
-        print(f"wrote {energy_path}")
+        write_csv(energy_path, ("energy", cfg.output_times[-1], N, manifest.m), energy_rows)
+        for path in (*snap_paths, manifest_path, energy_path):
+            print(f"wrote {path}")
     return 0
 
 
@@ -314,27 +305,19 @@ def cmd_diagnose(args) -> int:
     for p in by_real.values():
         other = by_stem.setdefault(_stem(p), p)
         if other != p:
-            _err(f"{other} and {p} would both write outputs named {_stem(p)}")
-            return 2
+            raise _Failure(f"{other} and {p} would both write outputs named {_stem(p)}")
     # Checks that name the offending flag or input run first; those that
     # need no input run before the first one is read.
     selected = (args.structure, args.spectrum is not None, args.wasserstein is not None,
                 args.cauchy, args.mean_variance, args.time_regularity is not None)
     if not any(selected):
-        _err("no diagnostic selected; pass --structure, --spectrum, ... (see --help)")
-        return 2
+        raise _Failure("no diagnostic selected; pass --structure, --spectrum, ... (see --help)")
     if args.wasserstein not in (None, 1, 2, 3):
-        _err(f"--wasserstein must be 1, 2 or 3, got {args.wasserstein}")
-        return 2
+        raise _Failure(f"--wasserstein must be 1, 2 or 3, got {args.wasserstein}")
     for flag, value in (("--spectrum", args.spectrum), ("--time-regularity", args.time_regularity)):
         if value is not None and not math.isfinite(value):
-            _err(f"{flag} must be finite, got {value}")
-            return 2
-    try:
-        loaded = [(p, read_snapshot_header(p)) for p in by_real.values()]
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+            raise _Failure(f"{flag} must be finite, got {value}")
+    loaded = [(p, read_snapshot_header(p)) for p in by_real.values()]
 
     pairs = []
     if args.wasserstein is not None or args.cauchy:
@@ -343,37 +326,28 @@ def cmd_diagnose(args) -> int:
                 if sb.N == 2 * sa.N and same_time(sa.time, sb.time):
                     pairs.append((pa, sa, pb, sb))
         if not pairs:
-            _err("no (N, 2N) snapshot pair at a common time among the inputs")
-            return 2
+            raise _Failure("no (N, 2N) snapshot pair at a common time among the inputs")
     if args.wasserstein is not None:
         for pa, sa, pb, sb in pairs:
             if sa.m != sb.m:
-                _err(f"{pa} and {pb} have different sample counts")
-                return 2
+                raise _Failure(f"{pa} and {pb} have different sample counts")
     by_n = {}
     if args.time_regularity is not None:
         for path, snap in loaded:
             by_n.setdefault(snap.N, []).append((path, snap))
         if not any(len(s) >= 2 for s in by_n.values()):
-            _err("time regularity needs >= 2 snapshots of the same resolution")
-            return 2
+            raise _Failure("time regularity needs >= 2 snapshots of the same resolution")
         for N, entries in sorted(by_n.items()):
             if len({s.manifest_hash for _, s in entries}) > 1:
                 names = ", ".join(p for p, _ in entries)
-                _err(f"time regularity needs one experiment per resolution, but the N={N} "
-                     f"inputs come from different manifests: {names}")
-                return 2
+                raise _Failure(f"time regularity needs one experiment per resolution, but the "
+                               f"N={N} inputs come from different manifests: {names}")
             if len({s.time for _, s in entries}) < len(entries):
-                _err(f"time regularity needs distinct times, but two N={N} inputs share one")
-                return 2
+                raise _Failure(f"time regularity needs distinct times, but two N={N} inputs share one")
 
     # Compute every table before writing any: a failure while computing
     # leaves no partial outputs, and --out is not created until then.
-    try:
-        outputs = _diagnose_tables(args, loaded, pairs, by_n)
-    except (OSError, ValueError) as exc:
-        _err(str(exc))
-        return 2
+    outputs = _diagnose_tables(args, loaded, pairs, by_n)
 
     out_dir = args.out or os.path.dirname(os.path.abspath(args.snapshots[0]))
     try:
@@ -383,8 +357,7 @@ def cmd_diagnose(args) -> int:
             write(dest)
             print(f"wrote {dest}")
     except OSError as exc:
-        _err(f"output directory {out_dir!r} is not writable: {exc}")
-        return 2
+        raise _Failure(f"output directory {out_dir!r} is not writable: {exc}")
     return 0
 
 
@@ -669,10 +642,15 @@ def main(argv=None) -> int:
         # 2, not 128 + the signal (130, 143): the signal was caught and cleanup ran
         # (.tmp files removed, pool shut down), so, as after bad input, every
         # file left is complete and the command need only be run again.
-        _err("interrupted")
-        return 2
+        message, code = "interrupted", 2
+    except _Failure as exc:
+        message, code = str(exc), exc.code
+    except (OSError, ValueError, MemoryError) as exc:
+        message, code = str(exc) or type(exc).__name__, 2
     finally:
         signal.signal(signal.SIGTERM, previous)
+    print(f"eulerstat: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import io
 import itertools
 import math
 import os
@@ -200,8 +201,9 @@ def _interrupts_held():
 def ordered_map(fn, tasks, workers: int, shared=None):
     """Yields fn(task) for each task, in task order: in this process for 0
     workers, else on `workers` processes, each handed shared once, with at most
-    2 x workers tasks submitted and not yet read (fn reads shared as _shared).
-    Leaving the block, also by an exception, cancels queued tasks, waits for running ones."""
+    2 x workers tasks submitted and not yet read (fn reads shared as _shared); a
+    lost worker raises ChildProcessError (an OSError). Leaving the block, also by
+    an exception, cancels queued tasks, waits for running ones."""
     global _shared
     if workers < 1:
         kept, _shared = _shared, shared
@@ -212,6 +214,7 @@ def ordered_map(fn, tasks, workers: int, shared=None):
         return
     # imported here, so that a process that starts no pool never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     tasks, queued = iter(tasks), collections.deque()
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(shared,))
@@ -228,6 +231,8 @@ def ordered_map(fn, tasks, workers: int, shared=None):
     try:
         submit(2 * workers)
         yield results()
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a worker process was lost: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -380,12 +385,24 @@ def feed(fields, stats) -> None:
                 stat.add(value)
 
 
+class _NamedFile(io.FileIO):
+    """A file whose failed writes raise an OSError that names it."""
+
+    def write(self, data):
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.name) from None
+
+
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
-    """Open path + ".tmp" for writing; rename it onto path at the end, or remove it on error."""
+    """Open path + ".tmp" for writing ("w" text, "wb" binary); rename it onto
+    path at the end, or remove it on error. A failed write names the .tmp file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        buf = io.BufferedWriter(_NamedFile(tmp, "w"))
+        with (buf if "b" in mode else io.TextIOWrapper(buf, encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

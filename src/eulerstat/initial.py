@@ -73,7 +73,8 @@ class InitialMeasureSpec:
     family : "flat_sheet", "sinusoidal_sheet", "fbm" or "taylor_green"
     N : target modal resolution of the generated fields
     rho : interface smoothing length in unit coordinates (sheets);
-          rho = 0 selects the discontinuous flat-sheet profile
+          rho = 0 selects the discontinuous flat-sheet profile; as the
+          sinusoidal sheet's mollifier radius, at most one period (rho <= 1)
     delta : amplitude of the random interface perturbation (sheets)
     q : number of perturbation modes
     d : sinusoidal sheet amplitude
@@ -101,8 +102,8 @@ class InitialMeasureSpec:
             raise ValueError("N must be positive")
         if self.family == "flat_sheet" and self.rho < 0:
             raise ValueError("flat_sheet requires rho >= 0")
-        if self.family == "sinusoidal_sheet" and not self.rho > 0:
-            raise ValueError("sinusoidal_sheet requires rho > 0 (mollification)")
+        if self.family == "sinusoidal_sheet" and not 0 < self.rho <= 1:
+            raise ValueError(f"sinusoidal_sheet requires 0 < rho <= 1, got rho = {self.rho:g}")
         if self.family == "fbm" and not 0.0 < self.hurst < 1.0:
             raise ValueError("fbm requires 0 < hurst < 1")
         if self.delta < 0:

@@ -891,6 +891,144 @@ def test_interrupted_pooled_diagnose_exits_2_leaving_nothing(tmp_path, signum, g
             os.killpg(proc.pid, signal.SIGKILL)   # nothing of a failed run outlives the test
 
 
+def _cli(tmp_path, *args, **popen):
+    """A `python -m eulerstat.cli` child process in tmp_path, stdout discarded."""
+    src = os.path.dirname(os.path.dirname(eulerstat.__file__))
+    return subprocess.Popen([sys.executable, "-m", "eulerstat.cli", *args], cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True, **popen)
+
+
+def _assert_one_line(err):
+    assert len(err.splitlines()) == 1 and err.startswith("eulerstat: ") and "Traceback" not in err, err
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sets a file-size limit on POSIX")
+def test_failed_snapshot_write_exits_2_naming_the_file(tmp_path):
+    # 16 flat sheets at N = 32 add 135208 bytes per sample to each snapshot:
+    # under a 200 kB file-size limit (the child's only; SIGXFSZ ignored) the
+    # second sample's write to the t = 0 snapshot fails with EFBIG.
+    import errno
+    import resource
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+
+    cfg = GOOD.replace("resolutions = 8 16", "resolutions = 32").replace("samples = 2", "samples = 16")
+    proc = _cli(tmp_path, "run", _write_config(tmp_path, cfg), preexec_fn=limit_file_size)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    _assert_one_line(err)
+    tmp = os.path.join("out", "demo", "demo_N0032_t00.euss.tmp")
+    assert err == f"eulerstat: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {tmp!r}\n"
+    assert not list((tmp_path / "out" / "demo").iterdir())
+
+
+def _kill_a_worker(proc, count):
+    """SIGKILL one of proc's pool workers once count of them run; return them all."""
+    deadline = time.monotonic() + 60
+    workers = []
+    while len(workers) < count and time.monotonic() < deadline and proc.poll() is None:
+        workers = _children(proc.pid)
+        time.sleep(0.002)
+    assert proc.poll() is None and len(workers) == count, "the command ended before its workers ran"
+    os.kill(workers[0], signal.SIGKILL)
+    return workers
+
+
+def _assert_all_gone(pids):
+    deadline = time.monotonic() + 10
+    while any(os.path.exists(f"/proc/{pid}") for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not [pid for pid in pids if os.path.exists(f"/proc/{pid}")]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="finds the pool workers through /proc")
+def test_lost_run_worker_exits_2_leaving_nothing(tmp_path):
+    # 64 flat sheets at N = 32 on 2 workers; one is killed once both are forked.
+    cfg = GOOD.replace("resolutions = 8 16", "resolutions = 32").replace(
+        "samples = 2", "samples = 64").replace("output_times = 0 0.05", "output_times = 0 2")
+    proc = _cli(tmp_path, "run", _write_config(tmp_path, cfg), "--workers", "2")
+    try:
+        workers = _kill_a_worker(proc, 2)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2
+        _assert_one_line(err)
+        assert "worker process was lost" in err
+        assert not list((tmp_path / "out" / "demo").iterdir())
+        _assert_all_gone(workers)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)   # nothing of a failed run outlives the test
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc") or ens.usable_cpus() < 2,
+                    reason="finds the pool worker through /proc; pins diagnose to 2 CPUs")
+def test_lost_diagnose_worker_exits_2_leaving_nothing(tmp_path):
+    # --wasserstein over two groups of 64 samples at 2 CPUs: this process runs
+    # one group's W1 and a pool worker, killed as soon as it is forked, the other's.
+    paths = _write_snapshots(tmp_path, ((16, 64, 0.0), (32, 64, 0.0), (16, 64, 0.1), (32, 64, 0.1)))
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    out = tmp_path / "diag"
+    proc = _cli(tmp_path, "diagnose", *paths, "--wasserstein", "1", "--out", str(out),
+                preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+    try:
+        workers = _kill_a_worker(proc, 1)
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 2
+        _assert_one_line(err)
+        assert "worker process was lost" in err
+        assert not out.exists()
+        _assert_all_gone(workers)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+def test_run_out_of_memory_exits_2_leaving_no_files_for_that_n(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    real = ens.generate_sample
+
+    def starved(spec, i):
+        if spec.N == 16 and i == 2:
+            raise MemoryError
+        return real(spec, i)
+
+    monkeypatch.setattr(ens, "generate_sample", starved)
+    assert main(["run", _write_config(tmp_path, GOOD)]) == 2
+    assert capsys.readouterr().err == "eulerstat: MemoryError\n"
+    assert sorted(p.name for p in (tmp_path / "out" / "demo").iterdir()) == [
+        "demo_N0008.manifest", "demo_N0008_energy.csv", "demo_N0008_t00.euss", "demo_N0008_t01.euss"]
+
+
+def test_diagnose_out_of_memory_exits_2_writing_nothing(tmp_path, capsys, monkeypatch):
+    paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (16, 2, 0.0)))
+    message = "Unable to allocate 1.00 GiB for an array with shape (8192, 8192, 2)"
+
+    def starved(fields, stats):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(eulerstat.cli, "feed", starved)
+    before = sorted(tmp_path.iterdir())
+    assert main(["diagnose", *paths, "--structure", "--cauchy", "--out", str(tmp_path / "diag")]) == 2
+    assert capsys.readouterr().err == f"eulerstat: {message}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_run_sinusoidal_rho_past_one_period_exits_2(tmp_path, capsys, monkeypatch):
+    # rho = 1e300 used to pass every check, create output_dir and then fail
+    # in the sheet kernel, where rho * rho overflows.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(_bad_config(initial="family = sinusoidal_sheet\nrho = 1e300\n"))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    _assert_one_line(err)
+    assert "N=8" in err and "rho = 1e+300" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cut", ["four_bytes", "truncated_body", "extended"])
 def test_diagnose_damaged_snapshot_exits_2(tmp_path, capsys, monkeypatch, cut):
     monkeypatch.chdir(tmp_path)

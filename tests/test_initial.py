@@ -119,6 +119,13 @@ def test_sinusoidal_requires_mollification():
         InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=0.0)
 
 
+def test_sinusoidal_mollifier_within_one_period():
+    InitialMeasureSpec(family="sinusoidal_sheet", N=8, rho=1.0)
+    for rho in (1.0 + 2 ** -52, 1e300, float("inf")):
+        with pytest.raises(ValueError, match=r"rho <= 1"):
+            InitialMeasureSpec(family="sinusoidal_sheet", N=8, rho=rho)
+
+
 # rho * 3N of 1.5, 3, 15 and 7 rows; 0.45 needs all but one row at N = 8,
 # and 0.49 needs more rows than the grid has, so the window is the column.
 SHEET_RHOS = {
