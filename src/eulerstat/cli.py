@@ -9,15 +9,13 @@
 `run` evolves the configured ensembles for every resolution, appends each
 sample to the snapshot files (*.euss) as it is taken, and writes a resolved
 manifest per resolution and an energy CSV. `diagnose` turns snapshot files
-into CSV tables and .npz grids. It reads each snapshot once, one sample at
-a time, for every table but the time regularity ones, which take one more
-pass over the snapshots of each resolution in lockstep. Its work comes in
-units: one per group of inputs (an input and every input it is paired with
-at a common time; the W1 tuple values of a group never leave its process)
-and one per resolution for time regularity. With --wasserstein and more
-than one group, the units are dealt round-robin over the CPUs, the first
-share in this process and each other share in a pool process of its own;
-otherwise all run here and no pool is imported. Snapshot, CSV and .npz
+into CSV tables and .npz grids. It reads each snapshot once, in the order
+given, one sample at a time, for every table but the time regularity ones,
+which take one more pass over the snapshots of each resolution in lockstep.
+All of that runs in this process. Only the W1 reports of --wasserstein may
+leave it: with two (N, 2N) pairs or more and more than one CPU, a pool of
+min(pairs, CPUs) processes solves each pair as soon as both its snapshots
+are read; otherwise no pool is imported. Snapshot, CSV and .npz
 outputs are byte-deterministic for a fixed config, regardless of worker and
 CPU count. The environment variable EULER_STAT_SEED overrides the
 configured base seed.
@@ -58,9 +56,9 @@ from .ensemble import (
     atomic_open,
     check_finite,
     feed,
-    first_here,
     fnv1a64,
     iter_snapshot,
+    ordered_map,
     read_snapshot_header,
     run_ensemble,
     same_time,
@@ -365,46 +363,30 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     """(file name, writer taking the path) of every table `diagnose` writes.
 
     loaded holds (path, header) of each input, pairs the (N, 2N) pairs and
-    by_n the inputs per resolution for time regularity. The work is split
-    into units: one per group of inputs (an input and every input it is
-    paired with, directly or through others), which streams each input once
-    through ensemble.feed into every statistic its tables need
-    (_stream_group), and one per resolution for time regularity, which
-    reads its inputs again, in lockstep (_time_regularity). With --wasserstein
-    and more than one group, the units are dealt round-robin into one share
-    per CPU (at most one per unit); this process runs the first share and a
-    pool of one process per other share runs the rest (first_here). The
-    tables are then built and ordered here, from the results alone, so no
-    output byte or error message depends on the CPU count.
+    by_n the inputs per resolution for time regularity. Each input is
+    streamed once, in the order of loaded, in this process, and its
+    statistics finished right after (_streamed); the time regularity tables
+    read their inputs once more, in lockstep. The W1 report of a pair is the
+    only work that may leave this process: with --wasserstein, two pairs or
+    more and more than one CPU, a pool of min(pairs, CPUs) processes solves
+    each pair as soon as both its inputs are streamed, while later inputs
+    stream here (ordered_map). No output byte or error message depends on
+    the CPU count.
 
-    A failure is raised when its table is built, tables in the order below,
-    except that an input that cannot be streamed fails first, the earliest
-    such input in the order of loaded, so the failure reported does not
-    depend on the order in which the inputs are read.
+    Failures are raised in this order: the inputs in order, each with a
+    sample that cannot be read, then its curves and its mean_u1 as they are
+    finished; then the tables in the order below.
     """
-    units = []
-    for group in _groups(loaded, pairs):
-        paths = {path for path, _ in group}
-        units.append(partial(_stream_group, args, group, [p for p in pairs if p[0] in paths]))
-    one_share = args.wasserstein is None or len(units) == 1
-    regularity = {N: sorted((h for _, h in entries), key=lambda h: h.time)
-                  for N, entries in sorted(by_n.items()) if len(entries) >= 2}
-    units += [partial(_time_regularity, N, heads, args.time_regularity)
-              for N, heads in regularity.items()]
-    shares = 1 if one_share else min(len(units), usable_cpus())
-    if shares > 1:   # numpy's lazy modules the shares use, imported once, before the pool forks
-        import numpy.fft, numpy.random  # noqa: E401, F401
-    done = {}
-    for part in first_here(_run_units, [units[i::shares] for i in range(shares)]):
-        done.update(part)
-    for path, _ in loaded:
-        if (path, "read") in done:
-            raise done[path, "read"]
+    finished = {}               # path -> its finished statistics
+    workers = min(len(pairs), usable_cpus()) if args.wasserstein is not None else 0
+    with ordered_map(_pair_report, _streamed(args, loaded, pairs, finished),
+                     workers if workers > 1 else 0) as reports:
+        reports = dict(reports)
 
     outputs, summary_rows = [], []
     if args.structure:
         for path, head in loaded:
-            curve = _now(done[path, "structure"])
+            curve = finished[path]["structure"]
             outputs.append((f"{_stem(path)}_structure.csv", partial(write_curve_csv, curve)))
             try:
                 fit = fit_exponent(curve, *default_fit_range(head.N))
@@ -414,32 +396,40 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
                 summary_rows.append((_stem(path), "structure_exponent", *["nan"] * 5))
     if args.spectrum is not None:
         for path, head in loaded:
-            curve = _now(done[path, "spectrum"])
+            curve = finished[path]["spectrum"]
             if args.spectrum != 0.0:
                 curve = compensated_spectrum(curve, args.spectrum)
             outputs.append((f"{_stem(path)}_spectrum.csv", partial(write_curve_csv, curve)))
     if args.wasserstein is not None:
-        for pa, _, pb, _ in pairs:
-            report = _now(done[pa, pb, "wasserstein"])
+        for j, (pa, _, pb, _) in enumerate(pairs):
+            if isinstance(reports[j], ValueError):
+                raise reports[j]
             outputs.append((f"{_stem(pa)}__{_stem(pb)}_wass{args.wasserstein}.csv",
-                            partial(write_report_csv, report)))
+                            partial(write_report_csv, reports[j])))
     if args.cauchy:
-        for pa, sa, pb, _ in pairs:
+        for pa, sa, pb, sb in pairs:
             M = synthesis_grid(sa.N)
-            rows = [("mean", cauchy_rate_of(done[pb, "mean"], done[pa, "mean"], "mean", sa)),
-                    ("variance", cauchy_rate_of(_now(done[pb, M]), _now(done[pa, M]), "variance", sa))]
+            fine, coarse = finished[pb], finished[pa]
+            mean = cauchy_rate_of(fine["mean"], coarse["mean"], "mean", sa)
+            check_finite(fine[M], "variance", sb)
+            check_finite(coarse[M], "variance", sa)
+            rows = [("mean", mean), ("variance", cauchy_rate_of(fine[M], coarse[M], "variance", sa))]
             outputs.append((f"{_stem(pa)}__{_stem(pb)}_cauchy.csv",
                             partial(write_csv, header=("cauchy", sa.time, sa.N, sa.m), rows=rows)))
     if args.mean_variance:
         for path, head in loaded:
-            arrays = {"mean_u1": _now(done[path, "mean_u1"]),
-                      "variance": _now(done[path, synthesis_grid(head.N)]),
+            variance = finished[path][synthesis_grid(head.N)]
+            check_finite(variance, "variance", head)
+            arrays = {"mean_u1": finished[path]["mean_u1"], "variance": variance,
                       "time": np.float64(head.time), "N": np.int64(head.N), "m": np.int64(head.m)}
             outputs.append((f"{_stem(path)}_mean_variance.npz", partial(_write_npz, arrays)))
-    for N, heads in regularity.items():
+    for N, entries in sorted(by_n.items()):
+        if len(entries) < 2:
+            continue
+        heads = sorted((h for _, h in entries), key=lambda h: h.time)
         header = (f"time_regularity_L{args.time_regularity:g}", heads[-1].time, N,
                   min(h.m for h in heads))
-        rows = _now(done[N, "time_regularity"])
+        rows = _time_regularity(heads, args.time_regularity)
         outputs.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
 
     if summary_rows:
@@ -454,50 +444,21 @@ def _write_npz(arrays, path) -> None:
         np.savez(fh, **arrays)
 
 
-def _groups(loaded, pairs) -> list:
-    """The inputs of loaded split into groups, each an input with every input
-    it is paired with, directly or through others; groups and their members
-    are in the order of loaded."""
-    index = {path: i for i, (path, _) in enumerate(loaded)}
-    root = list(range(len(loaded)))
+def _streamed(args, loaded, pairs, finished):
+    """Stream each input of loaded, in order, and yield the W1 task of each
+    pair, (pair index, tuple values a, tuple values b, header a, header b),
+    as soon as both its inputs are streamed.
 
-    def find(i):
-        while root[i] != i:
-            i = root[i]
-        return i
-
-    for pa, _, pb, _ in pairs:
-        a, b = find(index[pa]), find(index[pb])
-        root[max(a, b)] = min(a, b)
-    groups = {}
-    for i, entry in enumerate(loaded):
-        groups.setdefault(find(i), []).append(entry)
-    return list(groups.values())
-
-
-def _run_units(units) -> dict:
-    """The merged results of the units, each a call returning a dict."""
-    done = {}
-    for unit in units:
-        done.update(unit())
-    return done
-
-
-def _stream_group(args, group, pairs) -> dict:
-    """The results of one group of inputs, under (path, statistic or grid
-    size), and the W1 report of each of its pairs, under (path a, path b,
-    "wasserstein").
-
-    Each input, in order, is fed (feed) in one pass to the statistics its
-    tables need: radial power, coefficient sum, variance moments on its own
-    grid and on each pair's coarse grid, and W1 tuple values on that grid,
-    which are kept for the pair's report. An input with none is not read.
-    Every other statistic is dropped once finished. If an input cannot be
-    streamed, the result is its error alone, under (path, "read"), and the
-    group stops there.
+    Each input is fed (feed) in one pass to the statistics its tables need:
+    radial power, coefficient sum, variance moments on its own grid and on
+    each pair's coarse grid, and W1 tuple values on that grid. An input with
+    none is not read. Its finished statistics go to finished[path], under a
+    name or a grid size, and each accumulator is dropped as soon as it is
+    finished; tuple values, once no pair still to be yielded needs them.
     """
-    done, values = {}, {}       # values: (path, M) -> TupleValues
-    for path, head in group:
+    waiting = dict(enumerate(pairs)) if args.wasserstein is not None else {}    # not yet yielded
+    values = {}                 # (path, M) -> TupleValues
+    for path, head in loaded:
         # the coarse grid size of each of its pairs, once each
         coarse = dict.fromkeys(synthesis_grid(sa.N) for pa, sa, pb, _ in pairs if path in (pa, pb))
         radial = RadialPower(head.N) if args.structure or args.spectrum is not None else None
@@ -510,59 +471,49 @@ def _stream_group(args, group, pairs) -> dict:
             values[path, M] = TupleValues(marginal_tuples(args.wasserstein, M)[0], head.m, M)
         stats = [s for s in (radial, total, *moments.values()) if s is not None]
         stats += [v for (p, _), v in values.items() if p == path]
-        failed = _later(feed, (field for _, field in iter_snapshot(head)), stats)
-        if failed is not None:
-            return {(path, "read"): failed}
-        del stats               # each statistic is dropped as soon as it is finished
-        for M in list(moments):
-            done[path, M] = _later(moments.pop(M).variance, head)
+        feed((field for _, field in iter_snapshot(head)), stats)
+        del stats
+        done = finished[path] = {M: moments.pop(M).variance() for M in list(moments)}
         if args.structure:
-            done[path, "structure"] = _later(structure_curve, radial, head)
+            done["structure"] = structure_curve(radial, head)
         if args.spectrum is not None:
-            done[path, "spectrum"] = _later(spectrum_curve, radial, head)
-        if total is not None:
-            mean = total.mean()
-            if args.cauchy:
-                done[path, "mean"] = mean
-            if args.mean_variance:
-                done[path, "mean_u1"] = _later(_mean_u1, mean, head)
-        del radial, total
-    for pa, sa, pb, sb in pairs if args.wasserstein is not None else ():
-        M = synthesis_grid(sa.N)
-        done[pa, pb, "wasserstein"] = _later(marginal_report, values[pa, M], values[pb, M],
-                                             sa, sb, M, DEFAULT_DIAGNOSTIC_SEED)
-    return done
+            done["spectrum"] = spectrum_curve(radial, head)
+        mean = total.mean() if total is not None else None
+        if args.cauchy:
+            done["mean"] = mean
+        if args.mean_variance:
+            done["mean_u1"] = _mean_u1(mean, head)
+        del radial, total, mean
+        for j in [j for j, (pa, _, pb, _) in waiting.items() if pa in finished and pb in finished]:
+            pa, sa, pb, sb = waiting.pop(j)
+            M = synthesis_grid(sa.N)
+            yield j, values[pa, M], values[pb, M], sa, sb
+        needed = {(p, synthesis_grid(sa.N)) for pa, sa, pb, _ in waiting.values() for p in (pa, pb)}
+        values = {key: v for key, v in values.items() if key in needed}
 
 
-def _time_regularity(N, heads, L) -> dict:
-    """{(N, "time_regularity"): the (seed, ratio) rows of the N inputs with
-    headers heads, in time order, read in lockstep; or the error raised}."""
-    def rows():
-        streams = [iter_snapshot(h) for h in heads]
-        try:
-            return [(samples[0][0], time_regularity_ratio(
-                [(h.time, field) for h, (_, field) in zip(heads, samples)], L=L))
-                for samples in zip(*streams)]
-        finally:
-            for stream in streams:
-                stream.close()
-
-    return {(N, "time_regularity"): _later(rows)}
-
-
-def _later(fn, *args):
-    """fn(*args), or the OSError or ValueError it raised, for _now to raise."""
+def _pair_report(task):
+    """(pair index, W1 report) of a task of _streamed, or (pair index, the
+    ValueError raised) for the W1 table to raise in pair order."""
+    j, values_a, values_b, sa, sb = task
     try:
-        return fn(*args)
-    except (OSError, ValueError) as exc:
-        return exc
+        return j, marginal_report(values_a, values_b, sa, sb, values_a.grid_points,
+                                  DEFAULT_DIAGNOSTIC_SEED)
+    except ValueError as exc:
+        return j, exc
 
 
-def _now(result):
-    """result of _later, or raise the error it holds."""
-    if isinstance(result, (OSError, ValueError)):
-        raise result
-    return result
+def _time_regularity(heads, L) -> list:
+    """The (seed, ratio) rows of the inputs with headers heads, in time
+    order, read in lockstep."""
+    streams = [iter_snapshot(h) for h in heads]
+    try:
+        return [(samples[0][0], time_regularity_ratio(
+            [(h.time, field) for h, (_, field) in zip(heads, samples)], L=L))
+            for samples in zip(*streams)]
+    finally:
+        for stream in streams:
+            stream.close()
 
 
 def _mean_u1(mean, head) -> np.ndarray:

@@ -220,8 +220,10 @@ def ordered_map(fn, tasks, workers: int, shared=None):
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(shared,))
 
     def submit(n):
-        with _interrupts_held():
-            queued.extend(pool.submit(fn, task) for task in itertools.islice(tasks, n))
+        # interrupts are held for the submit only: making a task may be long work
+        for task in itertools.islice(tasks, n):
+            with _interrupts_held():
+                queued.append(pool.submit(fn, task))
 
     def results():
         while queued:
@@ -345,14 +347,12 @@ class GridMoments:
             self.s2 += grid * grid
         self.count += 1
 
-    def variance(self, snapshot) -> np.ndarray:
-        """Pointwise population variance, summed over components; raises
-        ValueError naming the snapshot (or its header) if a value is not finite."""
+    def variance(self) -> np.ndarray:
+        """Pointwise population variance, summed over components; overflow is
+        left to the caller to check (check_finite)."""
         with np.errstate(over="ignore", invalid="ignore"):
             mean = self.s1 / self.count
-            var = np.maximum(self.s2 / self.count - mean * mean, 0.0).sum(axis=2)
-        check_finite(var, "variance", snapshot)
-        return var
+            return np.maximum(self.s2 / self.count - mean * mean, 0.0).sum(axis=2)
 
 
 def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -> np.ndarray:
@@ -364,7 +364,9 @@ def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -
     M = synthesis_grid(snapshot.N) if grid_points is None else int(grid_points)
     acc = GridMoments(M)
     feed(snapshot.fields, [acc])
-    return acc.variance(snapshot)
+    var = acc.variance()
+    check_finite(var, "variance", snapshot)
+    return var
 
 
 def feed(fields, stats) -> None:

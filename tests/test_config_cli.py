@@ -743,6 +743,26 @@ def test_diagnose_overflowing_statistics_write_nothing(tmp_path, capsys, m, flag
     assert what in err
 
 
+@pytest.mark.parametrize("flags, unreadable_fine, what", [
+    (["--structure"], True, "non-finite shell power at N=8"),   # a curve, then a later read
+    (["--mean-variance"], True, "non-finite mean at N=8"),      # a mean, then a later read
+    (["--cauchy", "--mean-variance"], False, "non-finite mean at N=8"),    # a mean, then a table
+])
+def test_diagnose_fails_at_the_first_input_to_fail(tmp_path, capsys, flags, unreadable_fine, what):
+    # Each input's curves and mean are finished right after it is read, so
+    # the N = 8 input's overflow is reported before the N = 16 input is read
+    # and before any table (here the Cauchy rates) is built.
+    paths = _write_huge_pair(tmp_path, 1e307, m=1)
+    if unreadable_fine:
+        c = np.zeros((2, 33, 33), dtype=complex)
+        c[0, 16, 17] = np.nan
+        write_snapshot(paths[1], EnsembleSnapshot(time=0.0, N=16, fields=[SpectralField(16, c)],
+                                                  sample_seeds=[1], params=SolverParams(N=16)))
+    with np.errstate(all="raise"):
+        err = _assert_diagnose_writes_nothing(tmp_path, capsys, [*paths, *flags])
+    assert what in err and paths[1] not in err
+
+
 def test_overflowing_variance_and_cauchy_rate_raise(tmp_path):
     coarse, fine = (read_snapshot(p) for p in _write_huge_pair(tmp_path, 1e307))
     with np.errstate(all="raise"):
@@ -966,15 +986,15 @@ def test_lost_run_worker_exits_2_leaving_nothing(tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/proc") or ens.usable_cpus() < 2,
                     reason="finds the pool worker through /proc; pins diagnose to 2 CPUs")
 def test_lost_diagnose_worker_exits_2_leaving_nothing(tmp_path):
-    # --wasserstein over two groups of 64 samples at 2 CPUs: this process runs
-    # one group's W1 and a pool worker, killed as soon as it is forked, the other's.
+    # --wasserstein over two pairs of 64 samples at 2 CPUs: a pool of two
+    # workers solves the pairs' W1, and one is killed as soon as both are forked.
     paths = _write_snapshots(tmp_path, ((16, 64, 0.0), (32, 64, 0.0), (16, 64, 0.1), (32, 64, 0.1)))
     cpus = sorted(os.sched_getaffinity(0))[:2]
     out = tmp_path / "diag"
     proc = _cli(tmp_path, "diagnose", *paths, "--wasserstein", "1", "--out", str(out),
                 preexec_fn=lambda: os.sched_setaffinity(0, cpus))
     try:
-        workers = _kill_a_worker(proc, 1)
+        workers = _kill_a_worker(proc, 2)
         _, err = proc.communicate(timeout=30)
         assert proc.returncode == 2
         _assert_one_line(err)

@@ -102,25 +102,60 @@ GOLDEN_W1 = {
 }
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, monkeypatch, pin_cpus, k):
-    # At 2 CPUs the two groups (one per time) and the two time-regularity
-    # units run in two processes; at 1 CPU all in this one.
+@pytest.mark.parametrize("k, order", [(1, [0, 1, 2, 3]), (2, [0, 1, 2, 3]),
+                                      (1, [0, 1, 3, 2]), (2, [0, 1, 3, 2])],
+                         ids=["1", "2", "permuted-1", "permuted-2"])
+def test_every_table_keeps_its_bytes(inputs, tmp_path, capsys, monkeypatch, pin_cpus, k, order):
+    # At 2 CPUs the W1 reports of the two pairs (one per time) are solved
+    # by a pool of two processes; at 1 CPU all runs in this one. In the
+    # permuted order the second pair is ready first (its inputs are the
+    # first three streamed), so its report must still land under its own name.
     counts = []
-    first_here = cli.first_here
-    monkeypatch.setattr(cli, "first_here",
-                        lambda fn, shares: counts.append(len(shares)) or first_here(fn, shares))
+    ordered_map = cli.ordered_map
+    monkeypatch.setattr(cli, "ordered_map",
+                        lambda fn, tasks, workers: counts.append(workers) or ordered_map(fn, tasks, workers))
     out = tmp_path / "out"
     wrote = []
     for cpus in (1, 2):
         pin_cpus(cpus)
-        assert main(["diagnose", *inputs, *EVERY_TABLE_BUT_W1, "--wasserstein", str(k),
-                     "--out", str(out)]) == 0
+        assert main(["diagnose", *(inputs[i] for i in order), *EVERY_TABLE_BUT_W1,
+                     "--wasserstein", str(k), "--out", str(out)]) == 0
+        if order != sorted(order):
+            # the summary lists the inputs in the order given; put back in
+            # the natural order, it is GOLDEN's
+            summary = out / "summary.csv"
+            head, *rows = summary.read_text().splitlines(keepends=True)
+            assert [row.split(",")[0] for row in rows] == [cli._stem(inputs[i]) for i in order]
+            summary.write_text(head + "".join(row for _, row in sorted(zip(order, rows))))
         assert csv_digests(out) == {**GOLDEN, **GOLDEN_W1[k]}
         wrote.append(capsys.readouterr().out)
         shutil.rmtree(out)
-    assert counts == [1, 2]
+    assert counts == [0, 2]
     assert wrote[0] == wrote[1] and wrote[0].count("wrote ") == len(GOLDEN) + 2
+
+
+def test_one_group_of_two_pairs_uses_the_pool(tmp_path, capsys, monkeypatch, pin_cpus):
+    # N = 8, 16 and 32 at one time: two pairs that share the N = 16 input.
+    rng = np.random.default_rng(1357)
+    paths = []
+    for N in (8, 16, 32):
+        paths.append(str(tmp_path / f"one_N{N:04d}_t0.euss"))
+        write_snapshot(paths[-1], EnsembleSnapshot(
+            time=0.0, N=N, fields=[hermitian_random_field(N, rng) for _ in range(16)],
+            sample_seeds=list(range(1, 17)), params=SolverParams(N=N), manifest_hash=N))
+    counts = []
+    ordered_map = cli.ordered_map
+    monkeypatch.setattr(cli, "ordered_map",
+                        lambda fn, tasks, workers: counts.append(workers) or ordered_map(fn, tasks, workers))
+    digests = []
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        out = tmp_path / f"out{cpus}"
+        assert main(["diagnose", *paths, "--wasserstein", "1", "--out", str(out)]) == 0
+        digests.append(csv_digests(out))
+    assert counts == [0, 2]
+    assert digests[0] == digests[1] and sorted(digests[0]) == [
+        "one_N0008_t0__one_N0016_t0_wass1.csv", "one_N0016_t0__one_N0032_t0_wass1.csv"]
 
 
 def _csv_rows(path) -> list:

@@ -1,6 +1,7 @@
 import concurrent.futures
 import multiprocessing
 import re
+import signal
 import struct
 import time
 import tracemalloc
@@ -277,6 +278,24 @@ def test_pool_size_capped_at_sample_count(monkeypatch, tmp_path, m, workers, poo
     snaps, _ = run_snapshots(small_manifest(m=m, times=(0.0,)), tmp_path, workers=workers)
     assert created == ([] if pool is None else [pool])
     assert snaps[0].sample_seeds == list(range(1, m + 1))
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_sigmask"), reason="reads the signal mask")
+@pytest.mark.parametrize("workers", [0, 2])
+def test_ordered_map_makes_tasks_with_interrupts_unblocked(workers):
+    # A task may be made by a stream (diagnose reads its inputs while the
+    # pool runs), so a signal must interrupt the making of a task, not wait.
+    masks = []
+
+    def tasks():
+        for i in range(6):
+            masks.append(signal.pthread_sigmask(signal.SIG_BLOCK, []))
+            yield -i
+
+    with ens.ordered_map(abs, tasks(), workers) as results:
+        assert list(results) == list(range(6))
+    assert len(masks) == 6
+    assert not [mask for mask in masks if mask & {signal.SIGINT, signal.SIGTERM}]
 
 
 @pytest.mark.parametrize("cpus, workers, threads", [(2, 2, 1), (2, 1, 2), (4, 2, 2), (1, 3, 1)])
