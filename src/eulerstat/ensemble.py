@@ -140,8 +140,7 @@ def _evolve_one(task):
     """Evolve one sample from the run's sample base (_shared); return (index,
     output fields, (t, E, D) per step) or its BlowUpError."""
     spec, solver, sample_index, output_times, threads = task
-    u0 = (generate_sample(spec, sample_index) if _shared is None
-          else generate_sample(spec, sample_index, _shared))
+    u0 = generate_sample(spec, sample_index, _shared)
     fields, rows = [], []
 
     def on_step(t, u, ledger):
@@ -254,10 +253,13 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     paths[j] receives the snapshot at manifest.output_times[j]. Samples are
     indexed 1..m and evolved in this process, or in a pool of
     min(workers, m) processes (ordered_map); each is written as it is taken,
-    in sample order, so the run holds one sample's fields plus at most
-    2 x workers results submitted and not yet read, whatever m is. What every
-    sample shares (initial.sample_base) is built first, in one column block
-    per worker (first_here), and handed to each pool worker once. With
+    in sample order, and each of its fields is dropped once written. So,
+    whatever m is, a serial run holds one sample at a time (its fields, and
+    while it evolves the solver's arrays, solver._Slabs), and a pooled run
+    holds that in each worker plus, here, at most 2 x workers results
+    submitted and not yet read. What every sample shares
+    (initial.sample_base) is built first, in one column block per worker
+    (first_here), and handed to each pool worker once. With
     tolerate_failures, samples whose trajectories blow up are dropped (the
     header's m counts the samples written); otherwise the first failure
     raises its BlowUpError, carrying the sample index, and cancels the
@@ -285,8 +287,9 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
                     raise outcome
                 continue
             i, fields, rows = outcome
-            for write, field in zip(writers, fields):
-                write(i, field)
+            del outcome         # each field goes as soon as it is written
+            for write in writers:
+                write(i, fields.pop(0))
             if energy_rows is None:
                 energy_rows = rows
         if energy_rows is None:

@@ -41,10 +41,12 @@ threads; every operation is the same, so the bits are those of one slab.
 
 An RK step allocates no padded-grid-sized array. Each evolve, rhs, step
 or adaptive_dt call makes one set of arrays (_Slabs) before it starts
-any thread and holds it until it returns: the padded velocity grid and
-its synthesis rows, a and b (also |u|^2 for the step bound), their real
-spectrum and the modal arrays of the column passes. At N = 128 the grids
-take 8.9 MiB, at N = 512 142 MiB. No two calls share an array, so calls
+any thread and holds it until it returns: one padded grid (the velocity,
+then a and b in its rows), the k2 = 0..N columns of its synthesis along
+x1 and of the products' real spectrum along x2, a scratch of a few rows
+per row slab, and the modal arrays of the column passes. At N = 128 the
+arrays on the padded grid take 4.4 MiB (4.8 MiB on two slabs), at
+N = 512 65.7 MiB (67.2 MiB). No two calls share an array, so calls
 from several threads, with equal params or not, give the bits of serial
 calls; rhs, step and evolve return fresh arrays.
 
@@ -97,6 +99,10 @@ _RK3_REAL_STABILITY = 2.5
 # 0.58-0.62 at 400; below ~225 the hand-offs between threads cost more
 # than the second CPU gains.
 _SLAB_MIN_GRID = 225
+
+# x1 rows per chunk of a row slab's products, their real FFT and the
+# step bound's |U|^2, which go through a scratch of that many rows.
+_CHUNK_ROWS = 64
 
 # Recorded in every manifest; bumped when equal parameters start to give other bits.
 SCHEME_VERSION = 2
@@ -217,6 +223,21 @@ def _k2_major(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
 
 
+def _chunks(r: slice, M: int) -> list:
+    """(x1 rows x, spec, d, s) for each run x of at most _CHUNK_ROWS rows of
+    the row slab r, all on one scratch of the slab's own: spec is it as a
+    complex (2, rows, M//2+1) array, d and s as two real (rows, M) ones. All
+    three are contiguous: numpy buffers operands that are not."""
+    scratch = np.empty(2 * min(_CHUNK_ROWS, r.stop - r.start) * (M // 2 + 1), dtype=np.complex128)
+    chunks = []
+    for i in range(r.start, r.stop, _CHUNK_ROWS):
+        x = slice(i, min(i + _CHUNK_ROWS, r.stop))
+        n = x.stop - i
+        d, s = scratch.view(np.float64)[: 2 * n * M].reshape(2, n, M)
+        chunks.append((x, scratch[: 2 * n * (M // 2 + 1)].reshape(2, n, M // 2 + 1), d, s))
+    return chunks
+
+
 class _Slabs:
     """The arrays, slabs and threads of the RK steps of one solver call.
 
@@ -226,12 +247,17 @@ class _Slabs:
     that broadcast to them, all complex128 with zero imaginary parts (what
     numpy casts real ones to in the RHS products) and k2-major (see
     _k2_major). Buffers, overwritten by every step: work (k2-major) and U
-    hold a synthesis (_velocity_grid), prod the two products of an RHS (and
-    |U|^2 in _dt_bound), spec their real FFT along x2; the FFT along x1
-    goes back into work. The modal arrays of the column passes (k2-major):
-    ab the analyzed products (then scratch terms), u1 the stage field (u1,
-    then u2) and du the RHS (the step's half plane at the end). At N = 128
-    the buffers take 8.9 MiB, at N = 512 142 MiB.
+    hold a synthesis (_velocity_grid); the row pass of an RHS forms the two
+    products in U's rows and puts the k2 = 0..N columns of their real FFT
+    along x2 into work's rows, and the FFT along x1 runs in place in work.
+    Each row slab goes through its rows _CHUNK_ROWS at a time in a scratch
+    of its own (chunks), which holds a chunk's real spectrum, or the terms
+    u1 - u2 and u1 + u2 of a product, or |U|^2 in _dt_bound. The modal
+    arrays of the column passes (k2-major): ab the analyzed products (then
+    scratch terms), u1 the stage field (u1, then u2) and du the RHS (the
+    step's half plane at the end). At N = 128 the buffers on the padded
+    grid take 4.4 MiB on one slab and 4.8 MiB on two, at N = 512 65.7 and
+    67.2 MiB.
 
     A synthesis or analysis is a pass of 1-D transforms along x1 (the k2
     columns of the half plane) and one along x2 (the x1 rows of the padded
@@ -256,11 +282,10 @@ class _Slabs:
             a.flags.writeable = False
         self.work = _k2_major(np.empty((2, M, N + 1), dtype=np.complex128))
         self.U = np.empty((2, M, M))
-        self.prod = np.empty((2, M, M))
-        self.spec = np.empty((2, M, M // 2 + 1), dtype=np.complex128)
         self.ab, self.u1, self.du = (_k2_major(np.empty((2, 2 * N + 1, N + 1), dtype=np.complex128))
                                      for _ in range(3))
         self.rows = tuple(slice(M * i // n, M * (i + 1) // n) for i in range(n))
+        self.chunks = {r.start: _chunks(r, M) for r in self.rows}
         self.cols = tuple(slice((N + 1) * i // n, (N + 1) * (i + 1) // n) for i in range(n))
         self.pool = pool
 
@@ -298,16 +323,19 @@ def _velocity_grid(half: np.ndarray, slabs: _Slabs) -> np.ndarray:
 
 def _rhs_rows(U: np.ndarray, slabs: _Slabs, r: slice) -> None:
     """Row pass of an RHS on the x1 rows r: the products a and b (module
-    docstring; a not yet halved) of U, the padded velocity grid, and their
-    real FFT along x2, in slabs.prod and slabs.spec."""
-    prod = slabs.prod
-    U0, U1, p0, p1 = U[0, r], U[1, r], prod[0, r], prod[1, r]
-    # u1^2 - u2^2 as (u1 - u2)(u1 + u2): no grid-sized temporary
-    np.subtract(U0, U1, out=p0)
-    np.add(U0, U1, out=p1)
-    np.multiply(p0, p1, out=p0)
-    np.multiply(U0, U1, out=p1)
-    _analyze_rows(prod, slabs.spec, r)
+    docstring; a not yet halved) of U, the padded velocity grid, in U's own
+    rows, and their real FFT along x2, whose columns k2 = 0..N go into the
+    same rows of slabs.work."""
+    N = slabs.params.N
+    for x, spec, d, s in slabs.chunks[r.start]:
+        U0, U1 = U[0, x], U[1, x]
+        # u1^2 - u2^2 as (u1 - u2)(u1 + u2), u1 u2 in U1's slot
+        np.subtract(U0, U1, out=d)
+        np.add(U0, U1, out=s)
+        np.multiply(U0, U1, out=U1)
+        np.multiply(d, s, out=U0)
+        _analyze_rows(U[:, x], spec)
+        np.copyto(slabs.work[:, x], spec[..., : N + 1])
 
 
 def _rhs_cols(half: np.ndarray, slabs: _Slabs, c: slice) -> None:
@@ -323,7 +351,7 @@ def _rhs_cols(half: np.ndarray, slabs: _Slabs, c: slice) -> None:
     """
     N = half.shape[-1] - 1
     ab, du = slabs.ab[..., c], slabs.du[..., c]
-    _analyze_cols(slabs.spec, slabs.ab, c, work=slabs.work)
+    _analyze_cols(slabs.work, slabs.ab, c)
     a, b, div0, div1 = ab[0], ab[1], du[0], du[1]
     k1, k2 = slabs.k1, slabs.k2[:, c]
     a *= 0.5
@@ -368,22 +396,24 @@ def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
 def _dt_bound(U: np.ndarray, slabs: _Slabs) -> float:
     """adaptive_dt from U, the velocity on the padded grid.
 
-    |U|^2 goes into slabs.prod, which U must not be. max sqrt(|U|^2) is
-    taken as sqrt(max |U|^2): sqrt is correctly rounded and so monotone,
-    and the two are the same double. The max over row slabs is the max of
-    their maxima (NaN if one is NaN), the same double.
+    |U|^2 goes into the scratch of each row slab, a chunk at a time. max
+    sqrt(|U|^2) is taken as sqrt(max |U|^2): sqrt is correctly rounded and
+    so monotone, and the two are the same double. The max over chunks and
+    row slabs is the max of their maxima (NaN if one is NaN), the same
+    double.
     """
     params = slabs.params
     dt = viscous_dt(params, slabs.lam_max)
     if params.cfl > 0.0:
-        sq = slabs.prod
 
         def speed_sq_max(r):
-            s0, s1 = sq[0, r], sq[1, r]
-            np.multiply(U[0, r], U[0, r], out=s0)
-            np.multiply(U[1, r], U[1, r], out=s1)
-            np.add(s0, s1, out=s0)
-            return s0.max()
+            maxima = []
+            for x, _, s0, s1 in slabs.chunks[r.start]:
+                np.multiply(U[0, x], U[0, x], out=s0)
+                np.multiply(U[1, x], U[1, x], out=s1)
+                np.add(s0, s1, out=s0)
+                maxima.append(s0.max())
+            return np.max(maxima)
 
         umax = float(np.sqrt(np.max(slabs.run(speed_sq_max, slabs.rows))))
         if umax > 0.0:
@@ -468,9 +498,9 @@ def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, slabs: _Slabs) ->
         _synthesize_rows(work, V, r)
         _rhs_rows(V, slabs, r)
 
-    # U (slabs.U when evolve or step built it) is valid for stage 1 only:
-    # the stage-2 synthesis overwrites it with u1's grid, and the stage-3
-    # synthesis with u2's.
+    # U (slabs.U when evolve or step built it) takes stage 1's products;
+    # the stage-2 and stage-3 syntheses overwrite it with u1's and u2's
+    # grids. A row pass writes work's rows once its synthesis has read them.
     slabs.run(lambda r: _rhs_rows(U, slabs, r), slabs.rows)
     slabs.run(stage1, slabs.cols)
     slabs.run(synth_rows, slabs.rows)
@@ -561,7 +591,7 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
             if (steps := steps + 1) > MAX_STEPS:
                 raise BlowUpError(f"{MAX_STEPS} steps spent at t={t:.6g} of {t_end:g}", time=t)
             # One synthesis per step: it bounds dt and is RK stage 1's velocity.
-            # U is slabs.U, valid until stage 2 synthesizes u1.
+            # U is slabs.U, valid until stage 1 forms the products in it.
             U = _velocity_grid(u.coeffs[:, :, params.N :], slabs)
             horizon = pending[0] if pending else t_end
             dt = min(_dt_bound(U, slabs), horizon - t)

@@ -215,19 +215,17 @@ def _analyze_rows(grid: np.ndarray, spec: np.ndarray, xrows: slice = slice(None)
     np.fft.rfft(grid[..., xrows, :], axis=-1, norm="forward", out=spec[..., xrows, :])
 
 
-def _analyze_cols(spec: np.ndarray, out: np.ndarray, cols: slice = slice(None),
-                  work: np.ndarray | None = None) -> None:
+def _analyze_cols(spec: np.ndarray, out: np.ndarray, cols: slice = slice(None)) -> None:
     """Column pass of an analysis: the FFT along x1 of the k2 columns cols of
-    spec (from _analyze_rows) into work (complex, (..., M, N+1); spec's own
-    columns when not given), and its modes k1 = -N..N gathered into the same
-    columns of out (complex, (..., 2N+1, N+1))."""
+    spec (a row pass's real spectrum, at least N+1 columns), in place, and
+    its modes k1 = -N..N gathered into the same columns of out (complex,
+    (..., 2N+1, N+1))."""
     N = out.shape[-1] - 1
     M = spec.shape[-2]
     c = spec[..., : N + 1][..., cols]
-    w = c if work is None else work[..., cols]
-    np.fft.fft(c, axis=-2, norm="forward", out=w)
-    out[..., :N, cols] = w[..., M - N :, :]
-    out[..., N:, cols] = w[..., : N + 1, :]
+    np.fft.fft(c, axis=-2, norm="forward", out=c)
+    out[..., :N, cols] = c[..., M - N :, :]
+    out[..., N:, cols] = c[..., : N + 1, :]
 
 
 def _analyze_half(grid: np.ndarray, N: int) -> np.ndarray:

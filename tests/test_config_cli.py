@@ -241,10 +241,11 @@ def test_diagnose_leaves_scipy_unloaded(tmp_path):
 
 
 def test_cli_import_leaves_process_pools_unloaded(tmp_path):
-    # run_ensemble imports ProcessPoolExecutor only when it starts a pool,
+    # ordered_map imports ProcessPoolExecutor only when it starts a pool,
     # evolve ThreadPoolExecutor only when it starts threads; `presets` does
     # neither, nor does a `diagnose` without --wasserstein or at 1 CPU. At 2
-    # CPUs the --wasserstein of two groups starts a pool.
+    # CPUs the --wasserstein of two (N, 2N) pairs (8 and 16, at each time)
+    # starts a pool.
     paths = _write_snapshots(tmp_path, ((8, 2, 0.0), (16, 2, 0.0), (8, 2, 0.1), (16, 2, 0.1)))
     src = os.path.dirname(os.path.dirname(eulerstat.__file__))
     pools = "('multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread')"
@@ -357,10 +358,10 @@ def test_run_blow_up_exits_3_leaving_no_files_for_that_n(tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path)
     real = ens.generate_sample
 
-    def exploding(spec, i):
+    def exploding(spec, i, base=None):
         if spec.N == 16 and i == 2:
             return SpectralField(16, np.full((2, 33, 33), 1e300, dtype=complex))
-        return real(spec, i)
+        return real(spec, i, base)
 
     monkeypatch.setattr(ens, "generate_sample", exploding)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -377,7 +378,7 @@ def test_run_past_the_step_budget_exits_3(tmp_path, capsys, monkeypatch, large):
     monkeypatch.setattr(solver, "MAX_STEPS", 50)
     real = ens.generate_sample
     monkeypatch.setattr(ens, "generate_sample",
-                        lambda spec, i: SpectralField(spec.N, 1e6 * real(spec, i).coeffs))
+                        lambda spec, i, base=None: SpectralField(spec.N, 1e6 * real(spec, i, base).coeffs))
     assert main(["run", _write_config(tmp_path, GOOD), *large]) == 3
     err = capsys.readouterr().err
     assert err.startswith("eulerstat: N=8: 50 steps spent at t=") and err.count("\n") == 1
@@ -874,9 +875,9 @@ def test_interrupted_run_exits_2_leaving_nothing(tmp_path, signum, group):
                                            (signal.SIGINT, True)],
                          ids=["SIGINT", "SIGTERM", "SIGINT-group"])
 def test_interrupted_pooled_diagnose_exits_2_leaving_nothing(tmp_path, signum, group):
-    # --wasserstein over two groups (one per time) of 64 samples at 2 CPUs:
-    # this process runs one group's W1 and a pool worker the other's. The
-    # signal goes out as soon as that worker is forked.
+    # --wasserstein over two (N, 2N) pairs (one per time) of 64 samples at 2
+    # CPUs: this process streams the inputs and a pool of two workers solves
+    # the pairs' W1. The signal goes out as soon as a worker is forked.
     paths = _write_snapshots(tmp_path, ((16, 64, 0.0), (32, 64, 0.0), (16, 64, 0.1), (32, 64, 0.1)))
     cpus = sorted(os.sched_getaffinity(0))[:2]
     src = os.path.dirname(os.path.dirname(eulerstat.__file__))
@@ -1010,10 +1011,10 @@ def test_run_out_of_memory_exits_2_leaving_no_files_for_that_n(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     real = ens.generate_sample
 
-    def starved(spec, i):
+    def starved(spec, i, base=None):
         if spec.N == 16 and i == 2:
             raise MemoryError
-        return real(spec, i)
+        return real(spec, i, base)
 
     monkeypatch.setattr(ens, "generate_sample", starved)
     assert main(["run", _write_config(tmp_path, GOOD)]) == 2

@@ -322,9 +322,10 @@ def _assert_fails_cleanly(args, folders, capsys):
 
 
 def test_non_finite_sample_mid_stream_exits_2_and_writes_nothing(inputs, tmp_path, capsys, pin_cpus):
-    # The last input's sample 41 (of 64) holds a NaN: the first three inputs
-    # have been streamed into their tables when it is found. It is in the
-    # second group (t = 0.1), which at 2 CPUs runs in a worker process.
+    # The last input's (N = 32, t = 0.1) sample 41 (of 64) holds a NaN. It
+    # is found in this process, when the first three inputs have been
+    # streamed into their statistics and, at 2 CPUs, the first pair's
+    # (t = 0) W1 has gone to a worker process.
     bad = _with_nan(inputs[-1], 40, tmp_path)
     for cpus in (1, 2):
         pin_cpus(cpus)
@@ -334,8 +335,9 @@ def test_non_finite_sample_mid_stream_exits_2_and_writes_nothing(inputs, tmp_pat
 
 
 def test_the_earliest_failing_input_is_reported(inputs, tmp_path, capsys, pin_cpus):
-    # Inputs 2 (N = 16, t = 0.1; second group) and 3 (N = 32, t = 0; first
-    # group) both hold a NaN; input 2 is named, as when they are read in order.
+    # Inputs 2 (N = 16, t = 0.1; second pair) and 3 (N = 32, t = 0; first
+    # pair) both hold a NaN; input 2 is named: at 1 and at 2 CPUs this
+    # process streams the inputs in order.
     bad = [_with_nan(inputs[1], 60, tmp_path), _with_nan(inputs[2], 3, tmp_path)]
     for cpus in (1, 2):
         pin_cpus(cpus)

@@ -5,6 +5,7 @@ import signal
 import struct
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -163,8 +164,8 @@ def test_failed_sample_policy(monkeypatch, tmp_path, workers):
     manifest = small_manifest(m=3)
     real = generate_sample
 
-    def exploding(spec, i):
-        return blown_up(spec) if i == 2 else real(spec, i)
+    def exploding(spec, i, base=None):
+        return blown_up(spec) if i == 2 else real(spec, i, base)
 
     monkeypatch.setattr(ens, "generate_sample", exploding)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -196,13 +197,34 @@ def test_run_memory_does_not_grow_with_sample_count(tmp_path):
     assert large < 2 * small, (small, large)
 
 
+def test_serial_run_drops_each_sample_before_making_the_next(monkeypatch, tmp_path):
+    # At one worker, no field of sample i (its final one among them) is
+    # alive any more when sample i + 1 is generated.
+    real_generate, real_evolve = generate_sample, ens.evolve
+    finals, alive = [], []
+
+    def evolve(*args, **kwargs):
+        u, ledger = real_evolve(*args, **kwargs)
+        finals.append(weakref.ref(u))
+        return u, ledger
+
+    def generating(spec, i, base=None):
+        alive.append([ref() is not None for ref in finals])
+        return real_generate(spec, i, base)
+
+    monkeypatch.setattr(ens, "evolve", evolve)
+    monkeypatch.setattr(ens, "generate_sample", generating)
+    run_ensemble(small_manifest(m=3), [tmp_path / "t00.euss", tmp_path / "t01.euss"])
+    assert alive == [[], [False], [False, False]]
+
+
 def test_interrupted_run_leaves_no_files(monkeypatch, tmp_path):
     real = generate_sample
 
-    def interrupted(spec, i):
+    def interrupted(spec, i, base=None):
         if i == 3:
             raise KeyboardInterrupt
-        return real(spec, i)
+        return real(spec, i, base)
 
     monkeypatch.setattr(ens, "generate_sample", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -223,9 +245,9 @@ def test_pooled_blow_up_cancels_queued_samples(monkeypatch, tmp_path):
                               times=(0.0, 0.4))
     real = generate_sample
 
-    def marking(spec, i):
+    def marking(spec, i, base=None):
         (tmp_path / f"started_{i}").touch()
-        return blown_up(spec) if i == 1 else real(spec, i)
+        return blown_up(spec) if i == 1 else real(spec, i, base)
 
     monkeypatch.setattr(ens, "generate_sample", marking)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,12 +264,12 @@ def test_pooled_run_holds_a_bounded_window_of_samples(monkeypatch, tmp_path):
     m, workers = 24, 2
     real = generate_sample
 
-    def slow_first(spec, i):
+    def slow_first(spec, i, base=None):
         (tmp_path / f"started_{i}").touch()
         if i == 1:
             time.sleep(1.5)
             (tmp_path / "seen").write_text(str(len(list(tmp_path.glob("started_*")))))
-        return real(spec, i)
+        return real(spec, i, base)
 
     monkeypatch.setattr(ens, "generate_sample", slow_first)
     run_ensemble(small_manifest(m=m), [tmp_path / "t00.euss", tmp_path / "t01.euss"], workers=workers)

@@ -456,6 +456,34 @@ def test_rk_step_allocates_no_padded_grid_array(monkeypatch, N, patched_M):
     assert peak <= bound
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_slabs_hold_one_padded_grid(threads):
+    # At N = 128 (M = 400) a solver call's arrays hold one (2, M, M) float
+    # grid, U, and none as large: the products go into U's own rows and
+    # their spectrum into work, through a scratch of a few rows per slab.
+    # All of them together take less than four such grids.
+    p = SolverParams(N=128)
+    M = p.padded_grid
+    grid = 2 * M * M * 8
+    owners = {}
+
+    def collect(v):
+        # the arrays that own the memory of the arrays in v, by id
+        if isinstance(v, np.ndarray):
+            while v.base is not None:
+                v = v.base
+            owners[id(v)] = v
+        elif isinstance(v, (dict, list, tuple)):
+            for item in (v.values() if isinstance(v, dict) else v):
+                collect(item)
+
+    with solver._slabs(p, threads) as slabs:
+        collect(list(vars(slabs).values()))
+    arrays = list(owners.values())
+    assert [a.shape for a in arrays if a.nbytes >= grid] == [(2, M, M)]
+    assert sum(a.nbytes for a in arrays) < 4 * grid
+
+
 def trajectory(u0, params, t_end, threads):
     """(fnv1a64 of the coefficients, their strides, t, E, D) after every step of evolve."""
     rows = []
