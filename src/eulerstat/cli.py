@@ -33,6 +33,7 @@ import os
 import signal
 import sys
 from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -471,7 +472,8 @@ def _streamed(args, loaded, pairs, finished):
             values[path, M] = TupleValues(marginal_tuples(args.wasserstein, M)[0], head.m, M)
         stats = [s for s in (radial, total, *moments.values()) if s is not None]
         stats += [v for (p, _), v in values.items() if p == path]
-        feed((field for _, field in iter_snapshot(head)), stats)
+        # map holds no sample while the next is read; a generator's frame would
+        feed(map(itemgetter(1), iter_snapshot(head)), stats)
         del stats
         done = finished[path] = {M: moments.pop(M).variance() for M in list(moments)}
         if args.structure:

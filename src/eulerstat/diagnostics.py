@@ -236,11 +236,12 @@ def structure_curve(radial: RadialPower, snapshot, r_values=None) -> ScalarCurve
         raise ValueError("correlation lengths must be positive")
     ksq_vals, power = radial.mean(snapshot)
     kmag = np.sqrt(ksq_vals)
-    W = increment_kernel(r[:, None] * kmag)
     s2 = np.empty(r.shape)
     with np.errstate(over="ignore"):
-        for j, Wj in enumerate(W):  # one dot per r, so each s2[j] sums in the same order
-            s2[j] = (2.0 * np.pi) ** 2 * np.dot(Wj, power)
+        # one kernel row and one dot per r: no (r, shell) matrix, and each
+        # s2[j] sums in the same order
+        for j, rj in enumerate(r):
+            s2[j] = (2.0 * np.pi) ** 2 * np.dot(increment_kernel(rj * kmag), power)
     check_finite(s2, "structure function", snapshot)
     return ScalarCurve(
         abscissa=r,

@@ -352,10 +352,19 @@ class GridMoments:
 
     def variance(self) -> np.ndarray:
         """Pointwise population variance, summed over components; overflow is
-        left to the caller to check (check_finite)."""
+        left to the caller to check (check_finite).
+
+        It is finished in place, in s1 and s2, so it is taken once, after
+        the last add: max(s2/m - (s1/m)^2, 0), one operation at a time.
+        """
+        s1, s2 = self.s1, self.s2
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = self.s1 / self.count
-            return np.maximum(self.s2 / self.count - mean * mean, 0.0).sum(axis=2)
+            np.divide(s1, self.count, out=s1)
+            np.multiply(s1, s1, out=s1)
+            np.divide(s2, self.count, out=s2)
+            np.subtract(s2, s1, out=s2)
+            np.maximum(s2, 0.0, out=s2)
+            return s2.sum(axis=2)
 
 
 def variance_field(snapshot: EnsembleSnapshot, grid_points: int | None = None) -> np.ndarray:
@@ -388,6 +397,8 @@ def feed(fields, stats) -> None:
                 value = field if M is None else sample_at_grid(field, M)
             for stat in fed:
                 stat.add(value)
+            del value
+        del field           # gone before the next sample is read
 
 
 class _NamedFile(io.FileIO):
@@ -535,6 +546,7 @@ def iter_snapshot(header: SnapshotHeader):
             field = SpectralField._wrap(N, raw.transpose(2, 0, 1).copy())
             del record, raw                 # hold one sample while suspended
             yield seed, field
+            del field                       # and none while the next is read
 
 
 def read_snapshot(path) -> EnsembleSnapshot:

@@ -169,7 +169,10 @@ def flat_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralFi
     x2_shifted = xi[None, :] + shift[:, None]            # (x1, x2)
     grid = np.zeros((M, M, 2))
     grid[:, :, 0] = flat_sheet_profile(x2_shifted, spec.rho)
-    return leray_project(from_physical(grid, spec.N))
+    del x2_shifted
+    field = from_physical(grid, spec.N)
+    del grid                    # released before the projection
+    return leray_project(field)
 
 
 def bspline_bump(r) -> np.ndarray:
@@ -298,8 +301,8 @@ def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int,
         base = _sheet_base(spec.N, spec.rho, spec.quad_points, spec.d)
     xi = np.arange(M) / M
     shifts = 2.0 * np.pi * perturbation(draw, xi)
-    grid = _evaluate_shifted(base, shifts, M)
-    return leray_project(from_physical(grid, spec.N))
+    field = from_physical(_evaluate_shifted(base, shifts, M), spec.N)
+    return leray_project(field)
 
 
 def fbm_surface(level_rngs, levels: int, hurst: float, sigma0: float = 1.0) -> np.ndarray:
@@ -387,7 +390,10 @@ def fbm_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
         surf = fbm_surface(level_rngs, levels, spec.hurst, spec.sigma0)
         period = _periodize(surf[: P + 1, : P + 1])
         grid[:, :, comp] = period - period.mean()
-    return leray_project(from_physical(grid, N))
+    del surf, period
+    field = from_physical(grid, N)
+    del grid                    # released before the projection
+    return leray_project(field)
 
 
 def taylor_green_field(N: int) -> SpectralField:

@@ -25,9 +25,9 @@ a = (u1^2 - u2^2)/2 and b = u1 u2 there and analyzes them with real
 forward FFTs (see spectral). u x u is [[a, b], [b, -a]] plus |u|^2/2 I, a
 gradient that the Leray projection removes (Basdevant 1983, J. Comput.
 Phys. 50). The result is rebuilt as an exactly Hermitian array once per
-step, with no re-projection. evolve synthesizes the padded velocity once
-per step and uses that grid for both max|u| in the step bound and the
-first RK stage; it reports through one hook, on_step, after every step.
+step, with no re-projection. evolve takes max|u| for the step bound from
+the first RK stage's synthesis, as it forms that stage's products; it
+reports through one hook, on_step, after every step.
 
 Each synthesis and analysis is a pass of 1-D transforms along x1 (the
 k2 columns of the half plane) and a pass along x2 (the x1 rows of the
@@ -39,14 +39,15 @@ splits each pass into n row or column slabs on padded grids of at least
 _SLAB_MIN_GRID points (below it, one slab) and runs them on its own
 threads; every operation is the same, so the bits are those of one slab.
 
-An RK step allocates no padded-grid-sized array. Each evolve, rhs, step
-or adaptive_dt call makes one set of arrays (_Slabs) before it starts
-any thread and holds it until it returns: one padded grid (the velocity,
-then a and b in its rows), the k2 = 0..N columns of its synthesis along
-x1 and of the products' real spectrum along x2, a scratch of a few rows
-per row slab, and the modal arrays of the column passes. At N = 128 the
-arrays on the padded grid take 4.4 MiB (4.8 MiB on two slabs), at
-N = 512 65.7 MiB (67.2 MiB). No two calls share an array, so calls
+An RK step allocates no padded-grid-sized array, and no array holds the
+padded grid. Each evolve, rhs, step or adaptive_dt call makes one set of
+arrays (_Slabs) before it starts any thread and holds it until it
+returns: the k2 = 0..N columns of a synthesis along x1 and of the
+products' real spectrum along x2, two scratches of a few x1 rows per row
+slab, through which a row pass takes the velocity, its products and
+their spectrum a chunk of rows at a time, and the modal arrays of the
+column passes. At N = 128 they take 6.9 MiB (7.7 MiB on two slabs), at
+N = 512 100.4 MiB (103.5 MiB). No two calls share an array, so calls
 from several threads, with equal params or not, give the bits of serial
 calls; rhs, step and evolve return fresh arrays.
 
@@ -100,8 +101,8 @@ _RK3_REAL_STABILITY = 2.5
 # than the second CPU gains.
 _SLAB_MIN_GRID = 225
 
-# x1 rows per chunk of a row slab's products, their real FFT and the
-# step bound's |U|^2, which go through a scratch of that many rows.
+# x1 rows per chunk of a row pass: the synthesis along x2, the step bound's
+# |u|^2, the products and their real FFT go through scratches of that many rows.
 _CHUNK_ROWS = 64
 
 # Recorded in every manifest; bumped when equal parameters start to give other bits.
@@ -224,17 +225,21 @@ def _k2_major(a: np.ndarray) -> np.ndarray:
 
 
 def _chunks(r: slice, M: int) -> list:
-    """(x1 rows x, spec, d, s) for each run x of at most _CHUNK_ROWS rows of
-    the row slab r, all on one scratch of the slab's own: spec is it as a
-    complex (2, rows, M//2+1) array, d and s as two real (rows, M) ones. All
-    three are contiguous: numpy buffers operands that are not."""
-    scratch = np.empty(2 * min(_CHUNK_ROWS, r.stop - r.start) * (M // 2 + 1), dtype=np.complex128)
+    """(x1 rows x, vel, spec, d, s) for each run x of at most _CHUNK_ROWS
+    rows of the row slab r, on two scratches of the slab's own: vel is the
+    first as a real (2, rows, M) array, spec the second as a complex
+    (2, rows, M//2+1) one, d and s the second as two real (rows, M) ones.
+    All are contiguous: numpy buffers operands that are not."""
+    rows = min(_CHUNK_ROWS, r.stop - r.start)
+    velocity = np.empty(2 * rows * M)
+    scratch = np.empty(2 * rows * (M // 2 + 1), dtype=np.complex128)
     chunks = []
     for i in range(r.start, r.stop, _CHUNK_ROWS):
         x = slice(i, min(i + _CHUNK_ROWS, r.stop))
         n = x.stop - i
         d, s = scratch.view(np.float64)[: 2 * n * M].reshape(2, n, M)
-        chunks.append((x, scratch[: 2 * n * (M // 2 + 1)].reshape(2, n, M // 2 + 1), d, s))
+        chunks.append((x, velocity[: 2 * n * M].reshape(2, n, M),
+                       scratch[: 2 * n * (M // 2 + 1)].reshape(2, n, M // 2 + 1), d, s))
     return chunks
 
 
@@ -246,18 +251,20 @@ class _Slabs:
     of the damping and 1/|k|^2 arrays, and k1 and k2 as a column and a row
     that broadcast to them, all complex128 with zero imaginary parts (what
     numpy casts real ones to in the RHS products) and k2-major (see
-    _k2_major). Buffers, overwritten by every step: work (k2-major) and U
-    hold a synthesis (_velocity_grid); the row pass of an RHS forms the two
-    products in U's rows and puts the k2 = 0..N columns of their real FFT
-    along x2 into work's rows, and the FFT along x1 runs in place in work.
-    Each row slab goes through its rows _CHUNK_ROWS at a time in a scratch
-    of its own (chunks), which holds a chunk's real spectrum, or the terms
-    u1 - u2 and u1 + u2 of a product, or |U|^2 in _dt_bound. The modal
-    arrays of the column passes (k2-major): ab the analyzed products (then
-    scratch terms), u1 the stage field (u1, then u2) and du the RHS (the
-    step's half plane at the end). At N = 128 the buffers on the padded
-    grid take 4.4 MiB on one slab and 4.8 MiB on two, at N = 512 65.7 and
-    67.2 MiB.
+    _k2_major). Buffers, overwritten by every step: work, complex (2, M,
+    N+1) and k2-major, holds the k2 = 0..N columns of a synthesis along x1;
+    the row pass (_row_pass) replaces each x1 row of it by the same columns
+    of the products' real FFT along x2, and the FFT along x1 runs in place
+    in it. No array holds the padded grid: each row slab goes through its
+    rows _CHUNK_ROWS at a time in two scratches of its own (chunks), one for
+    the chunk's velocity and then its products, one for their real spectrum
+    or the terms u1 - u2 and u1 + u2 of a product or |u|^2. The modal arrays
+    of the column passes (k2-major): ab the analyzed products (then scratch
+    terms), u1 the stage field (u1, then u2) and du the RHS (the step's half
+    plane at the end). work is dead between steps, and ledger, its memory
+    as a flat float array, takes the energy ledger's terms. At N = 128 all
+    arrays of a call take 6.9 MiB on one slab and 7.7 MiB on two, at
+    N = 512 100.4 and 103.5 MiB.
 
     A synthesis or analysis is a pass of 1-D transforms along x1 (the k2
     columns of the half plane) and one along x2 (the x1 rows of the padded
@@ -280,8 +287,9 @@ class _Slabs:
             _k2_major(a.astype(np.complex128)) for a in halves)
         for a in (self.k1, self.k2, self.inv_ksq, self.damping_half):
             a.flags.writeable = False
-        self.work = _k2_major(np.empty((2, M, N + 1), dtype=np.complex128))
-        self.U = np.empty((2, M, M))
+        memory = np.empty(2 * (N + 1) * M, dtype=np.complex128)
+        self.work = memory.reshape(2, N + 1, M).swapaxes(-1, -2)
+        self.ledger = memory.view(np.float64)
         self.ab, self.u1, self.du = (_k2_major(np.empty((2, 2 * N + 1, N + 1), dtype=np.complex128))
                                      for _ in range(3))
         self.rows = tuple(slice(M * i // n, M * (i + 1) // n) for i in range(n))
@@ -314,32 +322,45 @@ def _slabs(params: SolverParams, threads: int):
         yield _Slabs(params, pool, n)
 
 
-def _velocity_grid(half: np.ndarray, slabs: _Slabs) -> np.ndarray:
-    """The padded velocity grid of half, in slabs.U until its next synthesis."""
-    slabs.run(lambda c: _synthesize_cols(half, slabs.work, c), slabs.cols)
-    slabs.run(lambda r: _synthesize_rows(slabs.work, slabs.U, r), slabs.rows)
-    return slabs.U
-
-
-def _rhs_rows(U: np.ndarray, slabs: _Slabs, r: slice) -> None:
-    """Row pass of an RHS on the x1 rows r: the products a and b (module
-    docstring; a not yet halved) of U, the padded velocity grid, in U's own
-    rows, and their real FFT along x2, whose columns k2 = 0..N go into the
-    same rows of slabs.work."""
+def _row_pass(slabs: _Slabs, r: slice, bound: bool):
+    """Row pass of an RHS on the x1 rows r, a chunk of rows at a time: the
+    real inverse FFT along x2 of work's rows into the chunk's velocity
+    scratch, the products a and b (module docstring; a not yet halved) of
+    the velocity in its place, and their real FFT along x2, whose columns
+    k2 = 0..N go back into the same rows of work. With bound, also the
+    largest |u|^2 on these rows of the padded grid (else None)."""
     N = slabs.params.N
-    for x, spec, d, s in slabs.chunks[r.start]:
-        U0, U1 = U[0, x], U[1, x]
-        # u1^2 - u2^2 as (u1 - u2)(u1 + u2), u1 u2 in U1's slot
-        np.subtract(U0, U1, out=d)
-        np.add(U0, U1, out=s)
-        np.multiply(U0, U1, out=U1)
-        np.multiply(d, s, out=U0)
-        _analyze_rows(U[:, x], spec)
+    maxima = []
+    for x, vel, spec, d, s in slabs.chunks[r.start]:
+        _synthesize_rows(slabs.work[:, x], vel)
+        u1, u2 = vel
+        if bound:
+            np.multiply(u1, u1, out=d)
+            np.multiply(u2, u2, out=s)
+            np.add(d, s, out=d)
+            maxima.append(d.max())
+        # u1^2 - u2^2 as (u1 - u2)(u1 + u2), u1 u2 in u2's slot
+        np.subtract(u1, u2, out=d)
+        np.add(u1, u2, out=s)
+        np.multiply(u1, u2, out=u2)
+        np.multiply(d, s, out=u1)
+        _analyze_rows(vel, spec)
         np.copyto(slabs.work[:, x], spec[..., : N + 1])
+    return np.max(maxima) if bound else None
+
+
+def _stage1_rows(half: np.ndarray, slabs: _Slabs, bound: bool):
+    """The first stage's synthesis of half along x1 into work and its row
+    pass (_row_pass). With bound, returns max |u|^2 on the padded grid: the
+    max of the row slabs' maxima (NaN if one is NaN), the same double as
+    over the whole grid at once; else None."""
+    slabs.run(lambda c: _synthesize_cols(half, slabs.work, c), slabs.cols)
+    maxima = slabs.run(lambda r: _row_pass(slabs, r, bound), slabs.rows)
+    return np.max(maxima) if bound else None
 
 
 def _rhs_cols(half: np.ndarray, slabs: _Slabs, c: slice) -> None:
-    """Column pass of an RHS on the k2 columns c, after _rhs_rows: du/dt of
+    """Column pass of an RHS on the k2 columns c, after _row_pass: du/dt of
     half on the k2 >= 0 half plane, into slabs.du.
 
     One operation per line of
@@ -387,35 +408,20 @@ def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     slabs = _Slabs(params)
     half = u.coeffs[:, :, params.N :]
-    U = _velocity_grid(half, slabs)
-    _rhs_rows(U, slabs, slabs.rows[0])
+    _stage1_rows(half, slabs, False)
     _rhs_cols(half, slabs, slabs.cols[0])
     return SpectralField._wrap(params.N, _full_plane(slabs.du, np.empty_like(u.coeffs)))
 
 
-def _dt_bound(U: np.ndarray, slabs: _Slabs) -> float:
-    """adaptive_dt from U, the velocity on the padded grid.
-
-    |U|^2 goes into the scratch of each row slab, a chunk at a time. max
-    sqrt(|U|^2) is taken as sqrt(max |U|^2): sqrt is correctly rounded and
-    so monotone, and the two are the same double. The max over chunks and
-    row slabs is the max of their maxima (NaN if one is NaN), the same
-    double.
+def _dt_bound(speed_sq, slabs: _Slabs) -> float:
+    """adaptive_dt from speed_sq, max |u|^2 on the padded grid (_stage1_rows;
+    unused for cfl = 0). max sqrt(|u|^2) is taken as sqrt(max |u|^2): sqrt
+    is correctly rounded and so monotone, and the two are the same double.
     """
     params = slabs.params
     dt = viscous_dt(params, slabs.lam_max)
     if params.cfl > 0.0:
-
-        def speed_sq_max(r):
-            maxima = []
-            for x, _, s0, s1 in slabs.chunks[r.start]:
-                np.multiply(U[0, x], U[0, x], out=s0)
-                np.multiply(U[1, x], U[1, x], out=s1)
-                np.add(s0, s1, out=s0)
-                maxima.append(s0.max())
-            return np.max(maxima)
-
-        umax = float(np.sqrt(np.max(slabs.run(speed_sq_max, slabs.rows))))
+        umax = float(np.sqrt(speed_sq))
         if umax > 0.0:
             h = 2.0 * np.pi / (2 * params.N)
             return min(dt, params.cfl * h / umax)
@@ -430,30 +436,28 @@ def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
     dt_adv = cfl * h / max|u| with h = 2pi/(2N) and max|u| the largest
     velocity magnitude on the padded synthesis grid; dt_visc =
     viscous_dt(params). A zero field (or cfl = 0) leaves only the viscous
-    bound. evolve reuses the padded grid it already built; this entry point
-    is for one field (tests, the per-layer benchmark). Runs on the calling
-    thread.
+    bound. evolve takes max|u| from the first RK stage's synthesis; this
+    entry point is for one field (tests, the per-layer benchmark). Runs on
+    the calling thread.
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     slabs = _Slabs(params)
-    return _dt_bound(_velocity_grid(u.coeffs[:, :, params.N :], slabs), slabs)
+    return _dt_bound(_stage1_rows(u.coeffs[:, :, params.N :], slabs, params.cfl > 0.0), slabs)
 
 
-def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, slabs: _Slabs) -> np.ndarray:
-    """One Shu-Osher SSP-RK3 step; U is the padded velocity grid of coeffs.
+def _step_coeffs(coeffs: np.ndarray, dt: float, slabs: _Slabs) -> None:
+    """One Shu-Osher SSP-RK3 step of coeffs, whose first row pass
+    (_stage1_rows) has run; the step's half plane is left in slabs.du.
 
     The stages run on the k2 >= 0 half plane, each as a row pass (the
-    synthesis of the stage field unless it is U, and the analysis of the
-    products along x2) and a column pass (their analysis along x1, the RHS,
-    the stage combination and the synthesis of the next stage field along
-    x1). The result is a fresh, exactly Hermitian array laid out in memory
-    like coeffs.
+    synthesis of the stage field along x2 and the analysis of its products
+    along x2) and a column pass (their analysis along x1, the RHS, the stage
+    combination and the synthesis of the next stage field along x1).
     """
     N = slabs.params.N
-    work, V = slabs.work, slabs.U
+    work = slabs.work
     half = coeffs[:, :, N:]
-    out = np.empty_like(coeffs)
 
     # The stage combinations, one operation per line, of
     #   u1 = u0 + dt * du
@@ -492,38 +496,50 @@ def _step_coeffs(coeffs: np.ndarray, U: np.ndarray, dt: float, slabs: _Slabs) ->
         np.divide(du, 3.0, out=du)
         if c.start == 0:
             slabs.du[:, N, 0] = 0.0
-        _full_plane(slabs.du, out, c)
 
-    def synth_rows(r):
-        _synthesize_rows(work, V, r)
-        _rhs_rows(V, slabs, r)
-
-    # U (slabs.U when evolve or step built it) takes stage 1's products;
-    # the stage-2 and stage-3 syntheses overwrite it with u1's and u2's
-    # grids. A row pass writes work's rows once its synthesis has read them.
-    slabs.run(lambda r: _rhs_rows(U, slabs, r), slabs.rows)
     slabs.run(stage1, slabs.cols)
-    slabs.run(synth_rows, slabs.rows)
+    slabs.run(lambda r: _row_pass(slabs, r, False), slabs.rows)
     slabs.run(stage2, slabs.cols)
-    slabs.run(synth_rows, slabs.rows)
+    slabs.run(lambda r: _row_pass(slabs, r, False), slabs.rows)
     slabs.run(stage3, slabs.cols)
+
+
+def _layout(a: np.ndarray) -> list:
+    """The axes of a from the largest stride to the smallest (ties in axis
+    order): the order in which numpy lays out a fresh array like a."""
+    return sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
+
+
+def _laid_out(memory: np.ndarray, shape, layout) -> np.ndarray:
+    """The first elements of memory, flat, as an array of shape whose axes
+    run in memory in the order layout (from _layout)."""
+    size = math.prod(shape)
+    return memory[:size].reshape([shape[i] for i in layout]).transpose(np.argsort(layout))
+
+
+def _step_result(slabs: _Slabs, layout) -> np.ndarray:
+    """The exactly Hermitian full plane of the step's half plane in
+    slabs.du, in a fresh array whose axes run in memory in the order layout."""
+    K = 2 * slabs.params.N + 1
+    out = _laid_out(np.empty(2 * K * K, dtype=np.complex128), (2, K, K), layout)
+    slabs.run(lambda c: _full_plane(slabs.du, out, c), slabs.cols)
     return out
 
 
 def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
     """One SSP-RK3 step of size dt. Raises BlowUpError on non-finite output.
 
-    evolve reuses the padded grid it built for the step bound; this entry
-    point is for one field (tests, the per-layer benchmark). Runs on the
-    calling thread.
+    Its result is laid out in memory like u.coeffs. This entry point is for
+    one field (tests, the per-layer benchmark); runs on the calling thread.
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     slabs = _Slabs(params)
-    U = _velocity_grid(u.coeffs[:, :, params.N :], slabs)
-    out = _step_coeffs(u.coeffs, U, dt, slabs)
+    _stage1_rows(u.coeffs[:, :, params.N :], slabs, False)
+    _step_coeffs(u.coeffs, dt, slabs)
+    out = _full_plane(slabs.du, np.empty_like(u.coeffs))
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after time step")
     return SpectralField._wrap(params.N, out)
@@ -544,8 +560,30 @@ class EnergyLedger:
     D: float = 0.0
 
 
-def _dissipation_rate(coeffs: np.ndarray, damping: np.ndarray) -> float:
-    return float(2.0 * np.sum(damping * (np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2)))
+def _dissipation_rate(coeffs: np.ndarray, slabs: _Slabs) -> float:
+    """2 sum_k lam(k) |c(k)|^2: the operations, and so the bits, of
+    2.0 * np.sum(damping * (np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2)),
+    in slabs.ledger. numpy lays the product with the C-ordered damping out
+    in C order, whatever the layout of coeffs, and sums it in that order."""
+    K = coeffs.shape[-1]
+    a, b = slabs.ledger[: 2 * K * K].reshape(2, K, K)
+    np.abs(coeffs[0], out=a)
+    np.square(a, out=a)
+    np.abs(coeffs[1], out=b)
+    np.square(b, out=b)
+    np.add(a, b, out=a)
+    np.multiply(slabs.damping, a, out=a)
+    return float(2.0 * np.sum(a))
+
+
+def _energy(coeffs: np.ndarray, slabs: _Slabs) -> float:
+    """modal_energy of coeffs, np.sum(np.abs(coeffs) ** 2), with |c|^2 in
+    slabs.ledger laid out like coeffs, as numpy lays out that temporary:
+    the sum adds in memory order, so its bits follow the layout."""
+    sq = _laid_out(slabs.ledger, coeffs.shape, _layout(coeffs))
+    np.abs(coeffs, out=sq)
+    np.square(sq, out=sq)
+    return float(np.sum(sq))
 
 
 def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(), on_step=None,
@@ -556,6 +594,11 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     exactly. on_step(t, field, ledger), when given, is called at t = 0 and
     after every accepted step; at an output time, t is that time exactly.
     Blow-ups, and steps past MAX_STEPS, raise BlowUpError carrying the time.
+
+    Besides the arrays of its slabs (_Slabs), a step holds its input field
+    and then its output: the input is dropped before the output's array is
+    made, so while a step runs at most u0 and one other field of the
+    trajectory are alive here (on_step may keep more).
 
     With threads > 1 and a padded grid of at least _SLAB_MIN_GRID points,
     each pass of a step is split into that many row or column slabs, run by
@@ -581,31 +624,31 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     if on_step is not None:
         on_step(t, u, ledger)
 
-    # The slabs' buffers and modal arrays come before the dissipation rate's
-    # temporaries: flat128's peak RSS was ~2 MiB lower than with them made
-    # at the first step.
     with _slabs(params, threads) as slabs:
-        g = _dissipation_rate(u.coeffs, slabs.damping)
+        g = _dissipation_rate(u.coeffs, slabs)
         steps = 0
         while t < t_end:
             if (steps := steps + 1) > MAX_STEPS:
                 raise BlowUpError(f"{MAX_STEPS} steps spent at t={t:.6g} of {t_end:g}", time=t)
-            # One synthesis per step: it bounds dt and is RK stage 1's velocity.
-            # U is slabs.U, valid until stage 1 forms the products in it.
-            U = _velocity_grid(u.coeffs[:, :, params.N :], slabs)
+            # One synthesis per stage: the first one's velocity also bounds dt.
+            speed_sq = _stage1_rows(u.coeffs[:, :, params.N :], slabs, params.cfl > 0.0)
             horizon = pending[0] if pending else t_end
-            dt = min(_dt_bound(U, slabs), horizon - t)
-            coeffs = _step_coeffs(u.coeffs, U, dt, slabs)
-            if not np.all(np.isfinite(coeffs)):
+            dt = min(_dt_bound(speed_sq, slabs), horizon - t)
+            _step_coeffs(u.coeffs, dt, slabs)
+            # The input goes before the output is made, in the input's
+            # layout: E's bits depend on it.
+            layout = _layout(u.coeffs)
+            del u
+            u = SpectralField._wrap(params.N, _step_result(slabs, layout))
+            if not np.all(np.isfinite(u.coeffs)):
                 raise BlowUpError(
                     f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
                     time=t + dt,
                 )
-            u = SpectralField._wrap(params.N, coeffs)
-            g_after = _dissipation_rate(coeffs, slabs.damping)
+            g_after = _dissipation_rate(u.coeffs, slabs)
             ledger.D += 0.5 * dt * (g + g_after)
             g = g_after
-            ledger.E = modal_energy(u)
+            ledger.E = _energy(u.coeffs, slabs)
             t = t + dt
             if pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
                 t = pending.pop(0)

@@ -62,13 +62,16 @@ __all__ = [
 
 @lru_cache(maxsize=64)
 def wavenumbers(N: int):
-    """Return (k1, k2, ksq) integer arrays of shape (2N+1, 2N+1)."""
+    """Return (k1, k2, ksq), read-only integer arrays of shape (2N+1, 2N+1).
+
+    k1 and k2 are views that broadcast one row or column of wavenumbers
+    (np.broadcast_to); only ksq holds (2N+1)^2 integers.
+    """
     k = np.arange(-N, N + 1)
-    k1 = k[:, None] * np.ones_like(k)[None, :]
-    k2 = np.ones_like(k)[:, None] * k[None, :]
+    k1 = np.broadcast_to(k[:, None], (k.size, k.size))
+    k2 = np.broadcast_to(k[None, :], (k.size, k.size))
     ksq = k1 * k1 + k2 * k2
-    for a in (k1, k2, ksq):
-        a.flags.writeable = False
+    ksq.flags.writeable = False
     return k1, k2, ksq
 
 
@@ -157,9 +160,12 @@ class ScalarSpectralField:
 def _fold(a: np.ndarray, M: int, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum the modes k = -N..N along axis into the slots k mod M of an M-point DFT axis.
 
-    For M >= 2N+1 no two modes share a slot and this is a plain embedding.
-    out, when given, is a complex array of the result's shape; it is zeroed,
-    filled and returned.
+    For M >= 2N+1 no two modes share a slot and this is a plain embedding:
+    the modes are copied into place and then 0.0 is added to the whole
+    result, which gives the bits of adding them to zeros (-0.0 becomes
+    +0.0) without the iteration buffer numpy makes for an addition on
+    strided runs. out, when given, is a complex array of the result's
+    shape; it is zeroed, filled and returned.
     """
     L = a.shape[axis]
     N = (L - 1) // 2
@@ -174,8 +180,13 @@ def _fold(a: np.ndarray, M: int, axis: int, out: np.ndarray | None = None) -> np
     while i < L:  # runs of consecutive slots, at most ceil(L/M) + 1 of them
         r = (i - N) % M
         n = min(L - i, M - r)
-        dst[r : r + n] += src[i : i + n]
+        if L <= M:
+            np.copyto(dst[r : r + n], src[i : i + n])
+        else:
+            dst[r : r + n] += src[i : i + n]
         i += n
+    if L <= M:
+        np.add(out, 0.0, out=out)
     return out
 
 

@@ -13,15 +13,16 @@ import os
 import pathlib
 import shutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from eulerstat import cli
 from eulerstat.cli import main
-from eulerstat.diagnostics import energy_spectrum, structure_function
-from eulerstat.ensemble import (EnsembleSnapshot, mean_field, read_snapshot, variance_field, write_csv,
-                                write_snapshot)
+from eulerstat.diagnostics import RadialPower, energy_spectrum, structure_function
+from eulerstat.ensemble import (EnsembleSnapshot, GridMoments, mean_field, read_snapshot, variance_field,
+                                write_csv, write_snapshot)
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import sample_at_grid
 from eulerstat.transport import marginal_w1
@@ -292,6 +293,41 @@ def test_each_snapshot_is_read_at_most_twice(inputs, tmp_path, capsys, monkeypat
     assert sorted(tally) == sorted(os.path.realpath(p) for p in inputs)
     for path in inputs:
         assert 0 < tally[os.path.realpath(path)] <= 2 * os.path.getsize(path), path
+
+
+def test_each_sample_is_dropped_before_the_next_is_read(tmp_path, capsys, monkeypatch):
+    # diagnose holds one sample of a stream: when a sample's record is read,
+    # no field or grid of the samples before it is alive any more.
+    N, m = 8, 3
+    rng = np.random.default_rng(11)
+    path = str(tmp_path / "syn_N0008_t0.euss")
+    write_snapshot(path, EnsembleSnapshot(
+        time=0.0, N=N, fields=[hermitian_random_field(N, rng) for _ in range(m)],
+        sample_seeds=list(range(1, m + 1)), params=SolverParams(N=N)))
+    fed, alive = [], []
+    real_open = builtins.open
+
+    class Watching(_CountingReader):
+        def read(self, *args):
+            alive.append([ref() is not None for ref in fed])
+            return self._fh.read(*args)
+
+    def watching_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return Watching(fh, {}, None) if os.fspath(file) == path else fh
+
+    for cls in (RadialPower, GridMoments):
+        def add(self, value, real=cls.add):
+            fed.append(weakref.ref(value))
+            real(self, value)
+
+        monkeypatch.setattr(cls, "add", add)
+    monkeypatch.setattr(builtins, "open", watching_open)
+    assert main(["diagnose", path, "--structure", "--mean-variance", "--out", str(tmp_path)]) == 0
+    monkeypatch.undo()
+    assert len(fed) == 2 * m        # a field and a grid per sample
+    assert len(alive) == 1 + m      # the header, then each sample
+    assert alive == [[False] * len(a) for a in alive]
 
 
 def _with_nan(path, sample, directory):

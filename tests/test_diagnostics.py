@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from eulerstat.diagnostics import (
+    RadialPower,
     ScalarCurve,
     _j1,
     cauchy_rate,
@@ -12,6 +15,7 @@ from eulerstat.diagnostics import (
     fit_exponent,
     increment_kernel,
     max_shell,
+    structure_curve,
     structure_function,
     time_regularity_ratio,
     write_curve_csv,
@@ -80,6 +84,30 @@ def test_j1_matches_scipy_bitwise():
     for name, x in sets.items():
         mismatched = np.flatnonzero(_j1(x).view(np.uint64) != scipy_j1(x).view(np.uint64))
         assert mismatched.size == 0, (name, x[mismatched[:5]])
+
+
+def test_structure_curve_builds_no_kernel_matrix():
+    # One kernel row per correlation length: at N = 128 (24 lengths, 5923
+    # shells) structure_curve allocates less than 2 MiB, where the
+    # (length, shell) matrix and its temporaries took ~14 MiB. The values
+    # are the bits of the matrix's rows.
+    N = 128
+    snapshot = snapshot_of([hermitian_random_field(N, np.random.default_rng(9))])
+    radial = RadialPower(N)
+    radial.add(snapshot.fields[0])
+    structure_curve(radial, snapshot)
+    tracemalloc.start()
+    try:
+        curve = structure_curve(radial, snapshot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    ksq, power = radial.mean(snapshot)
+    assert ksq.size == 5923
+    W = increment_kernel(curve.abscissa[:, None] * np.sqrt(ksq))
+    s2 = np.array([(2.0 * np.pi) ** 2 * np.dot(w, power) for w in W])
+    assert curve.values.tobytes() == np.sqrt(np.maximum(s2, 0.0)).tobytes()
 
 
 def test_kernel_bounds():

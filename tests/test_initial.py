@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -292,3 +294,28 @@ def test_generate_sample_dispatch():
     assert np.array_equal(generate_sample(spec, 1).coeffs, flat_sheet_sample(spec, 1).coeffs)
     with pytest.raises(ValueError):
         InitialMeasureSpec(family="nope", N=16)
+
+
+@pytest.mark.parametrize("spec", [
+    InitialMeasureSpec(family="flat_sheet", N=16, rho=0.1, base_seed=0),
+    InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=5 / 16, delta=0.003125, base_seed=2),
+    InitialMeasureSpec(family="fbm", N=16, hurst=0.5, base_seed=3),
+], ids=lambda spec: spec.family)
+def test_sample_grid_is_released_before_the_projection(monkeypatch, spec):
+    # The (M, M, 2) grid of a sample is gone once its modes are taken, so
+    # it is not alive next to the projection's temporaries.
+    grids, alive = [], []
+    real_analysis, real_projection = initial.from_physical, initial.leray_project
+
+    def from_physical(grid, N):
+        grids.append(weakref.ref(grid))
+        return real_analysis(grid, N)
+
+    def leray_project(field):
+        alive.append([ref() is not None for ref in grids])
+        return real_projection(field)
+
+    monkeypatch.setattr(initial, "from_physical", from_physical)
+    monkeypatch.setattr(initial, "leray_project", leray_project)
+    generate_sample(spec, 1)
+    assert alive == [[False]]

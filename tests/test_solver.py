@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from eulerstat.errors import BlowUpError
 from eulerstat.initial import InitialMeasureSpec, generate_sample, taylor_green_field
 from eulerstat.solver import (
     SolverParams,
+    _dissipation_rate,
     _dt_bound,
+    _energy,
+    _layout,
+    _stage1_rows,
     _step_coeffs,
-    _velocity_grid,
+    _step_result,
     adaptive_dt,
     damping_rates,
     evolve,
@@ -428,18 +433,20 @@ def test_returned_results_survive_later_calls():
 
 @pytest.mark.parametrize("N, patched_M", [(32, None), (16, 192)])
 def test_rk_step_allocates_no_padded_grid_array(monkeypatch, N, patched_M):
-    # After the first step on the slabs of a call, one step (_dt_bound and
-    # _step_coeffs) holds at most five modal arrays at a time (about four
-    # are used: the output, the stage fields and the RHS terms). On a
-    # padded grid of M = 12N points one M x M grid alone is larger than that.
+    # After the first step on the slabs of a call, one step (its first row
+    # pass, _dt_bound, _step_coeffs and _step_result) holds at most five
+    # modal arrays at a time (about four are used: the output, the stage
+    # fields and the RHS terms). On a padded grid of M = 12N points one
+    # M x M grid alone is larger than that.
     if patched_M is not None:
         monkeypatch.setattr(SolverParams, "padded_grid", patched_M)
     p = SolverParams(N=N)
     M = p.padded_grid
 
     def one_step(coeffs):
-        U = _velocity_grid(coeffs[:, :, N:], slabs)
-        return _step_coeffs(coeffs, U, _dt_bound(U, slabs), slabs)
+        speed_sq = _stage1_rows(coeffs[:, :, N:], slabs, True)
+        _step_coeffs(coeffs, _dt_bound(speed_sq, slabs), slabs)
+        return _step_result(slabs, _layout(coeffs))
 
     with solver._slabs(p, 1) as slabs:
         coeffs = one_step(hermitian_random_field(N, np.random.default_rng(4)).coeffs)
@@ -457,11 +464,12 @@ def test_rk_step_allocates_no_padded_grid_array(monkeypatch, N, patched_M):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_slabs_hold_one_padded_grid(threads):
-    # At N = 128 (M = 400) a solver call's arrays hold one (2, M, M) float
-    # grid, U, and none as large: the products go into U's own rows and
-    # their spectrum into work, through a scratch of a few rows per slab.
-    # All of them together take less than four such grids.
+def test_slabs_hold_no_padded_grid(threads):
+    # At N = 128 (M = 400) no array of a solver call is as large as one
+    # (2, M, M) float grid: each row slab takes the velocity, its products
+    # and their spectrum through two scratches of a few rows, and work holds
+    # only the k2 = 0..N columns. All of them together take less than 3.25
+    # such grids.
     p = SolverParams(N=128)
     M = p.padded_grid
     grid = 2 * M * M * 8
@@ -480,8 +488,44 @@ def test_slabs_hold_one_padded_grid(threads):
     with solver._slabs(p, threads) as slabs:
         collect(list(vars(slabs).values()))
     arrays = list(owners.values())
-    assert [a.shape for a in arrays if a.nbytes >= grid] == [(2, M, M)]
-    assert sum(a.nbytes for a in arrays) < 4 * grid
+    assert [a.shape for a in arrays if a.nbytes >= grid] == []
+    assert sum(a.nbytes for a in arrays) < 3.25 * grid
+
+
+def test_an_evolve_step_holds_u0_and_one_other_field(monkeypatch):
+    # A step drops its input before it makes its output, so while it runs
+    # at most two full-plane coefficient arrays are alive: u0 and the
+    # input or the output. Each earlier step's output is gone by the time
+    # the next one is built (_full_plane fills it).
+    N = 64
+    u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+    outputs, alive = [], []
+    real = solver._full_plane
+
+    def full_plane(*args):
+        alive.append([ref() is not None for ref in outputs])
+        return real(*args)
+
+    monkeypatch.setattr(solver, "_full_plane", full_plane)
+    evolve(u0, 0.1, SolverParams(N=N),
+           on_step=lambda t, u, ledger: u is u0 or outputs.append(weakref.ref(u)))
+    assert len(alive) > 3
+    assert alive == [[False] * len(a) for a in alive]
+
+
+@pytest.mark.parametrize("layout", ["generated", "C", "F"])
+def test_ledger_terms_keep_the_bits_of_fresh_temporaries(layout):
+    # evolve computes E and the dissipation rate in the slabs' memory; the
+    # bits are those of modal_energy and of the expression with numpy's
+    # own temporaries, for every memory layout of the coefficients.
+    N = 32
+    u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+    c = {"generated": u.coeffs, "C": np.ascontiguousarray(u.coeffs),
+         "F": np.asfortranarray(u.coeffs)}[layout]
+    slabs = solver._Slabs(SolverParams(N=N))
+    rate = float(2.0 * np.sum(slabs.damping * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2)))
+    assert _energy(c, slabs) == modal_energy(SpectralField(N, c))
+    assert _dissipation_rate(c, slabs) == rate
 
 
 def trajectory(u0, params, t_end, threads):

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from eulerstat.errors import InconsistencyError, ResolutionError, ShapeError
+from eulerstat.initial import InitialMeasureSpec, generate_sample
+from eulerstat.solver import _k2_major
 from eulerstat.spectral import (
     ScalarSpectralField,
     SpectralField,
+    _fold,
+    _synthesize_cols,
     from_physical,
     l2_norm,
     leray_project,
@@ -249,3 +255,31 @@ def test_wavenumber_grids():
     assert k1[0, 0] == -2 and k1[4, 0] == 2
     assert k2[0, 0] == -2 and k2[0, 4] == 2
     assert ksq[2, 2] == 0 and ksq[4, 4] == 8
+
+
+@pytest.mark.parametrize("layout", ["generated", "k2-major"])
+def test_column_synthesis_makes_no_buffer_and_adds_to_zeros(layout):
+    # The solver's column pass of a synthesis at N = 128 (M = 400), from a
+    # generated field's half plane or a stage field (k2-major) into the
+    # k2-major work buffer, allocates less than 4 KiB: the fold copies the
+    # modes into place. Its bits are those of adding them to zeros, which
+    # turns -0.0 into +0.0.
+    N, M = 128, 400
+    u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+    c = np.copy(u.coeffs, order="K")
+    c[np.random.default_rng(5).random(c.shape) < 0.25] = complex(-0.0, -0.0)
+    half = c[..., N:] if layout == "generated" else _k2_major(c[..., N:])
+    assert np.signbit(half[half == 0].real).any()
+    work = _k2_major(np.empty((2, M, N + 1), dtype=np.complex128))
+    zeros = np.zeros((2, M, N + 1), dtype=np.complex128)
+    zeros[:, : N + 1] += half[:, N:]
+    zeros[:, M - N :] += half[:, :N]
+    assert _fold(half, M, -2, out=work).tobytes() == zeros.tobytes()
+    _synthesize_cols(half, work)
+    tracemalloc.start()
+    try:
+        _synthesize_cols(half, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096
