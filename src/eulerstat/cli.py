@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import signal
 import sys
 from functools import partial
@@ -63,6 +64,7 @@ from .ensemble import (
     read_snapshot_header,
     run_ensemble,
     same_time,
+    snapshot_bytes,
     usable_cpus,
     write_csv,
 )
@@ -261,6 +263,10 @@ def cmd_run(args) -> int:
         _make_writable_dir(cfg.output_dir)
     except OSError as exc:
         raise _Failure(f"output_dir {cfg.output_dir!r} is not writable: {exc}")
+    need = len(cfg.output_times) * sum(snapshot_bytes(N, cfg.samples(N)) for N in cfg.resolutions)
+    free = shutil.disk_usage(cfg.output_dir).free
+    if need > free:
+        raise _Failure(f"the snapshots need {need} bytes, but {cfg.output_dir!r} has {free} bytes free")
 
     # Every resolution is checked before the first one runs.
     for N in cfg.resolutions:

@@ -137,10 +137,10 @@ def same_time(ta: float, tb: float) -> bool:
 
 
 def _evolve_one(task):
-    """Evolve one sample from the run's sample base (_shared); return (index,
-    output fields, (t, E, D) per step) or its BlowUpError."""
+    """Evolve one sample; return (index, output fields, (t, E, D) per step)
+    or its BlowUpError."""
     spec, solver, sample_index, output_times, threads = task
-    u0 = generate_sample(spec, sample_index, _shared)
+    u0 = generate_sample(spec, sample_index)
     fields, rows = [], []
 
     def on_step(t, u, ledger):
@@ -166,15 +166,12 @@ def _solver_threads(workers: int) -> int:
     return max(1, usable_cpus() // workers)
 
 
-_shared = None     # what ordered_map handed this process for its tasks
 _INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
 
 
-def _start_worker(shared) -> None:
-    """A pool worker keeps shared, leaves SIGINT to its parent, dies of SIGTERM,
-    and takes both from here on (_interrupts_held blocked them)."""
-    global _shared
-    _shared = shared
+def _start_worker() -> None:
+    """A pool worker leaves SIGINT to its parent, dies of SIGTERM, and takes
+    both from here on (_interrupts_held blocked them)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if hasattr(signal, "pthread_sigmask"):
@@ -197,26 +194,21 @@ def _interrupts_held():
 
 
 @contextlib.contextmanager
-def ordered_map(fn, tasks, workers: int, shared=None):
+def ordered_map(fn, tasks, workers: int):
     """Yields fn(task) for each task, in task order: in this process for 0
-    workers, else on `workers` processes, each handed shared once, with at most
-    2 x workers tasks submitted and not yet read (fn reads shared as _shared); a
-    lost worker raises ChildProcessError (an OSError). Leaving the block, also by
-    an exception, cancels queued tasks, waits for running ones."""
-    global _shared
+    workers, else on `workers` processes, with at most 2 x workers tasks
+    submitted and not yet read; a lost worker raises ChildProcessError (an
+    OSError). Leaving the block, also by an exception, cancels queued tasks,
+    waits for running ones."""
     if workers < 1:
-        kept, _shared = _shared, shared
-        try:
-            yield map(fn, tasks)
-        finally:
-            _shared = kept
+        yield map(fn, tasks)
         return
     # imported here, so that a process that starts no pool never imports multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     tasks, queued = iter(tasks), collections.deque()
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker, initargs=(shared,))
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
 
     def submit(n):
         # interrupts are held for the submit only: making a task may be long work
@@ -259,7 +251,9 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     holds that in each worker plus, here, at most 2 x workers results
     submitted and not yet read. What every sample shares
     (initial.sample_base) is built first, in one column block per worker
-    (first_here), and handed to each pool worker once. With
+    (first_here), into initial's cache, which the pool's forked workers
+    inherit (under spawn or forkserver each builds it once: same bytes,
+    more CPU). With
     tolerate_failures, samples whose trajectories blow up are dropped (the
     header's m counts the samples written); otherwise the first failure
     raises its BlowUpError, carrying the sample index, and cancels the
@@ -275,12 +269,12 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
         for i in range(1, manifest.m + 1)
     ]
     energy_rows = None
-    base = sample_base(manifest.spec, workers, first_here)
+    sample_base(manifest.spec, workers, first_here)
     with contextlib.ExitStack() as stack:
         writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
                    for path, t in zip(paths, manifest.output_times, strict=True)]
         pooled = workers if workers > 1 else 0
-        outcomes = stack.enter_context(ordered_map(_evolve_one, tasks, pooled, base))
+        outcomes = stack.enter_context(ordered_map(_evolve_one, tasks, pooled))
         for outcome in outcomes:
             if isinstance(outcome, BlowUpError):
                 if not tolerate_failures:
@@ -487,9 +481,14 @@ def _sample_bytes(N: int) -> int:
     return _SEED.size + K * K * 2 * _COEFF.itemsize
 
 
+def snapshot_bytes(N: int, m: int) -> int:
+    """Bytes of a snapshot file of m samples at resolution N."""
+    return _HEADER.size + m * _sample_bytes(N)
+
+
 def _check_length(fh, path, N: int, m: int) -> None:
     size = os.fstat(fh.fileno()).st_size
-    expected = _HEADER.size + m * _sample_bytes(N)
+    expected = snapshot_bytes(N, m)
     if size != expected:
         raise SnapshotFormatError(
             f"{path}: {size} bytes, but its header (N={N}, m={m}) implies {expected}"

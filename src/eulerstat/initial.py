@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -253,19 +253,23 @@ def _sheet_vorticity(M: int, rho: float, Q: int, d: float, parts: int = 1, run=N
     return omega - omega.mean()
 
 
+_last_base = None   # (key, base) of the last sheet base sample_base built here
+
+
 def sample_base(spec: InitialMeasureSpec, parts: int = 1, run=None) -> SpectralField | None:
     """The read-only field all of spec's samples share, or None: a sinusoidal
-    sheet's unperturbed velocity, from _sheet_vorticity(..., parts, run)."""
+    sheet's unperturbed velocity, from _sheet_vorticity(..., parts, run).
+    A process keeps the last one, keyed by (N, rho, Q, d), and a process
+    forked from it inherits it; one started by spawn or forkserver builds
+    it once itself, with the same bytes (no bit depends on parts)."""
+    global _last_base
     if spec.family != "sinusoidal_sheet":
         return None
-    omega = _sheet_vorticity(synthesis_grid(spec.N), spec.rho, spec.quad_points, spec.d, parts, run)
-    return velocity_from_vorticity(scalar_from_physical(omega, spec.N))
-
-
-@lru_cache(maxsize=1)
-def _sheet_base(N: int, rho: float, Q: int, d: float) -> SpectralField:
-    """sample_base for generator calls given none; a process keeps the last one."""
-    return sample_base(InitialMeasureSpec("sinusoidal_sheet", N, rho=rho, quad_points=Q, d=d))
+    key = (spec.N, spec.rho, spec.quad_points, spec.d)
+    if _last_base is None or _last_base[0] != key:
+        omega = _sheet_vorticity(synthesis_grid(spec.N), *key[1:], parts, run)
+        _last_base = key, velocity_from_vorticity(scalar_from_physical(omega, spec.N))
+    return _last_base[1]
 
 
 def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.ndarray:
@@ -284,24 +288,17 @@ def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.nd
     return np.ascontiguousarray(grid.transpose(1, 2, 0))
 
 
-def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int,
-                            base: SpectralField | None = None) -> SpectralField:
-    """One random sinusoidal-sheet field.
-
-    Takes the unperturbed sheet velocity, base = sample_base(spec) (built
-    here, once per parameter set, if not given), shifts x2 by the random
-    perturbation, and projects.
-    """
+def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
+    """One random sinusoidal-sheet field: the unperturbed sheet velocity,
+    sample_base(spec), with x2 shifted by the random perturbation, projected."""
     if spec.family != "sinusoidal_sheet":
         raise ValueError(f"spec.family is {spec.family!r}, not 'sinusoidal_sheet'")
     rng = sample_rng(spec.base_seed, sample_index)
     draw = PerturbationDraw.draw(rng, spec.q, spec.delta)
     M = synthesis_grid(spec.N)
-    if base is None:
-        base = _sheet_base(spec.N, spec.rho, spec.quad_points, spec.d)
     xi = np.arange(M) / M
     shifts = 2.0 * np.pi * perturbation(draw, xi)
-    field = from_physical(_evaluate_shifted(base, shifts, M), spec.N)
+    field = from_physical(_evaluate_shifted(sample_base(spec), shifts, M), spec.N)
     return leray_project(field)
 
 
@@ -421,9 +418,6 @@ _GENERATORS = {
 }
 
 
-def generate_sample(spec: InitialMeasureSpec, sample_index: int,
-                    base: SpectralField | None = None) -> SpectralField:
-    """Dispatch to the family generator. Deterministic in (spec, sample_index);
-    base is sample_base(spec) where the family has one, then not built again."""
-    make = _GENERATORS[spec.family]
-    return make(spec, sample_index) if base is None else make(spec, sample_index, base)
+def generate_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
+    """Dispatch to the family generator. Deterministic in (spec, sample_index)."""
+    return _GENERATORS[spec.family](spec, sample_index)

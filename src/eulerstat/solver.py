@@ -95,10 +95,10 @@ __all__ = [
 _RK3_REAL_STABILITY = 2.5
 
 # Padded grids of at least this many points per axis split the RK steps of
-# evolve(..., threads > 1) into slabs. Two slabs against one, time per step
-# on two CPUs: 0.93-1.17 at M = 200, 0.74-0.88 at 225, 0.68-0.71 at 243,
-# 0.58-0.62 at 400; below ~225 the hand-offs between threads cost more
-# than the second CPU gains.
+# evolve(..., threads > 1) into slabs. Two slabs against one, time per step on
+# two shared vCPUs, the second one free: 0.88-1.22 at M = 200, 0.75-1.07 at 225,
+# 0.71-0.79 at 243, 0.57-0.60 at 400 (1.02-1.17 at each M with it busy); below
+# ~225 the hand-offs between threads cost more than the second CPU gains.
 _SLAB_MIN_GRID = 225
 
 # x1 rows per chunk of a row pass: the synthesis along x2, the step bound's

@@ -175,15 +175,15 @@ def _fold(a: np.ndarray, M: int, axis: int, out: np.ndarray | None = None) -> np
         out = np.zeros(shape, dtype=np.complex128)
     else:
         out.fill(0.0)
-    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    lead = (slice(None),) * (axis % a.ndim)     # the axes before the folded one
     i = 0
     while i < L:  # runs of consecutive slots, at most ceil(L/M) + 1 of them
         r = (i - N) % M
         n = min(L - i, M - r)
         if L <= M:
-            np.copyto(dst[r : r + n], src[i : i + n])
+            np.copyto(out[(*lead, slice(r, r + n))], a[(*lead, slice(i, i + n))])
         else:
-            dst[r : r + n] += src[i : i + n]
+            out[(*lead, slice(r, r + n))] += a[(*lead, slice(i, i + n))]
         i += n
     if L <= M:
         np.add(out, 0.0, out=out)

@@ -1,11 +1,13 @@
 import contextlib
 import os
+import shutil
 import signal
 import struct
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -358,10 +360,10 @@ def test_run_blow_up_exits_3_leaving_no_files_for_that_n(tmp_path, capsys, monke
     monkeypatch.chdir(tmp_path)
     real = ens.generate_sample
 
-    def exploding(spec, i, base=None):
+    def exploding(spec, i):
         if spec.N == 16 and i == 2:
             return SpectralField(16, np.full((2, 33, 33), 1e300, dtype=complex))
-        return real(spec, i, base)
+        return real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", exploding)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -378,7 +380,7 @@ def test_run_past_the_step_budget_exits_3(tmp_path, capsys, monkeypatch, large):
     monkeypatch.setattr(solver, "MAX_STEPS", 50)
     real = ens.generate_sample
     monkeypatch.setattr(ens, "generate_sample",
-                        lambda spec, i, base=None: SpectralField(spec.N, 1e6 * real(spec, i, base).coeffs))
+                        lambda spec, i: SpectralField(spec.N, 1e6 * real(spec, i).coeffs))
     assert main(["run", _write_config(tmp_path, GOOD), *large]) == 3
     err = capsys.readouterr().err
     assert err.startswith("eulerstat: N=8: 50 steps spent at t=") and err.count("\n") == 1
@@ -394,6 +396,24 @@ def test_run_desk_cap(tmp_path, capsys, monkeypatch):
     big = _write_config(tmp_path, GOOD.replace("resolutions = 8 16", "resolutions = 512"))
     assert main(["run", big]) == 2
     assert "--large" in capsys.readouterr().err
+
+
+def test_run_checks_free_disk_space_before_the_first_sample(tmp_path, capsys, monkeypatch):
+    # GOOD writes two snapshot files at N = 8 and two at N = 16, m = 2 each:
+    # 2 (32 + 2 (8 + 32 * 17^2)) + 2 (32 + 2 (8 + 32 * 33^2)) bytes.
+    need = 176576
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_config(tmp_path, GOOD)
+    out = tmp_path / "out" / "demo"
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=need - 1))
+    assert main(["run", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("eulerstat: ") and err.count("\n") == 1
+    assert f"need {need} bytes" in err and f"has {need - 1} bytes free" in err
+    assert list(out.iterdir()) == []
+    monkeypatch.setattr(shutil, "disk_usage", lambda path: SimpleNamespace(free=need))
+    assert main(["run", cfg]) == 0
+    assert sum(p.stat().st_size for p in out.glob("*.euss")) == need
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -1011,10 +1031,10 @@ def test_run_out_of_memory_exits_2_leaving_no_files_for_that_n(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     real = ens.generate_sample
 
-    def starved(spec, i, base=None):
+    def starved(spec, i):
         if spec.N == 16 and i == 2:
             raise MemoryError
-        return real(spec, i, base)
+        return real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", starved)
     assert main(["run", _write_config(tmp_path, GOOD)]) == 2

@@ -1,5 +1,7 @@
 import concurrent.futures
+import functools
 import multiprocessing
+import os
 import re
 import signal
 import struct
@@ -109,11 +111,13 @@ def sheet_manifest():
                           quad_points=20)
 
 
-def test_sinusoidal_sheet_run_deterministic_across_workers(tmp_path):
-    # the base is built in one column block per worker
+def test_sinusoidal_sheet_run_deterministic_across_workers(monkeypatch, tmp_path):
+    # the base is built anew by each run, in one column block per worker
     manifest = sheet_manifest()
+    monkeypatch.setattr(initial, "_last_base", None)
     serial, _ = run_snapshots(manifest, tmp_path / "serial", workers=1)
     for workers in (2, 3):
+        monkeypatch.setattr(initial, "_last_base", None)
         pooled, _ = run_snapshots(manifest, tmp_path / f"pooled{workers}", workers=workers)
         for s1, s2 in zip(serial, pooled):
             assert s1.sample_seeds == s2.sample_seeds == [1, 2, 3, 4]
@@ -123,21 +127,41 @@ def test_sinusoidal_sheet_run_deterministic_across_workers(tmp_path):
 
 @needs_fork
 def test_sheet_run_builds_its_base_once_for_all_samples(monkeypatch, tmp_path):
-    # No sample builds the base itself (that would call _sheet_base, which
-    # raises here, also in the forked workers), and the run's base gives the
-    # fields of generate_sample's own.
+    # From an empty cache, a run builds the base once, in this process
+    # (_sheet_vorticity raises in any other); its forked workers find it in
+    # the cache they inherit. The run's fields are generate_sample's own.
     manifest = sheet_manifest()
     first = generate_sample(manifest.spec, 1)
+    here, calls, real = os.getpid(), [], initial._sheet_vorticity
 
-    def refuse(*args):
-        raise AssertionError("a sample built the sheet base")
+    def counted(*args):
+        if os.getpid() != here:
+            raise AssertionError("a worker built the sheet base")
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(initial, "_sheet_base", refuse)
-    serial, _ = run_snapshots(manifest, tmp_path / "serial", workers=1)
-    pooled, _ = run_snapshots(manifest, tmp_path / "pooled", workers=2)
-    assert serial[0].fields[0].coeffs.tobytes() == first.coeffs.tobytes()
+    monkeypatch.setattr(initial, "_sheet_vorticity", counted)
+    for workers in (1, 2):
+        monkeypatch.setattr(initial, "_last_base", None)
+        calls.clear()
+        run_snapshots(manifest, tmp_path / f"w{workers}", workers=workers)
+        assert len(calls) == 1, workers
+    assert read_snapshot(tmp_path / "w1" / "t00.euss").fields[0].coeffs.tobytes() == first.coeffs.tobytes()
     for name in ("t00.euss", "t01.euss"):
-        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "pooled" / name).read_bytes()
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
+
+def test_spawned_workers_build_the_sheet_base_to_the_same_bytes(monkeypatch, tmp_path):
+    # Spawned workers inherit no cache; each builds the base itself.
+    manifest = sheet_manifest()
+    run_snapshots(manifest, tmp_path / "fork", workers=2)
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=spawn))
+    monkeypatch.setattr(initial, "_last_base", None)
+    run_snapshots(manifest, tmp_path / "spawn", workers=2)
+    for name in ("t00.euss", "t01.euss"):
+        assert (tmp_path / "spawn" / name).read_bytes() == (tmp_path / "fork" / name).read_bytes()
 
 
 def test_run_energy_decays_per_sample(tmp_path):
@@ -164,8 +188,8 @@ def test_failed_sample_policy(monkeypatch, tmp_path, workers):
     manifest = small_manifest(m=3)
     real = generate_sample
 
-    def exploding(spec, i, base=None):
-        return blown_up(spec) if i == 2 else real(spec, i, base)
+    def exploding(spec, i):
+        return blown_up(spec) if i == 2 else real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", exploding)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -208,9 +232,9 @@ def test_serial_run_drops_each_sample_before_making_the_next(monkeypatch, tmp_pa
         finals.append(weakref.ref(u))
         return u, ledger
 
-    def generating(spec, i, base=None):
+    def generating(spec, i):
         alive.append([ref() is not None for ref in finals])
-        return real_generate(spec, i, base)
+        return real_generate(spec, i)
 
     monkeypatch.setattr(ens, "evolve", evolve)
     monkeypatch.setattr(ens, "generate_sample", generating)
@@ -221,10 +245,10 @@ def test_serial_run_drops_each_sample_before_making_the_next(monkeypatch, tmp_pa
 def test_interrupted_run_leaves_no_files(monkeypatch, tmp_path):
     real = generate_sample
 
-    def interrupted(spec, i, base=None):
+    def interrupted(spec, i):
         if i == 3:
             raise KeyboardInterrupt
-        return real(spec, i, base)
+        return real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", interrupted)
     with pytest.raises(KeyboardInterrupt):
@@ -245,9 +269,9 @@ def test_pooled_blow_up_cancels_queued_samples(monkeypatch, tmp_path):
                               times=(0.0, 0.4))
     real = generate_sample
 
-    def marking(spec, i, base=None):
+    def marking(spec, i):
         (tmp_path / f"started_{i}").touch()
-        return blown_up(spec) if i == 1 else real(spec, i, base)
+        return blown_up(spec) if i == 1 else real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", marking)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -264,12 +288,12 @@ def test_pooled_run_holds_a_bounded_window_of_samples(monkeypatch, tmp_path):
     m, workers = 24, 2
     real = generate_sample
 
-    def slow_first(spec, i, base=None):
+    def slow_first(spec, i):
         (tmp_path / f"started_{i}").touch()
         if i == 1:
             time.sleep(1.5)
             (tmp_path / "seen").write_text(str(len(list(tmp_path.glob("started_*")))))
-        return real(spec, i, base)
+        return real(spec, i)
 
     monkeypatch.setattr(ens, "generate_sample", slow_first)
     run_ensemble(small_manifest(m=m), [tmp_path / "t00.euss", tmp_path / "t01.euss"], workers=workers)

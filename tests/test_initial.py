@@ -171,9 +171,8 @@ def counted_sheet_grids(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(initial, "_sheet_vorticity", counted)
-    initial._sheet_base.cache_clear()
-    yield calls
-    initial._sheet_base.cache_clear()
+    monkeypatch.setattr(initial, "_last_base", None)
+    return calls
 
 
 def _sheet_spec(**kw):
@@ -195,7 +194,7 @@ def test_sheet_base_built_once_per_spec(counted_sheet_grids):
 
 
 def test_sheet_base_is_read_only():
-    base = initial._sheet_base(12, 5 / 12, 20, 0.2)
+    base = initial.sample_base(_sheet_spec())
     assert not base.coeffs.flags.writeable
     with pytest.raises(ValueError):
         base.coeffs[0, 0, 0] = 1.0

@@ -377,6 +377,7 @@ def test_params_validation():
 # of golden_spec(family, N) under SolverParams(N), each recorded in a fresh
 # process under scheme 2 (config.canonical_manifest_text records it); the
 # t = 0 digests are the initial data and predate it. 7 to 36 steps per case.
+# The fbm and taylor_green cases use the families' default parameters.
 GOLDEN_TIMES = (0.0, 0.1, 0.25, 0.5)
 GOLDEN = {
     ("flat_sheet", 16): ("0dc1f5c0aa2edbfd", "9635bfdb3f380929", "c55bd4c3d22ff575", "d6be24ba969ae1c5"),
@@ -384,13 +385,19 @@ GOLDEN = {
     ("flat_sheet", 32): ("86d458a822298b09", "cd399318b45e6ee1", "46d669139e55fee9", "49669d33e7d01a45"),
     ("sinusoidal_sheet", 16): ("73f55def0c2eab35", "95a02d0ba64ac955", "8b56d0920e25d6ed", "3f7dcda2d6849f99"),
     ("sinusoidal_sheet", 32): ("0d6cdc86b86ccdbd", "0a8f5adf649fa90d", "9247b1818cd6864d", "f47c27e96c3aa22d"),
+    ("fbm", 16): ("59e90297975abcf5", "139675a9a259734d", "d6d2d635b2038161", "d9f5c9253f195271"),
+    ("fbm", 32): ("99dc732c5c3d3b7d", "9488d50609c5aa7d", "47a23589584123f5", "8d6348e36d599e41"),
+    ("taylor_green", 16): ("14ccf727a66fe07d", "3c3b66b292a1da25", "e008dc28e06d1a9d", "97320b7e94f1fb21"),
+    ("taylor_green", 32): ("6217592a966e3315", "f670bd2e490ce3d9", "5c39cc3d3672dfad", "1255402558af9f95"),
 }
 
 
 def golden_spec(family, N):
     if family == "flat_sheet":
         return InitialMeasureSpec(family=family, N=N, rho=0.05, delta=0.05, base_seed=11)
-    return InitialMeasureSpec(family=family, N=N, rho=0.1, delta=0.05, quad_points=40, base_seed=11)
+    if family == "sinusoidal_sheet":
+        return InitialMeasureSpec(family=family, N=N, rho=0.1, delta=0.05, quad_points=40, base_seed=11)
+    return InitialMeasureSpec(family=family, N=N, base_seed=11)
 
 
 def golden_digests(family, N):
