@@ -108,13 +108,17 @@ class RunManifest:
 
 @dataclass
 class EnsembleSnapshot:
-    """All sample fields at one time: the empirical measure with weights 1/m."""
+    """All sample fields at one time: the empirical measure with weights 1/m.
+
+    params are the solver parameters the fields came from, or None where
+    they are not known (a snapshot file holds none).
+    """
 
     time: float
     N: int
     fields: list
     sample_seeds: list
-    params: SolverParams
+    params: SolverParams | None = None
     manifest_hash: int = 0
 
     def __post_init__(self):
@@ -565,6 +569,5 @@ def read_snapshot(path) -> EnsembleSnapshot:
         N=header.N,
         fields=fields,
         sample_seeds=seeds,
-        params=SolverParams(N=header.N),
         manifest_hash=header.manifest_hash,
     )

@@ -285,7 +285,7 @@ def _evaluate_shifted(field: SpectralField, shifts: np.ndarray, M: int) -> np.nd
     mixed *= np.exp(1j * np.outer(shifts, np.arange(N + 1)))
     grid = np.empty((2, M, M))
     _synthesize_rows(mixed, grid)
-    return np.ascontiguousarray(grid.transpose(1, 2, 0))
+    return grid.transpose(1, 2, 0)
 
 
 def sinusoidal_sheet_sample(spec: InitialMeasureSpec, sample_index: int) -> SpectralField:
@@ -336,20 +336,19 @@ def fbm_surface(level_rngs, levels: int, hurst: float, sigma0: float = 1.0) -> n
         diam = surf[half::step, half::step]
         # square: edge midpoints from the 4 (3 on the boundary) neighbors
         # at distance `half`: two previous-level points, two diamond centers.
+        # The sums have 4 terms, 3 in the first and last column (row).
         sum_a = surf[0:n:step, 0::step] + surf[step::step, 0::step]
-        cnt_a = np.full(sum_a.shape, 2.0)
         sum_a[:, :-1] += diam
-        cnt_a[:, :-1] += 1.0
         sum_a[:, 1:] += diam
-        cnt_a[:, 1:] += 1.0
-        surf[half::step, 0::step] = sum_a / cnt_a + gen.standard_normal(sum_a.shape) * sigma
+        sum_a[:, 1:-1] /= 4.0
+        sum_a[:, ::sum_a.shape[1] - 1] /= 3.0
+        surf[half::step, 0::step] = sum_a + gen.standard_normal(sum_a.shape) * sigma
         sum_b = surf[0::step, 0:n:step] + surf[0::step, step::step]
-        cnt_b = np.full(sum_b.shape, 2.0)
         sum_b[:-1, :] += diam
-        cnt_b[:-1, :] += 1.0
         sum_b[1:, :] += diam
-        cnt_b[1:, :] += 1.0
-        surf[0::step, half::step] = sum_b / cnt_b + gen.standard_normal(sum_b.shape) * sigma
+        sum_b[1:-1, :] /= 4.0
+        sum_b[::sum_b.shape[0] - 1, :] /= 3.0
+        surf[0::step, half::step] = sum_b + gen.standard_normal(sum_b.shape) * sigma
         step = half
     return surf
 

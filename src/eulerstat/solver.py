@@ -49,7 +49,8 @@ their spectrum a chunk of rows at a time, and the modal arrays of the
 column passes. At N = 128 they take 6.9 MiB (7.7 MiB on two slabs), at
 N = 512 100.4 MiB (103.5 MiB). No two calls share an array, so calls
 from several threads, with equal params or not, give the bits of serial
-calls; rhs, step and evolve return fresh arrays.
+calls; rhs, step and evolve return fresh arrays, laid out as snapshot
+records, (k1, k2, component).
 
 The padded grid has M points per axis, the smallest 5-smooth M >= 3N+1
 (padded_grid; 50, 100, 200, 400 for N = 16, 32, 64, 128): products reach
@@ -410,7 +411,7 @@ def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
     half = u.coeffs[:, :, params.N :]
     _stage1_rows(half, slabs, False)
     _rhs_cols(half, slabs, slabs.cols[0])
-    return SpectralField._wrap(params.N, _full_plane(slabs.du, np.empty_like(u.coeffs)))
+    return SpectralField._wrap(params.N, _step_result(slabs))
 
 
 def _dt_bound(speed_sq, slabs: _Slabs) -> float:
@@ -504,24 +505,11 @@ def _step_coeffs(coeffs: np.ndarray, dt: float, slabs: _Slabs) -> None:
     slabs.run(stage3, slabs.cols)
 
 
-def _layout(a: np.ndarray) -> list:
-    """The axes of a from the largest stride to the smallest (ties in axis
-    order): the order in which numpy lays out a fresh array like a."""
-    return sorted(range(a.ndim), key=lambda i: -abs(a.strides[i]))
-
-
-def _laid_out(memory: np.ndarray, shape, layout) -> np.ndarray:
-    """The first elements of memory, flat, as an array of shape whose axes
-    run in memory in the order layout (from _layout)."""
-    size = math.prod(shape)
-    return memory[:size].reshape([shape[i] for i in layout]).transpose(np.argsort(layout))
-
-
-def _step_result(slabs: _Slabs, layout) -> np.ndarray:
-    """The exactly Hermitian full plane of the step's half plane in
-    slabs.du, in a fresh array whose axes run in memory in the order layout."""
+def _step_result(slabs: _Slabs) -> np.ndarray:
+    """The exactly Hermitian full plane of the half plane in slabs.du, in a
+    fresh array laid out as a snapshot record, (k1, k2, component)."""
     K = 2 * slabs.params.N + 1
-    out = _laid_out(np.empty(2 * K * K, dtype=np.complex128), (2, K, K), layout)
+    out = np.empty((K, K, 2), dtype=np.complex128).transpose(2, 0, 1)
     slabs.run(lambda c: _full_plane(slabs.du, out, c), slabs.cols)
     return out
 
@@ -529,8 +517,8 @@ def _step_result(slabs: _Slabs, layout) -> np.ndarray:
 def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
     """One SSP-RK3 step of size dt. Raises BlowUpError on non-finite output.
 
-    Its result is laid out in memory like u.coeffs. This entry point is for
-    one field (tests, the per-layer benchmark); runs on the calling thread.
+    This entry point is for one field (tests, the per-layer benchmark);
+    runs on the calling thread.
     """
     if u.N != params.N:
         raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
@@ -539,7 +527,7 @@ def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
     slabs = _Slabs(params)
     _stage1_rows(u.coeffs[:, :, params.N :], slabs, False)
     _step_coeffs(u.coeffs, dt, slabs)
-    out = _full_plane(slabs.du, np.empty_like(u.coeffs))
+    out = _step_result(slabs)
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after time step")
     return SpectralField._wrap(params.N, out)
@@ -576,16 +564,6 @@ def _dissipation_rate(coeffs: np.ndarray, slabs: _Slabs) -> float:
     return float(2.0 * np.sum(a))
 
 
-def _energy(coeffs: np.ndarray, slabs: _Slabs) -> float:
-    """modal_energy of coeffs, np.sum(np.abs(coeffs) ** 2), with |c|^2 in
-    slabs.ledger laid out like coeffs, as numpy lays out that temporary:
-    the sum adds in memory order, so its bits follow the layout."""
-    sq = _laid_out(slabs.ledger, coeffs.shape, _layout(coeffs))
-    np.abs(coeffs, out=sq)
-    np.square(sq, out=sq)
-    return float(np.sum(sq))
-
-
 def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(), on_step=None,
            threads: int = 1):
     """Integrate to t_end with adaptive steps; return (field, EnergyLedger).
@@ -617,7 +595,8 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     if targets and (targets[0] < 0 or targets[-1] > t_end):
         raise ValueError("output times must lie within [0, t_end]")
 
-    ledger = EnergyLedger(E0=modal_energy(u0), E=modal_energy(u0))
+    E0 = modal_energy(u0)
+    ledger = EnergyLedger(E0=E0, E=E0)
     t = 0.0
     u = u0
     pending = [s for s in targets if s > 0.0]
@@ -635,11 +614,8 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
             horizon = pending[0] if pending else t_end
             dt = min(_dt_bound(speed_sq, slabs), horizon - t)
             _step_coeffs(u.coeffs, dt, slabs)
-            # The input goes before the output is made, in the input's
-            # layout: E's bits depend on it.
-            layout = _layout(u.coeffs)
-            del u
-            u = SpectralField._wrap(params.N, _step_result(slabs, layout))
+            del u               # the input goes before the output is made
+            u = SpectralField._wrap(params.N, _step_result(slabs))
             if not np.all(np.isfinite(u.coeffs)):
                 raise BlowUpError(
                     f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
@@ -648,7 +624,7 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
             g_after = _dissipation_rate(u.coeffs, slabs)
             ledger.D += 0.5 * dt * (g + g_after)
             g = g_after
-            ledger.E = _energy(u.coeffs, slabs)
+            ledger.E = modal_energy(u, slabs.ledger)
             t = t + dt
             if pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
                 t = pending.pop(0)

@@ -198,10 +198,10 @@ def _synthesize_cols(half: np.ndarray, rows: np.ndarray, cols: slice = slice(Non
     np.fft.ifft(r, axis=-2, norm="forward", out=r)
 
 
-def _synthesize_rows(rows: np.ndarray, out: np.ndarray, xrows: slice = slice(None)) -> None:
+def _synthesize_rows(rows: np.ndarray, out: np.ndarray) -> None:
     """Row pass of a synthesis: the real inverse transform along x2 of the x1
-    rows xrows of rows (from _synthesize_cols) into out (float, (..., M, M))."""
-    np.fft.irfft(rows[..., xrows, :], n=out.shape[-1], axis=-1, norm="forward", out=out[..., xrows, :])
+    rows of rows (from _synthesize_cols) into out (float, (..., M, M))."""
+    np.fft.irfft(rows, n=out.shape[-1], axis=-1, norm="forward", out=out)
 
 
 def _synthesize(half: np.ndarray, M: int) -> np.ndarray:
@@ -220,10 +220,10 @@ def _synthesize(half: np.ndarray, M: int) -> np.ndarray:
     return out
 
 
-def _analyze_rows(grid: np.ndarray, spec: np.ndarray, xrows: slice = slice(None)) -> None:
-    """Row pass of an analysis: the real FFT along x2 of the x1 rows xrows of
-    a real (..., M, M) grid into spec (complex, (..., M, M//2+1))."""
-    np.fft.rfft(grid[..., xrows, :], axis=-1, norm="forward", out=spec[..., xrows, :])
+def _analyze_rows(grid: np.ndarray, spec: np.ndarray) -> None:
+    """Row pass of an analysis: the real FFT along x2 of the x1 rows of a
+    real (..., M, M) grid into spec (complex, (..., M, M//2+1))."""
+    np.fft.rfft(grid, axis=-1, norm="forward", out=spec)
 
 
 def _analyze_cols(spec: np.ndarray, out: np.ndarray, cols: slice = slice(None)) -> None:
@@ -243,8 +243,7 @@ def _analyze_half(grid: np.ndarray, N: int) -> np.ndarray:
     """Modes k1 = -N..N, k2 = 0..N of a real (..., M, M) grid, M >= 2N+1.
 
     The result and the real spectrum are laid out in memory like grid, as
-    numpy lays out the result of an FFT: analyzed coefficients keep that
-    layout, and sums over them (modal_energy) add in memory order.
+    numpy lays out the result of an FFT.
     """
     M = grid.shape[-1]
     spec = np.empty_like(grid, dtype=np.complex128, shape=(*grid.shape[:-1], M // 2 + 1))
@@ -260,9 +259,9 @@ def _full_plane(half: np.ndarray, out: np.ndarray | None = None,
 
     The k1 < 0 part of the k2 = 0 column is rebuilt (in half, in place)
     from its k1 > 0 part and the mean mode made real; the k2 < 0 half
-    follows from coeff(-k) = conj(coeff(k)). A fresh result is laid out in
-    memory like half. out, when given, is filled and returned; with cols,
-    only its columns k2 and -k2 for the k2 in cols are.
+    follows from coeff(-k) = conj(coeff(k)). out, when given, is filled
+    and returned; with cols, only its columns k2 and -k2 for the k2 in cols
+    are.
     """
     N = half.shape[-1] - 1
     if out is None:
@@ -315,7 +314,7 @@ def sample_at_grid(field: SpectralField, grid_points: int) -> np.ndarray:
         raise ResolutionError("grid_points must be >= 1")
     N = field.N
     half = field.coeffs[..., N:] if M > 2 * N else _fold(field.coeffs, M, -1)[..., : M // 2 + 1]
-    return np.ascontiguousarray(_synthesize(half, M).transpose(1, 2, 0))
+    return _synthesize(half, M).transpose(1, 2, 0)
 
 
 def _analyze(grid: np.ndarray, N: int) -> np.ndarray:
@@ -398,9 +397,20 @@ def l2_norm(field: SpectralField) -> float:
     return sobolev_norm(field, 0.0)
 
 
-def modal_energy(field: SpectralField) -> float:
-    """sum_k |coeff(k)|^2 over both components (modal normalization)."""
-    return float(np.sum(np.abs(field.coeffs) ** 2))
+def modal_energy(field: SpectralField, out: np.ndarray | None = None) -> float:
+    """sum_k |coeff(k)|^2 over both components (modal normalization).
+
+    The squares are added in one fixed order, (k1, k2, component), a
+    snapshot record's, whatever the layout of field.coeffs: they are
+    written into a C-ordered (2N+1, 2N+1, 2) array and summed there. out,
+    a flat float64 scratch of at least 2(2N+1)^2 elements, takes them if
+    given; else a fresh array does.
+    """
+    c = field.coeffs.transpose(1, 2, 0)
+    sq = np.empty(c.shape) if out is None else out[: c.size].reshape(c.shape)
+    np.abs(c, out=sq)
+    np.square(sq, out=sq)
+    return float(np.sum(sq))
 
 
 def truncate_to(field: SpectralField, N_coarse: int) -> SpectralField:

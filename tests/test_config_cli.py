@@ -21,7 +21,7 @@ from eulerstat.diagnostics import cauchy_rate, structure_function
 from eulerstat.ensemble import EnsembleSnapshot, fnv1a64, read_snapshot, variance_field, write_snapshot
 from eulerstat.initial import PRNG_ID
 from eulerstat.solver import SolverParams
-from eulerstat.spectral import SpectralField
+from eulerstat.spectral import SpectralField, modal_energy
 from oracles import hermitian_random_field
 
 GOOD = """\
@@ -502,6 +502,52 @@ def test_run_taylor_green_preset(tmp_path, capsys, monkeypatch):
 
 def first_energy(snap):
     return float(np.sum(np.abs(snap.fields[0].coeffs) ** 2))
+
+
+FAMILY_INITIAL = {
+    "flat_sheet": "rho = 0.1\ndelta = 0.025\n",
+    "sinusoidal_sheet": "rho = 0.1\ndelta = 0.05\nquadrature_points = 40\n",
+    "fbm": "",
+    "taylor_green": "",
+}
+
+# fnv1a64 of the energy CSV of `run` on family_config(family), each recorded
+# in a fresh process; 3 to 10 steps per run. The CSV carries E to its last bit.
+ENERGY_CSV_DIGESTS = {
+    "flat_sheet": "f702ae4ac784b9ce",
+    "sinusoidal_sheet": "21444a61c3d8b3e9",
+    "fbm": "f347fbb5268a186a",
+    "taylor_green": "4d7004bdb3a939dd",
+}
+
+
+def family_config(family, N=16, samples=2):
+    return (f"[experiment]\nname = pin\nbase_seed = 11\noutput_dir = out\n\n"
+            f"[initial]\nfamily = {family}\n{FAMILY_INITIAL[family]}\n"
+            f"[run]\nresolutions = {N}\nsamples = {samples}\noutput_times = 0 0.1 0.25\n")
+
+
+@pytest.mark.parametrize("family", sorted(ENERGY_CSV_DIGESTS))
+def test_energy_csv_keeps_its_bits(tmp_path, capsys, monkeypatch, family):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _write_config(tmp_path, family_config(family))]) == 0
+    csv = (tmp_path / "out" / "pin_N0016_energy.csv").read_bytes()
+    assert f"{fnv1a64(csv):016x}" == ENERGY_CSV_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family, N", [("flat_sheet", 32), ("sinusoidal_sheet", 16), ("fbm", 16)])
+def test_energy_csv_equals_modal_energy_of_the_snapshots(tmp_path, capsys, monkeypatch, family, N):
+    # The CSV holds sample 1's ledger; at each output time its E is the
+    # modal_energy of sample 1 read back from that time's snapshot.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", _write_config(tmp_path, family_config(family, N, samples=1))]) == 0
+    rows = [[float(x) for x in line.split(",")]
+            for line in (tmp_path / "out" / f"pin_N{N:04d}_energy.csv").read_text().splitlines()[1:]]
+    energy = {t: E for t, E, _ in rows}
+    for k, t in enumerate((0.0, 0.1, 0.25)):
+        snap = read_snapshot(tmp_path / "out" / f"pin_N{N:04d}_t{k:02d}.euss")
+        assert snap.sample_seeds == [1] and snap.time == t
+        assert modal_energy(snap.fields[0]) == energy[t]
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

@@ -431,6 +431,13 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
         assert np.array_equal(f1.coeffs, f2.coeffs)
 
 
+def test_read_snapshot_makes_up_no_solver_params(tmp_path):
+    # a snapshot file holds no solver parameters, so none are read back
+    path = tmp_path / "p.euss"
+    write_snapshot(path, snapshot_of([SpectralField.zero(4)]))
+    assert read_snapshot(path).params is None
+
+
 def test_snapshot_layout(tmp_path):
     # header is 32 bytes; per sample: 8-byte seed + (2N+1)^2 * 2 * 16 bytes
     N, m = 4, 2

@@ -15,8 +15,6 @@ from eulerstat.solver import (
     SolverParams,
     _dissipation_rate,
     _dt_bound,
-    _energy,
-    _layout,
     _stage1_rows,
     _step_coeffs,
     _step_result,
@@ -453,7 +451,7 @@ def test_rk_step_allocates_no_padded_grid_array(monkeypatch, N, patched_M):
     def one_step(coeffs):
         speed_sq = _stage1_rows(coeffs[:, :, N:], slabs, True)
         _step_coeffs(coeffs, _dt_bound(speed_sq, slabs), slabs)
-        return _step_result(slabs, _layout(coeffs))
+        return _step_result(slabs)
 
     with solver._slabs(p, 1) as slabs:
         coeffs = one_step(hermitian_random_field(N, np.random.default_rng(4)).coeffs)
@@ -523,16 +521,24 @@ def test_an_evolve_step_holds_u0_and_one_other_field(monkeypatch):
 @pytest.mark.parametrize("layout", ["generated", "C", "F"])
 def test_ledger_terms_keep_the_bits_of_fresh_temporaries(layout):
     # evolve computes E and the dissipation rate in the slabs' memory; the
-    # bits are those of modal_energy and of the expression with numpy's
-    # own temporaries, for every memory layout of the coefficients.
+    # bits are those of modal_energy with a fresh array and of the
+    # expression with numpy's own temporaries, for every memory layout of
+    # the coefficients.
     N = 32
     u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
     c = {"generated": u.coeffs, "C": np.ascontiguousarray(u.coeffs),
          "F": np.asfortranarray(u.coeffs)}[layout]
     slabs = solver._Slabs(SolverParams(N=N))
     rate = float(2.0 * np.sum(slabs.damping * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2)))
-    assert _energy(c, slabs) == modal_energy(SpectralField(N, c))
+    field = SpectralField(N, c)
+    assert field.coeffs.strides == c.strides
+    assert modal_energy(field, slabs.ledger) == modal_energy(field)
     assert _dissipation_rate(c, slabs) == rate
+
+
+def record_strides(N):
+    """Strides of (2, 2N+1, 2N+1) coefficients laid out as a snapshot record."""
+    return np.empty((2 * N + 1, 2 * N + 1, 2), dtype=complex).transpose(2, 0, 1).strides
 
 
 def trajectory(u0, params, t_end, threads):
@@ -549,7 +555,7 @@ def trajectory(u0, params, t_end, threads):
 def test_slab_split_step_keeps_bytes(monkeypatch, family, N, M):
     # Two slabs on every grid: each step, its energy ledger and its memory
     # layout are the bits of one slab, for the generated coefficients and
-    # for a C-contiguous copy of them (which sums its energy in another order).
+    # for a C-contiguous copy of them.
     monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0)
     p = SolverParams(N=N)
     assert p.padded_grid == M
@@ -557,19 +563,35 @@ def test_slab_split_step_keeps_bytes(monkeypatch, family, N, M):
     for u in (u0, SpectralField(N, np.ascontiguousarray(u0.coeffs))):
         one = trajectory(u, p, 0.25, threads=1)
         assert len(one) > 2
-        assert {row[1] for row in one} == {u.coeffs.strides}
+        assert {row[1] for row in one[1:]} == {record_strides(N)}
         assert trajectory(u, p, 0.25, threads=2) == one
 
 
-def test_energy_bits_depend_on_coefficient_layout():
-    # modal_energy adds in memory order, so its last bits follow the layout
-    # of the coefficients, which each step passes on to the next: generated
-    # fields are not C-contiguous, and a step must keep their layout.
+def layouts(u):
+    """u and copies of it with C- and Fortran-ordered coefficients."""
+    copies = [u, SpectralField(u.N, np.ascontiguousarray(u.coeffs)),
+              SpectralField(u.N, np.asfortranarray(u.coeffs))]
+    assert len({f.coeffs.strides for f in copies}) == 3
+    return copies
+
+
+def test_energy_bits_do_not_depend_on_coefficient_layout():
+    # modal_energy adds in the snapshot record's order, whatever the layout
     u0 = generate_sample(InitialMeasureSpec("flat_sheet", 32, rho=0.1, delta=0.025, base_seed=7), 1)
-    c = np.ascontiguousarray(u0.coeffs)
-    assert not u0.coeffs.flags.c_contiguous
-    assert modal_energy(u0) == 0.5983335716741534
-    assert modal_energy(SpectralField(32, c)) == 0.5983335716741532
+    assert [modal_energy(f) for f in layouts(u0)] == [0.5983335716741534] * 3
+
+
+def test_evolve_bits_do_not_depend_on_the_layout_of_u0():
+    # (digest, t, E, D) after every step are the same from each layout of
+    # u0, and every evolved field is laid out as a snapshot record
+    N = 32
+    u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+    runs = [trajectory(u, SolverParams(N=N), 0.1, threads=1) for u in layouts(u0)]
+    assert len(runs[0]) > 2
+    for rows in runs:
+        assert {row[1] for row in rows[1:]} == {record_strides(N)}
+    assert [[(d, t, E, D) for d, _, t, E, D in rows] for rows in runs[1:]] == \
+        [[(d, t, E, D) for d, _, t, E, D in runs[0]]] * 2
 
 
 def test_slab_split_at_the_real_threshold():
