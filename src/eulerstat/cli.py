@@ -71,7 +71,7 @@ from .ensemble import (
 from .errors import BlowUpError
 from .initial import PRNG_ID
 from .solver import MAX_STEPS, viscous_dt
-from .spectral import sample_at_grid, synthesis_grid
+from .spectral import ScalarSpectralField, scalar_to_physical, synthesis_grid
 from .transport import (
     DEFAULT_DIAGNOSTIC_SEED,
     TupleValues,
@@ -84,6 +84,7 @@ from .transport import (
 # wraps and calls them under these names.
 from .diagnostics import cauchy_rate, energy_spectrum, structure_function  # noqa: F401
 from .ensemble import read_snapshot, variance_field, write_snapshot  # noqa: F401
+from .spectral import sample_at_grid  # noqa: F401
 from .transport import marginal_w1  # noqa: F401
 
 MAX_DESK_N = 256
@@ -526,9 +527,8 @@ def _time_regularity(heads, L) -> list:
 
 def _mean_u1(mean, head) -> np.ndarray:
     """The first velocity component of the mean field on its synthesis grid."""
-    # a copy: a view of u1 would hold the whole (M, M, 2) grid until written
     with np.errstate(over="ignore", invalid="ignore"):
-        u1 = sample_at_grid(mean, synthesis_grid(head.N))[:, :, 0].copy()
+        u1 = scalar_to_physical(ScalarSpectralField(head.N, mean.coeffs[0]), synthesis_grid(head.N))
     check_finite(u1, "mean", head)
     return u1
 

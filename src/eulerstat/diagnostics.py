@@ -322,7 +322,8 @@ def fit_exponent(curve: ScalarCurve, r_min: float, r_max: float) -> ExponentFit:
 
 
 def _modal_l2(diff_coeffs: np.ndarray) -> float:
-    return float(2.0 * np.pi * np.sqrt(np.sum(np.abs(diff_coeffs) ** 2)))
+    # |d|^2 added in the C order of (component, k1, k2), whatever the layout
+    return float(2.0 * np.pi * np.sqrt(np.sum(np.abs(diff_coeffs, order="C") ** 2)))
 
 
 def cauchy_rate(snapA: EnsembleSnapshot, snapB: EnsembleSnapshot, statistic="mean") -> float:

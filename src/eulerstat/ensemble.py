@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import BlowUpError, ShapeError, SnapshotFormatError
 from .initial import InitialMeasureSpec, generate_sample, sample_base
-from .solver import SolverParams, evolve
+from .solver import _CHUNK_ROWS, SolverParams, evolve
 from .spectral import SpectralField, sample_at_grid, synthesis_grid
 
 __all__ = [
@@ -345,7 +345,9 @@ class GridMoments:
     def add(self, grid: np.ndarray) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             self.s1 += grid
-            self.s2 += grid * grid
+            for i in range(0, self.grid_points, _CHUNK_ROWS):   # no full-grid temporary
+                rows = grid[i : i + _CHUNK_ROWS]
+                self.s2[i : i + _CHUNK_ROWS] += rows * rows
         self.count += 1
 
     def variance(self) -> np.ndarray:
@@ -539,14 +541,14 @@ def iter_snapshot(header: SnapshotHeader):
         _check_length(fh, path, N, header.m)
         fh.seek(_HEADER.size)
         for _ in range(header.m):
-            record = fh.read(size)
-            if len(record) < size:
+            record = bytearray(size)        # the field's own memory, in record layout
+            if fh.readinto(record) < size:
                 raise SnapshotFormatError(f"{path}: truncated while it was read")
             (seed,) = _SEED.unpack_from(record)
             raw = np.frombuffer(record, dtype=_COEFF, offset=_SEED.size).reshape(K, K, 2)
             if not np.all(np.isfinite(raw)):
                 raise SnapshotFormatError(f"{path}: non-finite coefficients in sample {seed}")
-            field = SpectralField._wrap(N, raw.transpose(2, 0, 1).copy())
+            field = SpectralField._wrap(N, raw.transpose(2, 0, 1))
             del record, raw                 # hold one sample while suspended
             yield seed, field
             del field                       # and none while the next is read

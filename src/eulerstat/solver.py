@@ -27,7 +27,9 @@ gradient that the Leray projection removes (Basdevant 1983, J. Comput.
 Phys. 50). The result is rebuilt as an exactly Hermitian array once per
 step, with no re-projection. evolve takes max|u| for the step bound from
 the first RK stage's synthesis, as it forms that stage's products; it
-reports through one hook, on_step, after every step.
+reports through one hook, on_step, after every step. A step's energy E,
+its dissipation rate and the blow-up test (E not finite) share one array
+of squares.
 
 Each synthesis and analysis is a pass of 1-D transforms along x1 (the
 k2 columns of the half plane) and a pass along x2 (the x1 rows of the
@@ -42,15 +44,12 @@ threads; every operation is the same, so the bits are those of one slab.
 An RK step allocates no padded-grid-sized array, and no array holds the
 padded grid. Each evolve, rhs, step or adaptive_dt call makes one set of
 arrays (_Slabs) before it starts any thread and holds it until it
-returns: the k2 = 0..N columns of a synthesis along x1 and of the
-products' real spectrum along x2, two scratches of a few x1 rows per row
-slab, through which a row pass takes the velocity, its products and
-their spectrum a chunk of rows at a time, and the modal arrays of the
-column passes. At N = 128 they take 6.9 MiB (7.7 MiB on two slabs), at
-N = 512 100.4 MiB (103.5 MiB). No two calls share an array, so calls
-from several threads, with equal params or not, give the bits of serial
-calls; rhs, step and evolve return fresh arrays, laid out as snapshot
-records, (k1, k2, component).
+returns; a row pass takes the velocity, its products and their spectrum
+a chunk of x1 rows at a time. At N = 128 the arrays take 6.9 MiB (7.7
+MiB on two slabs), at N = 512 100.4 MiB (103.5 MiB). No two calls share
+an array, so calls from several threads, with equal params or not, give
+the bits of serial calls; rhs, step and evolve return fresh arrays, laid
+out as snapshot records, (k1, k2, component).
 
 The padded grid has M points per axis, the smallest 5-smooth M >= 3N+1
 (padded_grid; 50, 100, 200, 400 for N = 16, 32, 64, 128): products reach
@@ -73,9 +72,9 @@ from .spectral import (
     _analyze_cols,
     _analyze_rows,
     _full_plane,
+    _record_squares,
     _synthesize_cols,
     _synthesize_rows,
-    modal_energy,
     wavenumbers,
 )
 
@@ -263,17 +262,13 @@ class _Slabs:
     of the column passes (k2-major): ab the analyzed products (then scratch
     terms), u1 the stage field (u1, then u2) and du the RHS (the step's half
     plane at the end). work is dead between steps, and ledger, its memory
-    as a flat float array, takes the energy ledger's terms. At N = 128 all
-    arrays of a call take 6.9 MiB on one slab and 7.7 MiB on two, at
-    N = 512 100.4 and 103.5 MiB.
+    as a flat float array, takes the squares of the energy ledger
+    (_ledger_terms).
 
-    A synthesis or analysis is a pass of 1-D transforms along x1 (the k2
-    columns of the half plane) and one along x2 (the x1 rows of the padded
-    grid); no operation of a pass reads outside its column or row. The n
-    row slabs and n column slabs split each pass into contiguous ranges;
-    run calls fn on the first slab on the calling thread and on the others
-    on the pool, and returns when all are done. One slab (no pool) makes
-    the whole-array calls of a serial step.
+    The n row slabs and n column slabs split each pass (module docstring)
+    into contiguous ranges; run calls fn on the first slab on the calling
+    thread and on the others on the pool, and returns when all are done.
+    One slab (no pool) makes the whole-array calls of a serial step.
     """
 
     def __init__(self, params: SolverParams, pool=None, n: int = 1):
@@ -514,8 +509,24 @@ def _step_result(slabs: _Slabs) -> np.ndarray:
     return out
 
 
+def _ledger_terms(coeffs: np.ndarray, slabs: _Slabs) -> tuple[float, float]:
+    """(E, rate) of coeffs from one array of their squares in slabs.ledger:
+    E is modal_energy's sum of them; rate (NaN if E is not finite) has the
+    bits of 2.0 * np.sum(damping * (abs(c0) ** 2 + abs(c1) ** 2)), each
+    mode's two squares added into a C-ordered (2N+1)^2 scratch."""
+    K = coeffs.shape[-1]
+    sq = _record_squares(coeffs, slabs.ledger)
+    E = float(np.sum(sq))
+    if not math.isfinite(E):
+        return E, math.nan
+    w = slabs.ledger[2 * K * K : 3 * K * K].reshape(K, K)
+    np.add(sq[..., 0], sq[..., 1], out=w)
+    np.multiply(slabs.damping, w, out=w)
+    return E, float(2.0 * np.sum(w))
+
+
 def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
-    """One SSP-RK3 step of size dt. Raises BlowUpError on non-finite output.
+    """One SSP-RK3 step of size dt. Raises BlowUpError if its E is not finite.
 
     This entry point is for one field (tests, the per-layer benchmark);
     runs on the calling thread.
@@ -528,8 +539,8 @@ def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
     _stage1_rows(u.coeffs[:, :, params.N :], slabs, False)
     _step_coeffs(u.coeffs, dt, slabs)
     out = _step_result(slabs)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite coefficients after time step")
+    if not math.isfinite(_ledger_terms(out, slabs)[0]):
+        raise BlowUpError("non-finite energy after time step")
     return SpectralField._wrap(params.N, out)
 
 
@@ -540,28 +551,12 @@ class EnergyLedger:
     E0 is the initial modal energy sum_k |u(k)|^2, E the current one, D the
     accumulated dissipation integral of 2 sum_k lam(k) |u(k)|^2 dt
     (trapezoidal in time). The scheme conserves E + D up to integration
-    error.
+    error. evolve raises BlowUpError at a step whose E is not finite.
     """
 
     E0: float
     E: float
     D: float = 0.0
-
-
-def _dissipation_rate(coeffs: np.ndarray, slabs: _Slabs) -> float:
-    """2 sum_k lam(k) |c(k)|^2: the operations, and so the bits, of
-    2.0 * np.sum(damping * (np.abs(coeffs[0]) ** 2 + np.abs(coeffs[1]) ** 2)),
-    in slabs.ledger. numpy lays the product with the C-ordered damping out
-    in C order, whatever the layout of coeffs, and sums it in that order."""
-    K = coeffs.shape[-1]
-    a, b = slabs.ledger[: 2 * K * K].reshape(2, K, K)
-    np.abs(coeffs[0], out=a)
-    np.square(a, out=a)
-    np.abs(coeffs[1], out=b)
-    np.square(b, out=b)
-    np.add(a, b, out=a)
-    np.multiply(slabs.damping, a, out=a)
-    return float(2.0 * np.sum(a))
 
 
 def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(), on_step=None,
@@ -571,7 +566,8 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     Steps are clipped so that every requested output time (and t_end) is hit
     exactly. on_step(t, field, ledger), when given, is called at t = 0 and
     after every accepted step; at an output time, t is that time exactly.
-    Blow-ups, and steps past MAX_STEPS, raise BlowUpError carrying the time.
+    A step whose E is not finite (a non-finite coefficient, or squares that
+    overflow) and steps past MAX_STEPS raise BlowUpError carrying the time.
 
     Besides the arrays of its slabs (_Slabs), a step holds its input field
     and then its output: the input is dropped before the output's array is
@@ -595,16 +591,14 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     if targets and (targets[0] < 0 or targets[-1] > t_end):
         raise ValueError("output times must lie within [0, t_end]")
 
-    E0 = modal_energy(u0)
-    ledger = EnergyLedger(E0=E0, E=E0)
     t = 0.0
     u = u0
     pending = [s for s in targets if s > 0.0]
-    if on_step is not None:
-        on_step(t, u, ledger)
-
     with _slabs(params, threads) as slabs:
-        g = _dissipation_rate(u.coeffs, slabs)
+        E0, g = _ledger_terms(u.coeffs, slabs)
+        ledger = EnergyLedger(E0=E0, E=E0)
+        if on_step is not None:
+            on_step(t, u, ledger)
         steps = 0
         while t < t_end:
             if (steps := steps + 1) > MAX_STEPS:
@@ -616,15 +610,15 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
             _step_coeffs(u.coeffs, dt, slabs)
             del u               # the input goes before the output is made
             u = SpectralField._wrap(params.N, _step_result(slabs))
-            if not np.all(np.isfinite(u.coeffs)):
+            E, g_after = _ledger_terms(u.coeffs, slabs)
+            if not math.isfinite(E):
                 raise BlowUpError(
                     f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
                     time=t + dt,
                 )
-            g_after = _dissipation_rate(u.coeffs, slabs)
             ledger.D += 0.5 * dt * (g + g_after)
             g = g_after
-            ledger.E = modal_energy(u, slabs.ledger)
+            ledger.E = E
             t = t + dt
             if pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
                 t = pending.pop(0)

@@ -397,20 +397,22 @@ def l2_norm(field: SpectralField) -> float:
     return sobolev_norm(field, 0.0)
 
 
-def modal_energy(field: SpectralField, out: np.ndarray | None = None) -> float:
-    """sum_k |coeff(k)|^2 over both components (modal normalization).
-
-    The squares are added in one fixed order, (k1, k2, component), a
-    snapshot record's, whatever the layout of field.coeffs: they are
-    written into a C-ordered (2N+1, 2N+1, 2) array and summed there. out,
-    a flat float64 scratch of at least 2(2N+1)^2 elements, takes them if
-    given; else a fresh array does.
-    """
-    c = field.coeffs.transpose(1, 2, 0)
+def _record_squares(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|c(k)|^2 of (2, 2N+1, 2N+1) coefficients in a C-ordered (2N+1, 2N+1, 2)
+    array: a snapshot record's order, (k1, k2, component), whatever the
+    layout of coeffs. out, a flat float64 scratch of at least 2(2N+1)^2
+    elements, takes them if given; else a fresh array does."""
+    c = coeffs.transpose(1, 2, 0)
     sq = np.empty(c.shape) if out is None else out[: c.size].reshape(c.shape)
     np.abs(c, out=sq)
     np.square(sq, out=sq)
-    return float(np.sum(sq))
+    return sq
+
+
+def modal_energy(field: SpectralField) -> float:
+    """sum_k |coeff(k)|^2 over both components (modal normalization), added
+    in a snapshot record's order whatever the layout (_record_squares)."""
+    return float(np.sum(_record_squares(field.coeffs)))
 
 
 def truncate_to(field: SpectralField, N_coarse: int) -> SpectralField:

@@ -312,6 +312,10 @@ def test_each_sample_is_dropped_before_the_next_is_read(tmp_path, capsys, monkey
             alive.append([ref() is not None for ref in fed])
             return self._fh.read(*args)
 
+        def readinto(self, buffer):
+            alive.append([ref() is not None for ref in fed])
+            return self._fh.readinto(buffer)
+
     def watching_open(file, mode="r", *args, **kwargs):
         fh = real_open(file, mode, *args, **kwargs)
         return Watching(fh, {}, None) if os.fspath(file) == path else fh

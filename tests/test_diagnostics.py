@@ -20,7 +20,8 @@ from eulerstat.diagnostics import (
     time_regularity_ratio,
     write_curve_csv,
 )
-from eulerstat.ensemble import EnsembleSnapshot
+from eulerstat.ensemble import EnsembleSnapshot, read_snapshot, write_snapshot
+from eulerstat.initial import InitialMeasureSpec, generate_sample
 from eulerstat.solver import SolverParams
 from eulerstat.spectral import SpectralField, modal_energy, sobolev_norm, truncate_to, wavenumbers
 from oracles import (
@@ -308,6 +309,24 @@ def test_cauchy_rate_mean_matches_manual_sum():
                 manual += abs(mean_b[c, i, j] - mean_a[c, i, j]) ** 2
     manual = 2 * np.pi * np.sqrt(manual)
     assert abs(got - manual) < 1e-12 * max(1.0, manual)
+
+
+def test_per_sample_cauchy_rate_does_not_depend_on_coefficient_layout(tmp_path):
+    # The same fields in memory (record layout), read back from snapshots
+    # and copied to C order give the same bits of every per-sample rate.
+    def ensembles(base_seed, N):
+        spec = InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=base_seed)
+        snap = snapshot_of([generate_sample(spec, i) for i in (1, 2)])
+        path = tmp_path / f"b{base_seed}_N{N}.euss"
+        write_snapshot(path, snap)
+        c_order = [SpectralField(N, np.ascontiguousarray(f.coeffs)) for f in snap.fields]
+        return snap, read_snapshot(path), snapshot_of(c_order)
+
+    for base_seed in range(8):
+        coarse, fine = ensembles(base_seed, 16), ensembles(base_seed, 32)
+        for j in (0, 1):
+            rates = {cauchy_rate(a, b, j) for a, b in zip(coarse, fine)}
+            assert len(rates) == 1, (base_seed, j, rates)
 
 
 def test_cauchy_rate_validation():

@@ -414,6 +414,49 @@ def test_variance_field_cases():
     ).max() < 1e-12
 
 
+def test_grid_moments_add_makes_no_full_grid_temporary():
+    # s2 takes grid * grid a block of rows at a time, with the bits of the
+    # whole-grid expression
+    M = 384
+    rng = np.random.default_rng(4)
+    grids = [rng.standard_normal((2, M, M)).transpose(1, 2, 0) for _ in range(3)]
+    acc = ens.GridMoments(M)
+    tracemalloc.start()
+    try:
+        acc.add(grids[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grids[0].nbytes / 4
+    for grid in grids[1:]:
+        acc.add(grid)
+    assert np.array_equal(acc.s1, grids[0] + grids[1] + grids[2])
+    assert np.array_equal(acc.s2, grids[0] * grids[0] + grids[1] * grids[1] + grids[2] * grids[2])
+
+
+def test_read_back_fields_wrap_their_records(tmp_path):
+    # iter_snapshot reads each record into memory of its own and wraps it:
+    # the coefficients have a snapshot record's strides, and reading a
+    # sample allocates one record, not a record and a copy.
+    N = 32
+    K = 2 * N + 1
+    rng = np.random.default_rng(3)
+    path = tmp_path / "r.euss"
+    write_snapshot(path, snapshot_of([hermitian_random_field(N, rng) for _ in range(2)]))
+    stream = ens.iter_snapshot(ens.read_snapshot_header(path))
+    tracemalloc.start()
+    try:
+        _, field = next(stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stream.close()
+    record = 8 + K * K * 2 * 16
+    assert record <= peak < 1.5 * record
+    assert field.coeffs.strides == np.empty((K, K, 2), dtype=complex).transpose(2, 0, 1).strides
+    assert field.coeffs.flags.aligned
+
+
 def test_snapshot_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     fields = [hermitian_random_field(6, rng) for _ in range(3)]

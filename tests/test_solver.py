@@ -13,8 +13,8 @@ from eulerstat.errors import BlowUpError
 from eulerstat.initial import InitialMeasureSpec, generate_sample, taylor_green_field
 from eulerstat.solver import (
     SolverParams,
-    _dissipation_rate,
     _dt_bound,
+    _ledger_terms,
     _stage1_rows,
     _step_coeffs,
     _step_result,
@@ -520,10 +520,10 @@ def test_an_evolve_step_holds_u0_and_one_other_field(monkeypatch):
 
 @pytest.mark.parametrize("layout", ["generated", "C", "F"])
 def test_ledger_terms_keep_the_bits_of_fresh_temporaries(layout):
-    # evolve computes E and the dissipation rate in the slabs' memory; the
-    # bits are those of modal_energy with a fresh array and of the
-    # expression with numpy's own temporaries, for every memory layout of
-    # the coefficients.
+    # evolve computes E and the dissipation rate from one array of squares
+    # in the slabs' memory; the bits are those of modal_energy with a fresh
+    # array and of the expression with numpy's own temporaries, for every
+    # memory layout of the coefficients.
     N = 32
     u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
     c = {"generated": u.coeffs, "C": np.ascontiguousarray(u.coeffs),
@@ -532,8 +532,31 @@ def test_ledger_terms_keep_the_bits_of_fresh_temporaries(layout):
     rate = float(2.0 * np.sum(slabs.damping * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2)))
     field = SpectralField(N, c)
     assert field.coeffs.strides == c.strides
-    assert modal_energy(field, slabs.ledger) == modal_energy(field)
-    assert _dissipation_rate(c, slabs) == rate
+    assert _ledger_terms(c, slabs) == (modal_energy(field), rate)
+
+
+def test_evolve_blows_up_at_the_step_whose_squares_overflow(monkeypatch):
+    # A step whose coefficients are finite but whose squares overflow
+    # (|c| = 1e155) has an infinite E: evolve raises at that step and
+    # reports no ledger for it.
+    N = 8
+    u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+    real, made = solver._step_result, []
+
+    def step_result(slabs):
+        out = real(slabs)
+        made.append(out)
+        if len(made) == 2:
+            out[0, N + 1, N] = out[0, N - 1, N] = 1e155
+        return out
+
+    monkeypatch.setattr(solver, "_step_result", step_result)
+    times = []
+    with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="blow-up at t=") as info:
+        evolve(u0, 1.0, SolverParams(N=N), on_step=lambda t, u, ledger: times.append((t, ledger.E)))
+    assert np.all(np.isfinite(made[1]))
+    assert len(made) == 2 and len(times) == 2
+    assert all(np.isfinite(E) for _, E in times) and 0.0 < times[1][0] < info.value.time < 1.0
 
 
 def record_strides(N):
