@@ -374,12 +374,13 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     by_n the inputs per resolution for time regularity. Each input is
     streamed once, in the order of loaded, in this process, and its
     statistics finished right after (_streamed); the time regularity tables
-    read their inputs once more, in lockstep. The W1 report of a pair is the
-    only work that may leave this process: with --wasserstein, two pairs or
-    more and more than one CPU, a pool of min(pairs, CPUs) processes solves
-    each pair as soon as both its inputs are streamed, while later inputs
-    stream here (ordered_map). No output byte or error message depends on
-    the CPU count.
+    read their inputs once more, in lockstep (_regularity_tables). The W1
+    report of a pair is the only work that may leave this process: with
+    --wasserstein, two pairs or more and more than one CPU, a pool of
+    min(pairs, CPUs) processes solves each pair as soon as both its inputs
+    are streamed, while later inputs stream here (ordered_map) and then the
+    time regularity inputs are read. No output byte or error message depends
+    on the CPU count.
 
     Failures are raised in this order: the inputs in order, each with a
     sample that cannot be read, then its curves and its mean_u1 as they are
@@ -389,6 +390,11 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
     workers = min(len(pairs), usable_cpus()) if args.wasserstein is not None else 0
     with ordered_map(_pair_report, _streamed(args, loaded, pairs, finished),
                      workers if workers > 1 else 0) as reports:
+        # read while the pool solves W1; an error waits for its turn, after W1's
+        try:
+            regularity, regularity_error = _regularity_tables(args, by_n), None
+        except (OSError, ValueError, MemoryError) as exc:
+            regularity, regularity_error = [], exc
         reports = dict(reports)
 
     outputs, summary_rows = [], []
@@ -431,6 +437,20 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
             arrays = {"mean_u1": finished[path]["mean_u1"], "variance": variance,
                       "time": np.float64(head.time), "N": np.int64(head.N), "m": np.int64(head.m)}
             outputs.append((f"{_stem(path)}_mean_variance.npz", partial(_write_npz, arrays)))
+    if regularity_error is not None:
+        raise regularity_error
+    outputs += regularity
+
+    if summary_rows:
+        header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
+        outputs.append(("summary.csv", partial(write_csv, header=header, rows=summary_rows)))
+    return outputs
+
+
+def _regularity_tables(args, by_n) -> list:
+    """(file name, writer) of each time regularity table: one per resolution
+    with two times or more, its inputs read in lockstep (_time_regularity)."""
+    tables = []
     for N, entries in sorted(by_n.items()):
         if len(entries) < 2:
             continue
@@ -438,12 +458,8 @@ def _diagnose_tables(args, loaded, pairs, by_n) -> list:
         header = (f"time_regularity_L{args.time_regularity:g}", heads[-1].time, N,
                   min(h.m for h in heads))
         rows = _time_regularity(heads, args.time_regularity)
-        outputs.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
-
-    if summary_rows:
-        header = ("file", "quantity", "exponent", "intercept", "residual", "r_min", "r_max")
-        outputs.append(("summary.csv", partial(write_csv, header=header, rows=summary_rows)))
-    return outputs
+        tables.append((f"time_regularity_N{N:04d}.csv", partial(write_csv, header=header, rows=rows)))
+    return tables
 
 
 def _write_npz(arrays, path) -> None:

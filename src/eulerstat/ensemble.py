@@ -2,9 +2,10 @@
 
 An ensemble run draws m i.i.d. samples from an initial-data family,
 evolves each independently with the spectral hyper-viscosity scheme and
-writes its fields at the output times to one snapshot file per time as it is
-taken. A snapshot of m fields at time t represents the empirical measure
-(1/m) sum_i delta_{u_i(t)}.
+writes its fields at the output times to one snapshot file per time: the
+process that evolves sample i writes each field, as it is taken, into the
+record slot i of that snapshot's .tmp file. A snapshot of m fields at time
+t represents the empirical measure (1/m) sum_i delta_{u_i(t)}.
 
 Samples are deterministic in (base_seed, sample_index) alone, so results
 are bit-identical regardless of worker count or scheduling.
@@ -24,8 +25,9 @@ alone: CoefficientSum and GridMoments here, RadialPower (diagnostics) and
 TupleValues (transport). mean_field and variance_field feed them a
 snapshot's fields; `diagnose` feeds them the stream of iter_snapshot.
 
-Every file the command line writes goes through atomic_open (written to
-path + ".tmp", then renamed into place); its CSV tables through write_csv.
+Every file the command line writes is written to path + ".tmp" and then
+renamed into place: the snapshots of a run by run_ensemble, every other
+file through atomic_open, its CSV tables through write_csv.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import math
 import os
 import signal
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,22 +144,28 @@ def same_time(ta: float, tb: float) -> bool:
 
 
 def _evolve_one(task):
-    """Evolve one sample; return (index, output fields, (t, E, D) per step)
-    or its BlowUpError."""
-    spec, solver, sample_index, output_times, threads = task
-    u0 = generate_sample(spec, sample_index)
-    fields, rows = [], []
+    """Evolve one sample, writing the record of each output field into its
+    snapshot's .tmp file, at the sample's slot, as on_step takes it; return
+    (index, (t, E, D) per step) or the sample's BlowUpError. No field is
+    kept here, u0 among them."""
+    spec, solver, sample_index, output_times, threads, tmps = task
+    offset = _HEADER.size + (sample_index - 1) * _sample_bytes(spec.N)
+    tmp_at = dict(zip(output_times, tmps))
+    rows = []
 
     def on_step(t, u, ledger):
         rows.append((t, ledger.E, ledger.D))
-        if t in output_times:
-            fields.append(u)
+        if t in tmp_at:
+            with _record_file(tmp_at[t]) as fh:
+                fh.seek(offset)
+                _write_record(fh, sample_index, u)
 
     try:
-        evolve(u0, output_times[-1], solver, output_times, on_step, threads=threads)
+        evolve(generate_sample(spec, sample_index), output_times[-1], solver, output_times, on_step,
+               threads=threads)
     except BlowUpError as err:
         return BlowUpError(str(err), time=err.time, sample_index=sample_index)
-    return sample_index, fields, rows
+    return sample_index, rows
 
 
 def usable_cpus() -> int:
@@ -171,13 +180,37 @@ def _solver_threads(workers: int) -> int:
 
 
 _INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
+_PR_SET_PDEATHSIG = 1     # from linux/prctl.h
 
 
-def _start_worker() -> None:
+def _exited(pid: int) -> bool:
+    """Whether process pid has exited: no /proc entry, or a zombie (Linux)."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as fh:
+            return fh.read().rsplit(b")", 1)[1].split()[0] in (b"Z", b"X")
+    except (FileNotFoundError, ProcessLookupError):
+        return True
+
+
+def _start_worker(parent: int) -> None:
     """A pool worker leaves SIGINT to its parent, dies of SIGTERM, and takes
-    both from here on (_interrupts_held blocked them)."""
+    both from here on (_interrupts_held blocked them).
+
+    On Linux it also gets SIGTERM when its parent process dies, and exits at
+    once if parent, the pid of the process that started the pool, is gone
+    already: a worker outliving a killed `run` would go on writing into .tmp
+    files that nothing removes. A worker whose parent is a fork server (the
+    forkserver start method) dies with the server, which exits with parent.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if sys.platform == "linux":
+        import ctypes
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGTERM)
+        if os.getppid() != parent and _exited(parent):
+            os._exit(1)
     if hasattr(signal, "pthread_sigmask"):
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _INTERRUPTS)
 
@@ -202,8 +235,9 @@ def ordered_map(fn, tasks, workers: int):
     """Yields fn(task) for each task, in task order: in this process for 0
     workers, else on `workers` processes, with at most 2 x workers tasks
     submitted and not yet read; a lost worker raises ChildProcessError (an
-    OSError). Leaving the block, also by an exception, cancels queued tasks,
-    waits for running ones."""
+    OSError), and the workers die with this process (_start_worker). Leaving
+    the block, also by an exception, cancels queued tasks, waits for running
+    ones."""
     if workers < 1:
         yield map(fn, tasks)
         return
@@ -212,7 +246,8 @@ def ordered_map(fn, tasks, workers: int):
     from concurrent.futures.process import BrokenProcessPool
 
     tasks, queued = iter(tasks), collections.deque()
-    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                               initargs=(os.getpid(),))
 
     def submit(n):
         # interrupts are held for the submit only: making a task may be long work
@@ -248,50 +283,60 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
 
     paths[j] receives the snapshot at manifest.output_times[j]. Samples are
     indexed 1..m and evolved in this process, or in a pool of
-    min(workers, m) processes (ordered_map); each is written as it is taken,
-    in sample order, and each of its fields is dropped once written. So,
-    whatever m is, a serial run holds one sample at a time (its fields, and
-    while it evolves the solver's arrays, solver._Slabs), and a pooled run
-    holds that in each worker plus, here, at most 2 x workers results
-    submitted and not yet read. What every sample shares
-    (initial.sample_base) is built first, in one column block per worker
-    (first_here), into initial's cache, which the pool's forked workers
-    inherit (under spawn or forkserver each builds it once: same bytes,
-    more CPU). With
-    tolerate_failures, samples whose trajectories blow up are dropped (the
-    header's m counts the samples written); otherwise the first failure
-    raises its BlowUpError, carrying the sample index, and cancels the
-    samples still queued. On any exception no file of paths is written and
-    no .tmp is left. Each evolve splits the steps of large grids over
-    cpus // workers threads (_solver_threads, solver.evolve); no byte of
-    the output depends on either split.
+    min(workers, m) processes (ordered_map). Whichever process evolves
+    sample i writes the record of each of its output fields into that
+    snapshot's path + ".tmp", at slot i, as soon as it is taken
+    (_evolve_one), so no field comes back here. Whatever m is, an evolving
+    process holds one field of its sample beside the solver's arrays
+    (solver._Slabs), and the parent of a pool holds none. What every sample
+    shares (initial.sample_base) is built first, in one column block per
+    worker (first_here), into initial's cache, which the pool's forked
+    workers inherit (under spawn or forkserver each builds it once: same
+    bytes, more CPU). Each header goes in last, with the count of samples
+    kept. With tolerate_failures, samples whose trajectories blow up are
+    dropped: the records after each one move down a slot and the file is
+    cut to its new length. Otherwise the first failure raises its
+    BlowUpError, carrying the sample index, and cancels the samples still
+    queued. On any exception no file of paths is written and no .tmp is
+    left. Each evolve splits the steps of large grids over cpus // workers
+    threads (_solver_threads, solver.evolve); no byte of the output depends
+    on either split.
     """
+    if len(paths) != len(manifest.output_times):
+        raise ValueError(f"{len(manifest.output_times)} output times, but {len(paths)} paths")
     workers = min(workers, manifest.m)
+    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
     threads = _solver_threads(workers)
     tasks = [
-        (manifest.spec, manifest.solver, i, manifest.output_times, threads)
+        (manifest.spec, manifest.solver, i, manifest.output_times, threads, tmps)
         for i in range(1, manifest.m + 1)
     ]
-    energy_rows = None
+    kept, energy_rows = [], None
     sample_base(manifest.spec, workers, first_here)
-    with contextlib.ExitStack() as stack:
-        writers = [stack.enter_context(_snapshot_writer(path, manifest.spec.N, t, manifest_hash))
-                   for path, t in zip(paths, manifest.output_times, strict=True)]
-        pooled = workers if workers > 1 else 0
-        outcomes = stack.enter_context(ordered_map(_evolve_one, tasks, pooled))
-        for outcome in outcomes:
-            if isinstance(outcome, BlowUpError):
-                if not tolerate_failures:
-                    raise outcome
-                continue
-            i, fields, rows = outcome
-            del outcome         # each field goes as soon as it is written
-            for write in writers:
-                write(i, fields.pop(0))
-            if energy_rows is None:
-                energy_rows = rows
-        if energy_rows is None:
+    try:
+        for tmp in tmps:
+            _NamedFile(tmp, "w").close()
+        with ordered_map(_evolve_one, tasks, workers if workers > 1 else 0) as outcomes:
+            for outcome in outcomes:
+                if isinstance(outcome, BlowUpError):
+                    if not tolerate_failures:
+                        raise outcome
+                    continue
+                i, rows = outcome
+                kept.append(i)
+                if energy_rows is None:
+                    energy_rows = rows
+        if not kept:
             raise BlowUpError("all samples failed", sample_index=None)
+        for tmp, t in zip(tmps, manifest.output_times):
+            _finish_snapshot(tmp, manifest.spec.N, manifest.m, kept, t, manifest_hash)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
     return energy_rows
 
 
@@ -441,33 +486,46 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(map(line, rows))
 
 
-@contextlib.contextmanager
-def _snapshot_writer(path, N: int, time: float, manifest_hash: int):
-    """Write a snapshot in the EUSS layout via atomic_open, one sample at a time.
+def _record_file(tmp):
+    """tmp opened for writing records at any offset, without truncating it."""
+    return io.BufferedRandom(_NamedFile(tmp, "r+"))
 
-    Yields write(seed, field), which appends one sample record; the header,
-    with the count of samples written, goes in last.
-    """
-    with atomic_open(path, "wb") as fh:
-        count = 0
 
-        def write(seed, field):
-            nonlocal count
-            fh.write(_SEED.pack(int(seed)))
-            fh.write(np.ascontiguousarray(field.coeffs.transpose(1, 2, 0), dtype=_COEFF))
-            count += 1
+def _write_record(fh, seed, field: SpectralField) -> None:
+    """Write one sample record at fh's position: the seed, then the
+    coefficients straight from the field's memory when they are in record
+    order (as every evolved or generated field's are), else from a copy."""
+    fh.write(_SEED.pack(int(seed)))
+    fh.write(np.ascontiguousarray(field.coeffs.transpose(1, 2, 0), dtype=_COEFF))
 
-        fh.seek(_HEADER.size)
-        yield write
+
+def _finish_snapshot(tmp, N: int, m: int, kept, time: float, manifest_hash: int) -> None:
+    """Complete the snapshot in tmp, whose slot i holds the record of sample
+    i of 1..m: if a sample was dropped, move the records of the samples kept
+    (indices, increasing) down to the first len(kept) slots and cut the file
+    there; then write the header."""
+    size = _sample_bytes(N)
+    with _record_file(tmp) as fh:
+        if len(kept) < m:
+            record = bytearray(size)
+            for slot, i in enumerate(kept):
+                if i != slot + 1:
+                    fh.seek(_HEADER.size + (i - 1) * size)
+                    fh.readinto(record)
+                    fh.seek(_HEADER.size + slot * size)
+                    fh.write(record)
+            fh.truncate(snapshot_bytes(N, len(kept)))
         fh.seek(0)
-        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, N, count, float(time), manifest_hash))
+        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, N, len(kept), float(time), manifest_hash))
 
 
 def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
     """Serialize a snapshot in the EUSS binary layout (bit-exact round trip), atomically."""
-    with _snapshot_writer(path, snapshot.N, snapshot.time, snapshot.manifest_hash) as write:
+    with atomic_open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, snapshot.N, snapshot.m, float(snapshot.time),
+                              snapshot.manifest_hash))
         for seed, field in zip(snapshot.sample_seeds, snapshot.fields):
-            write(seed, field)
+            _write_record(fh, seed, field)
 
 
 @dataclass(frozen=True)

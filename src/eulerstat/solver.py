@@ -571,8 +571,9 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
 
     Besides the arrays of its slabs (_Slabs), a step holds its input field
     and then its output: the input is dropped before the output's array is
-    made, so while a step runs at most u0 and one other field of the
-    trajectory are alive here (on_step may keep more).
+    made, and no reference to u0 is kept past the first step, so while a
+    step runs one field of the trajectory is alive here (the caller may
+    still hold u0, and on_step may keep more).
 
     With threads > 1 and a padded grid of at least _SLAB_MIN_GRID points,
     each pass of a step is split into that many row or column slabs, run by
@@ -593,6 +594,7 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
 
     t = 0.0
     u = u0
+    del u0                  # the first step drops u0 with the rest of its input
     pending = [s for s in targets if s > 0.0]
     with _slabs(params, threads) as slabs:
         E0, g = _ledger_terms(u.coeffs, slabs)

@@ -1012,6 +1012,28 @@ def test_failed_snapshot_write_exits_2_naming_the_file(tmp_path):
     assert not list((tmp_path / "out" / "demo").iterdir())
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sets a file-size limit on POSIX")
+def test_failed_pooled_snapshot_write_exits_2_naming_the_file(tmp_path):
+    # As above at --workers 2: the second sample's worker writes its t = 0
+    # record itself, and its failed write reaches `run` naming the file.
+    import errno
+    import resource
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (200_000, 200_000))
+
+    cfg = GOOD.replace("resolutions = 8 16", "resolutions = 32").replace("samples = 2", "samples = 16")
+    proc = _cli(tmp_path, "run", _write_config(tmp_path, cfg), "--workers", "2",
+                preexec_fn=limit_file_size)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    _assert_one_line(err)
+    tmp = os.path.join("out", "demo", "demo_N0032_t00.euss.tmp")
+    assert err == f"eulerstat: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: {tmp!r}\n"
+    assert not list((tmp_path / "out" / "demo").iterdir())
+
+
 def _kill_a_worker(proc, count):
     """SIGKILL one of proc's pool workers once count of them run; return them all."""
     deadline = time.monotonic() + 60
@@ -1044,6 +1066,28 @@ def test_lost_run_worker_exits_2_leaving_nothing(tmp_path):
         _assert_one_line(err)
         assert "worker process was lost" in err
         assert not list((tmp_path / "out" / "demo").iterdir())
+        _assert_all_gone(workers)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)   # nothing of a failed run outlives the test
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the parent-death signal is Linux's")
+def test_run_workers_die_with_their_parent(tmp_path):
+    # 64 flat sheets at N = 32 on 2 workers; `run` itself is SIGKILLed once
+    # both are forked, so no cleanup of its own runs: the workers get SIGTERM.
+    cfg = GOOD.replace("resolutions = 8 16", "resolutions = 32").replace(
+        "samples = 2", "samples = 64").replace("output_times = 0 0.05", "output_times = 0 2")
+    proc = _cli(tmp_path, "run", _write_config(tmp_path, cfg), "--workers", "2")
+    try:
+        deadline = time.monotonic() + 60
+        workers = []
+        while len(workers) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            workers = _children(proc.pid)
+            time.sleep(0.002)
+        assert proc.poll() is None and len(workers) == 2, "run ended before its workers ran"
+        proc.kill()
+        proc.wait()
         _assert_all_gone(workers)
     finally:
         with contextlib.suppress(ProcessLookupError):

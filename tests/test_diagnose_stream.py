@@ -7,6 +7,7 @@ resolution).
 """
 
 import builtins
+import contextlib
 import hashlib
 import multiprocessing
 import os
@@ -157,6 +158,32 @@ def test_one_group_of_two_pairs_uses_the_pool(tmp_path, capsys, monkeypatch, pin
     assert counts == [0, 2]
     assert digests[0] == digests[1] and sorted(digests[0]) == [
         "one_N0008_t0__one_N0016_t0_wass1.csv", "one_N0016_t0__one_N0032_t0_wass1.csv"]
+
+
+def test_time_regularity_is_read_while_the_pool_solves_w1(inputs, tmp_path, capsys, monkeypatch,
+                                                         pin_cpus):
+    # At 2 CPUs a pool solves the two pairs' W1 while this process reads
+    # the time regularity inputs: both resolutions' tables are read before
+    # the last W1 report is taken.
+    events = []
+    real_map, real_regularity = cli.ordered_map, cli._time_regularity
+
+    @contextlib.contextmanager
+    def noting_map(fn, tasks, workers):
+        with real_map(fn, tasks, workers) as results:
+            yield (events.append("report") or result for result in results)
+
+    def noting_regularity(heads, L):
+        events.append("regularity")
+        return real_regularity(heads, L)
+
+    monkeypatch.setattr(cli, "ordered_map", noting_map)
+    monkeypatch.setattr(cli, "_time_regularity", noting_regularity)
+    pin_cpus(2)
+    assert main(["diagnose", *inputs, "--time-regularity", "2", "--wasserstein", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert sorted(events) == ["regularity"] * 2 + ["report"] * 2
+    assert events[-1] == "report", events
 
 
 def _csv_rows(path) -> list:

@@ -164,6 +164,21 @@ def test_spawned_workers_build_the_sheet_base_to_the_same_bytes(monkeypatch, tmp
         assert (tmp_path / "spawn" / name).read_bytes() == (tmp_path / "fork" / name).read_bytes()
 
 
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the forkserver start method")
+def test_forkserver_workers_run_to_the_same_bytes(monkeypatch, tmp_path):
+    # A fork server, not this process, is the parent of these workers: they
+    # must not take it for a sign that this process is gone.
+    manifest = small_manifest(m=4)
+    run_snapshots(manifest, tmp_path / "fork", workers=2)
+    forkserver = multiprocessing.get_context("forkserver")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        functools.partial(concurrent.futures.ProcessPoolExecutor, mp_context=forkserver))
+    run_snapshots(manifest, tmp_path / "forkserver", workers=2)
+    for name in ("t00.euss", "t01.euss"):
+        assert (tmp_path / "forkserver" / name).read_bytes() == (tmp_path / "fork" / name).read_bytes()
+
+
 def test_run_energy_decays_per_sample(tmp_path):
     manifest = small_manifest(N=16, m=3, family="flat_sheet", rho=0.1, delta=0.025,
                               times=(0.0, 0.4))
@@ -200,6 +215,49 @@ def test_failed_sample_policy(monkeypatch, tmp_path, workers):
         snaps, _ = run_snapshots(manifest, tmp_path / "tolerant", workers=workers,
                                  tolerate_failures=True)
     assert snaps[0].m == 2 and snaps[0].sample_seeds == [1, 3]
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=needs_fork)])
+def test_dropped_samples_leave_the_snapshot_of_those_kept(monkeypatch, tmp_path, workers):
+    # Samples 1, 3 and 5 of 5 blow up in their first step, after their
+    # t = 0 records (finite, 1e300) are in their slots: the records of
+    # samples 2 and 4 move down, and each file is cut to two records.
+    manifest = small_manifest(m=5)
+    full, _ = run_snapshots(manifest, tmp_path / "full")
+    real = generate_sample
+
+    def exploding(spec, i):
+        return blown_up(spec) if i in (1, 3, 5) else real(spec, i)
+
+    monkeypatch.setattr(ens, "generate_sample", exploding)
+    out = tmp_path / "tolerant"
+    out.mkdir()
+    paths = [out / f"t{j:02d}.euss" for j in range(2)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        run_ensemble(manifest, paths, workers=workers, tolerate_failures=True, manifest_hash=99)
+    for path, snap in zip(paths, full):
+        kept = EnsembleSnapshot(time=snap.time, N=snap.N, fields=[snap.fields[1], snap.fields[3]],
+                                sample_seeds=[2, 4], manifest_hash=99)
+        write_snapshot(tmp_path / "expected.euss", kept)
+        assert path.read_bytes() == (tmp_path / "expected.euss").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["t00.euss", "t01.euss"]
+
+
+@needs_fork
+def test_pooled_run_parent_holds_no_field(tmp_path):
+    # Each worker writes its samples' records itself, so no field comes
+    # back: the parent's traced peak stays below one field's bytes.
+    manifest = small_manifest(N=64, m=8, family="flat_sheet", rho=0.1, delta=0.025,
+                              times=(0.0, 0.01))
+    paths = [tmp_path / "t00.euss", tmp_path / "t01.euss"]
+    run_ensemble(manifest, paths, workers=2)            # imports and caches
+    tracemalloc.start()
+    try:
+        run_ensemble(manifest, paths, workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (2 * 64 + 1) ** 2 * 16, peak
 
 
 def test_run_memory_does_not_grow_with_sample_count(tmp_path):

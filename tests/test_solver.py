@@ -518,6 +518,24 @@ def test_an_evolve_step_holds_u0_and_one_other_field(monkeypatch):
     assert alive == [[False] * len(a) for a in alive]
 
 
+def test_evolve_keeps_no_reference_to_u0():
+    # Called on a field that its caller does not hold, evolve lets it go
+    # with the first step's input: from then on one field of the
+    # trajectory is alive, not u0 beside it.
+    N = 16
+    refs, alive = [], []
+
+    def sample():
+        u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+        refs.append(weakref.ref(u))
+        return u
+
+    evolve(sample(), 0.3, SolverParams(N=N),
+           on_step=lambda t, u, ledger: alive.append(refs[0]() is not None))
+    assert len(alive) > 2
+    assert alive == [True] + [False] * (len(alive) - 1)
+
+
 @pytest.mark.parametrize("layout", ["generated", "C", "F"])
 def test_ledger_terms_keep_the_bits_of_fresh_temporaries(layout):
     # evolve computes E and the dissipation rate from one array of squares
