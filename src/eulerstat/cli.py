@@ -6,19 +6,19 @@
               [--time-regularity L] [--out DIR]
     eulerstat presets
 
-`run` evolves the configured ensembles for every resolution, appends each
-sample to the snapshot files (*.euss) as it is taken, and writes a resolved
-manifest per resolution and an energy CSV. `diagnose` turns snapshot files
-into CSV tables and .npz grids. It reads each snapshot once, in the order
-given, one sample at a time, for every table but the time regularity ones,
-which take one more pass over the snapshots of each resolution in lockstep.
-All of that runs in this process. Only the W1 reports of --wasserstein may
-leave it: with two (N, 2N) pairs or more and more than one CPU, a pool of
-min(pairs, CPUs) processes solves each pair as soon as both its snapshots
-are read; otherwise no pool is imported. Snapshot, CSV and .npz
-outputs are byte-deterministic for a fixed config, regardless of worker and
-CPU count. The environment variable EULER_STAT_SEED overrides the
-configured base seed.
+`run` evolves the configured ensembles for every resolution, writes each
+sample into its slot of the snapshot files (*.euss) as it is taken, and
+writes a resolved manifest per resolution and an energy CSV. `diagnose`
+turns snapshot files into CSV tables and .npz grids. It reads each
+snapshot once, in the order given, one sample at a time, for every table
+but the time regularity ones, which take one more pass over the snapshots
+of each resolution in lockstep. All of that runs in this process. Only the
+W1 reports of --wasserstein may leave it: with two (N, 2N) pairs or more
+and more than one CPU, a pool of min(pairs, CPUs) processes solves each
+pair as soon as both its snapshots are read; otherwise no pool is
+imported. Snapshot, CSV and .npz outputs are byte-deterministic for a
+fixed config, regardless of worker and CPU count. The environment
+variable EULER_STAT_SEED overrides the configured base seed.
 
 Exit codes: 0 success; 2 bad input, configuration or flags, a failed read or write,
 out of memory, a lost worker process, or an interrupt; 3 a blow-up or a spent step
@@ -33,6 +33,7 @@ import os
 import shutil
 import signal
 import sys
+import tempfile
 from functools import partial
 from operator import itemgetter
 
@@ -216,10 +217,8 @@ def _snapshot_paths(cfg: ExperimentConfig, N: int):
 def _make_writable_dir(path: str) -> None:
     """Create directory path if needed and prove a file can be written in it (OSError if not)."""
     os.makedirs(path, exist_ok=True)
-    probe = os.path.join(path, ".write_probe")
-    with open(probe, "w"):
+    with tempfile.TemporaryFile(dir=path):     # nameless: no interrupt leaves it behind
         pass
-    os.remove(probe)
 
 
 def cmd_run(args) -> int:

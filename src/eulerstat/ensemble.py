@@ -25,9 +25,9 @@ alone: CoefficientSum and GridMoments here, RadialPower (diagnostics) and
 TupleValues (transport). mean_field and variance_field feed them a
 snapshot's fields; `diagnose` feeds them the stream of iter_snapshot.
 
-Every file the command line writes is written to path + ".tmp" and then
-renamed into place: the snapshots of a run by run_ensemble, every other
-file through atomic_open, its CSV tables through write_csv.
+Every file the command line writes goes through atomic_open, which writes
+path + ".tmp" and renames it into place: the snapshots of a run by
+run_ensemble, its CSV tables through write_csv.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _evolve_one(task):
     def on_step(t, u, ledger):
         rows.append((t, ledger.E, ledger.D))
         if t in tmp_at:
-            with _record_file(tmp_at[t]) as fh:
+            with io.BufferedRandom(_NamedFile(tmp_at[t], "r+")) as fh:   # not truncated
                 fh.seek(offset)
                 _write_record(fh, sample_index, u)
 
@@ -285,37 +285,38 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     indexed 1..m and evolved in this process, or in a pool of
     min(workers, m) processes (ordered_map). Whichever process evolves
     sample i writes the record of each of its output fields into that
-    snapshot's path + ".tmp", at slot i, as soon as it is taken
+    snapshot's .tmp file, at slot i, as soon as it is taken
     (_evolve_one), so no field comes back here. Whatever m is, an evolving
     process holds one field of its sample beside the solver's arrays
     (solver._Slabs), and the parent of a pool holds none. What every sample
     shares (initial.sample_base) is built first, in one column block per
     worker (first_here), into initial's cache, which the pool's forked
     workers inherit (under spawn or forkserver each builds it once: same
-    bytes, more CPU). Each header goes in last, with the count of samples
-    kept. With tolerate_failures, samples whose trajectories blow up are
+    bytes, more CPU). Each path is opened by atomic_open before the pool
+    starts and closed after it has shut down, so on any exception no file
+    of paths is written and no .tmp is left. Each header goes in last
+    (_finish_snapshot), with the count of samples kept, before any file is
+    renamed. With tolerate_failures, samples whose trajectories blow up are
     dropped: the records after each one move down a slot and the file is
     cut to its new length. Otherwise the first failure raises its
     BlowUpError, carrying the sample index, and cancels the samples still
-    queued. On any exception no file of paths is written and no .tmp is
-    left. Each evolve splits the steps of large grids over cpus // workers
+    queued. Each evolve splits the steps of large grids over cpus // workers
     threads (_solver_threads, solver.evolve); no byte of the output depends
     on either split.
     """
     if len(paths) != len(manifest.output_times):
         raise ValueError(f"{len(manifest.output_times)} output times, but {len(paths)} paths")
     workers = min(workers, manifest.m)
-    tmps = [f"{os.fspath(path)}.tmp" for path in paths]
     threads = _solver_threads(workers)
-    tasks = [
-        (manifest.spec, manifest.solver, i, manifest.output_times, threads, tmps)
-        for i in range(1, manifest.m + 1)
-    ]
     kept, energy_rows = [], None
     sample_base(manifest.spec, workers, first_here)
-    try:
-        for tmp in tmps:
-            _NamedFile(tmp, "w").close()
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(atomic_open(path, "wb")) for path in paths]
+        names = [fh.name for fh in files]
+        tasks = [
+            (manifest.spec, manifest.solver, i, manifest.output_times, threads, names)
+            for i in range(1, manifest.m + 1)
+        ]
         with ordered_map(_evolve_one, tasks, workers if workers > 1 else 0) as outcomes:
             for outcome in outcomes:
                 if isinstance(outcome, BlowUpError):
@@ -328,15 +329,8 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
                     energy_rows = rows
         if not kept:
             raise BlowUpError("all samples failed", sample_index=None)
-        for tmp, t in zip(tmps, manifest.output_times):
-            _finish_snapshot(tmp, manifest.spec.N, manifest.m, kept, t, manifest_hash)
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-        raise
+        for fh, t in zip(files, manifest.output_times):
+            _finish_snapshot(fh, manifest.spec.N, manifest.m, kept, t, manifest_hash)
     return energy_rows
 
 
@@ -458,11 +452,12 @@ class _NamedFile(io.FileIO):
 
 @contextlib.contextmanager
 def atomic_open(path, mode="w"):
-    """Open path + ".tmp" for writing ("w" text, "wb" binary); rename it onto
-    path at the end, or remove it on error. A failed write names the .tmp file."""
+    """Open path + ".tmp", the handle's name, for writing ("w" text, "wb"
+    binary, which also reads back); rename it onto path at the end, or
+    remove it on error. A failed write names the .tmp file."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        buf = io.BufferedWriter(_NamedFile(tmp, "w"))
+        buf = io.BufferedRandom(_NamedFile(tmp, "w+"))
         with (buf if "b" in mode else io.TextIOWrapper(buf, encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
@@ -486,11 +481,6 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(map(line, rows))
 
 
-def _record_file(tmp):
-    """tmp opened for writing records at any offset, without truncating it."""
-    return io.BufferedRandom(_NamedFile(tmp, "r+"))
-
-
 def _write_record(fh, seed, field: SpectralField) -> None:
     """Write one sample record at fh's position: the seed, then the
     coefficients straight from the field's memory when they are in record
@@ -499,33 +489,34 @@ def _write_record(fh, seed, field: SpectralField) -> None:
     fh.write(np.ascontiguousarray(field.coeffs.transpose(1, 2, 0), dtype=_COEFF))
 
 
-def _finish_snapshot(tmp, N: int, m: int, kept, time: float, manifest_hash: int) -> None:
-    """Complete the snapshot in tmp, whose slot i holds the record of sample
-    i of 1..m: if a sample was dropped, move the records of the samples kept
-    (indices, increasing) down to the first len(kept) slots and cut the file
-    there; then write the header."""
+def _finish_snapshot(fh, N: int, m: int, kept, time: float, manifest_hash: int) -> None:
+    """Complete the snapshot in the binary file fh, whose slot i holds the
+    record of sample i of 1..m: if a sample was dropped, move the records
+    of the samples kept (indices, increasing) down to the first len(kept)
+    slots and cut the file there; then write the header and flush it."""
     size = _sample_bytes(N)
-    with _record_file(tmp) as fh:
-        if len(kept) < m:
-            record = bytearray(size)
-            for slot, i in enumerate(kept):
-                if i != slot + 1:
-                    fh.seek(_HEADER.size + (i - 1) * size)
-                    fh.readinto(record)
-                    fh.seek(_HEADER.size + slot * size)
-                    fh.write(record)
-            fh.truncate(snapshot_bytes(N, len(kept)))
-        fh.seek(0)
-        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, N, len(kept), float(time), manifest_hash))
+    if len(kept) < m:
+        record = bytearray(size)
+        for slot, i in enumerate(kept):
+            if i != slot + 1:
+                fh.seek(_HEADER.size + (i - 1) * size)
+                fh.readinto(record)
+                fh.seek(_HEADER.size + slot * size)
+                fh.write(record)
+        fh.truncate(snapshot_bytes(N, len(kept)))
+    fh.seek(0)
+    fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, N, len(kept), float(time), manifest_hash))
+    fh.flush()
 
 
 def write_snapshot(path, snapshot: EnsembleSnapshot) -> None:
     """Serialize a snapshot in the EUSS binary layout (bit-exact round trip), atomically."""
     with atomic_open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, FORMAT_VERSION, snapshot.N, snapshot.m, float(snapshot.time),
-                              snapshot.manifest_hash))
+        fh.seek(_HEADER.size)
         for seed, field in zip(snapshot.sample_seeds, snapshot.fields):
             _write_record(fh, seed, field)
+        _finish_snapshot(fh, snapshot.N, snapshot.m, range(1, snapshot.m + 1), snapshot.time,
+                         snapshot.manifest_hash)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,7 @@ from .spectral import (
     _analyze_cols,
     _analyze_rows,
     _full_plane,
+    _record_layout,
     _record_squares,
     _synthesize_cols,
     _synthesize_rows,
@@ -503,8 +504,7 @@ def _step_coeffs(coeffs: np.ndarray, dt: float, slabs: _Slabs) -> None:
 def _step_result(slabs: _Slabs) -> np.ndarray:
     """The exactly Hermitian full plane of the half plane in slabs.du, in a
     fresh array laid out as a snapshot record, (k1, k2, component)."""
-    K = 2 * slabs.params.N + 1
-    out = np.empty((K, K, 2), dtype=np.complex128).transpose(2, 0, 1)
+    out = _record_layout(slabs.params.N)
     slabs.run(lambda c: _full_plane(slabs.du, out, c), slabs.cols)
     return out
 

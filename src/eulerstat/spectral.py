@@ -345,12 +345,18 @@ def scalar_from_physical(grid: np.ndarray, N: int) -> ScalarSpectralField:
     return ScalarSpectralField(N, _analyze(g, N))
 
 
+def _record_layout(N: int) -> np.ndarray:
+    """An uninitialized (2, 2N+1, 2N+1) coefficient array laid out as a
+    snapshot record, (k1, k2, component): a record is written without a copy."""
+    return np.empty((2 * N + 1, 2 * N + 1, 2), dtype=np.complex128).transpose(2, 0, 1)
+
+
 def leray_project(field: SpectralField) -> SpectralField:
     """Project onto divergence-free fields: c(k) <- c(k) - k (k.c(k))/|k|^2."""
     k1, k2, ksq = wavenumbers(field.N)
     inv = np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))
     dot = (k1 * field.coeffs[0] + k2 * field.coeffs[1]) * inv
-    out = np.empty_like(field.coeffs)
+    out = _record_layout(field.N)
     out[0] = field.coeffs[0] - k1 * dot
     out[1] = field.coeffs[1] - k2 * dot
     return SpectralField._wrap(field.N, out)
@@ -379,7 +385,7 @@ def velocity_from_vorticity(w: ScalarSpectralField) -> SpectralField:
         raise InconsistencyError(f"vorticity has nonzero mean mode {w.mean_mode!r}")
     k1, k2, ksq = wavenumbers(w.N)
     inv = np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))
-    out = np.empty((2, 2 * w.N + 1, 2 * w.N + 1), dtype=np.complex128)
+    out = _record_layout(w.N)
     out[0] = 1j * k2 * w.coeffs * inv
     out[1] = -1j * k1 * w.coeffs * inv
     return SpectralField._wrap(w.N, out)

@@ -314,6 +314,27 @@ def test_interrupted_run_leaves_no_files(monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_finish_leaves_no_files(monkeypatch, tmp_path, workers):
+    # The second snapshot's header write fails after the first one's is
+    # written: neither file is renamed and no .tmp is left.
+    real, calls = ens._finish_snapshot, []
+
+    def failing(fh, *args):
+        calls.append(fh.name)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device", fh.name)
+        return real(fh, *args)
+
+    monkeypatch.setattr(ens, "_finish_snapshot", failing)
+    with pytest.raises(OSError) as err:
+        run_ensemble(small_manifest(m=4), [tmp_path / "t00.euss", tmp_path / "t01.euss"],
+                     workers=workers)
+    assert err.value.filename == str(tmp_path / "t01.euss.tmp")
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_needs_one_path_per_output_time(tmp_path):
     with pytest.raises(ValueError):
         run_ensemble(small_manifest(m=2), [tmp_path / "t00.euss"])

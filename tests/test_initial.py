@@ -19,6 +19,7 @@ from eulerstat.initial import (
     sinusoidal_sheet_sample,
     taylor_green_field,
 )
+from eulerstat.solver import SolverParams, evolve
 from eulerstat.spectral import SpectralField, l2_norm, max_divergence, to_physical, vorticity
 from oracles import dense_sheet_vorticity_grid
 
@@ -318,3 +319,28 @@ def test_sample_grid_is_released_before_the_projection(monkeypatch, spec):
     monkeypatch.setattr(initial, "leray_project", leray_project)
     generate_sample(spec, 1)
     assert alive == [[False]]
+
+
+def _in_record_layout(field):
+    """Whether a snapshot record of field is written from its own memory."""
+    record = np.ascontiguousarray(field.coeffs.transpose(1, 2, 0), dtype="<c16")
+    return np.shares_memory(record, field.coeffs)
+
+
+@pytest.mark.parametrize("spec", [
+    InitialMeasureSpec(family="flat_sheet", N=16, rho=0.1, base_seed=0),
+    InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=5 / 16, delta=0.003125, base_seed=2),
+    InitialMeasureSpec(family="fbm", N=16, hurst=0.5, base_seed=3),
+    InitialMeasureSpec(family="taylor_green", N=16),
+], ids=lambda spec: spec.family)
+def test_samples_come_out_in_record_layout(spec):
+    # (k1, k2, component) in memory, as evolved fields are: the t = 0
+    # record of a run copies no field.
+    assert _in_record_layout(generate_sample(spec, 1))
+
+
+def test_evolved_fields_come_out_in_record_layout():
+    spec = InitialMeasureSpec(family="sinusoidal_sheet", N=16, rho=5 / 16, delta=0.003125,
+                              base_seed=2)
+    u, _ = evolve(generate_sample(spec, 1), 0.01, SolverParams(N=16))
+    assert _in_record_layout(u)
