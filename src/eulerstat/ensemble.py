@@ -287,8 +287,8 @@ def run_ensemble(manifest: RunManifest, paths, workers: int = 1, tolerate_failur
     sample i writes the record of each of its output fields into that
     snapshot's .tmp file, at slot i, as soon as it is taken
     (_evolve_one), so no field comes back here. Whatever m is, an evolving
-    process holds one field of its sample beside the solver's arrays
-    (solver._Slabs), and the parent of a pool holds none. What every sample
+    process holds one half plane of its sample beside the solver's arrays
+    (solver._Slabs), and the parent of a pool holds no field. What every sample
     shares (initial.sample_base) is built first, in one column block per
     worker (first_here), into initial's cache, which the pool's forked
     workers inherit (under spawn or forkserver each builds it once: same

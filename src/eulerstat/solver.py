@@ -24,12 +24,12 @@ synthesizes the velocity on the padded grid with real inverse FFTs, forms
 a = (u1^2 - u2^2)/2 and b = u1 u2 there and analyzes them with real
 forward FFTs (see spectral). u x u is [[a, b], [b, -a]] plus |u|^2/2 I, a
 gradient that the Leray projection removes (Basdevant 1983, J. Comput.
-Phys. 50). The result is rebuilt as an exactly Hermitian array once per
-step, with no re-projection. evolve takes max|u| for the step bound from
-the first RK stage's synthesis, as it forms that stage's products; it
-reports through one hook, on_step, after every step. A step's energy E,
-its dissipation rate and the blow-up test (E not finite) share one array
-of squares.
+Phys. 50). Every stage reads the k2-major half plane (_k2_major), and the
+last makes its k2 = 0 column exactly Hermitian, with no re-projection.
+evolve carries the trajectory as one such half plane, takes max|u| for
+the step bound from the first stage's synthesis and reports through one
+hook, on_step, after every step; E, the dissipation rate and the blow-up
+test of a step share one array of squares.
 
 Each synthesis and analysis is a pass of 1-D transforms along x1 (the
 k2 columns of the half plane) and a pass along x2 (the x1 rows of the
@@ -48,8 +48,9 @@ returns; a row pass takes the velocity, its products and their spectrum
 a chunk of x1 rows at a time. At N = 128 the arrays take 6.9 MiB (7.7
 MiB on two slabs), at N = 512 100.4 MiB (103.5 MiB). No two calls share
 an array, so calls from several threads, with equal params or not, give
-the bits of serial calls; rhs, step and evolve return fresh arrays, laid
-out as snapshot records, (k1, k2, component).
+the bits of serial calls. rhs, step and evolve return a field (du/dt,
+the next step, the field at t_end) in a fresh, exactly Hermitian array
+laid out as a snapshot record, (k1, k2, component).
 
 The padded grid has M points per axis, the smallest 5-smooth M >= 3N+1
 (padded_grid; 50, 100, 200, 400 for N = 16, 32, 64, 128): products reach
@@ -72,8 +73,8 @@ from .spectral import (
     _analyze_cols,
     _analyze_rows,
     _full_plane,
+    _hermitian_column,
     _record_layout,
-    _record_squares,
     _synthesize_cols,
     _synthesize_rows,
     wavenumbers,
@@ -217,12 +218,22 @@ def viscous_dt(params: SolverParams, lam_max: float | None = None) -> float:
 
 
 def _k2_major(a: np.ndarray) -> np.ndarray:
-    """A copy of a (..., 2N+1, N+1) modal array whose k2 columns are contiguous.
-
-    The column passes of a step cut the half plane into ranges of k2, and
-    numpy is fast on contiguous blocks, slow on narrow strided ones.
-    """
+    """A copy of a (..., 2N+1, N+1) modal array whose k2 columns are contiguous:
+    the column passes cut it into ranges of k2, and numpy is fast on
+    contiguous blocks, slow on narrow strided ones."""
     return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+
+
+def _halves(n: int, N: int) -> np.ndarray:
+    """n uninitialized k2-major half planes (2, 2N+1, N+1), in one block."""
+    return np.empty((n, 2, N + 1, 2 * N + 1), dtype=np.complex128).swapaxes(-1, -2)
+
+
+def _half_plane(u: SpectralField, params: SolverParams) -> np.ndarray:
+    """The k2 >= 0 half plane of u (a view), once u.N is checked against params.N."""
+    if u.N != params.N:
+        raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
+    return u.coeffs[:, :, params.N :]
 
 
 def _chunks(r: slice, M: int) -> list:
@@ -262,9 +273,8 @@ class _Slabs:
     or the terms u1 - u2 and u1 + u2 of a product or |u|^2. The modal arrays
     of the column passes (k2-major): ab the analyzed products (then scratch
     terms), u1 the stage field (u1, then u2) and du the RHS (the step's half
-    plane at the end). work is dead between steps, and ledger, its memory
-    as a flat float array, takes the squares of the energy ledger
-    (_ledger_terms).
+    plane at the end, which evolve swaps with its state). Between steps ab
+    and ledger (work's memory) take the ledger's squares (_ledger_terms).
 
     The n row slabs and n column slabs split each pass (module docstring)
     into contiguous ranges; run calls fn on the first slab on the calling
@@ -287,8 +297,8 @@ class _Slabs:
         memory = np.empty(2 * (N + 1) * M, dtype=np.complex128)
         self.work = memory.reshape(2, N + 1, M).swapaxes(-1, -2)
         self.ledger = memory.view(np.float64)
-        self.ab, self.u1, self.du = (_k2_major(np.empty((2, 2 * N + 1, N + 1), dtype=np.complex128))
-                                     for _ in range(3))
+        (self.du,) = _halves(1, N)
+        self.ab, self.u1 = _halves(2, N)        # one block: evolve drops and remakes both
         self.rows = tuple(slice(M * i // n, M * (i + 1) // n) for i in range(n))
         self.chunks = {r.start: _chunks(r, M) for r in self.rows}
         self.cols = tuple(slice((N + 1) * i // n, (N + 1) * (i + 1) // n) for i in range(n))
@@ -347,10 +357,10 @@ def _row_pass(slabs: _Slabs, r: slice, bound: bool):
 
 
 def _stage1_rows(half: np.ndarray, slabs: _Slabs, bound: bool):
-    """The first stage's synthesis of half along x1 into work and its row
-    pass (_row_pass). With bound, returns max |u|^2 on the padded grid: the
-    max of the row slabs' maxima (NaN if one is NaN), the same double as
-    over the whole grid at once; else None."""
+    """The first stage's synthesis of the k2-major half plane half along x1
+    into work and its row pass (_row_pass). With bound, returns max |u|^2 on
+    the padded grid: the max of the row slabs' maxima (NaN if one is NaN),
+    the same double as over the whole grid at once; else None."""
     slabs.run(lambda c: _synthesize_cols(half, slabs.work, c), slabs.cols)
     maxima = slabs.run(lambda r: _row_pass(slabs, r, bound), slabs.rows)
     return np.max(maxima) if bound else None
@@ -401,13 +411,11 @@ def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
 
     Runs on the calling thread and returns a fresh field.
     """
-    if u.N != params.N:
-        raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    slabs = _Slabs(params)
-    half = u.coeffs[:, :, params.N :]
+    half, slabs = _k2_major(_half_plane(u, params)), _Slabs(params)
     _stage1_rows(half, slabs, False)
     _rhs_cols(half, slabs, slabs.cols[0])
-    return SpectralField._wrap(params.N, _step_result(slabs))
+    _hermitian_column(slabs.du)
+    return _field(slabs.du, slabs)
 
 
 def _dt_bound(speed_sq, slabs: _Slabs) -> float:
@@ -437,62 +445,50 @@ def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
     entry point is for one field (tests, the per-layer benchmark). Runs on
     the calling thread.
     """
-    if u.N != params.N:
-        raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
-    slabs = _Slabs(params)
-    return _dt_bound(_stage1_rows(u.coeffs[:, :, params.N :], slabs, params.cfl > 0.0), slabs)
+    half, slabs = _k2_major(_half_plane(u, params)), _Slabs(params)
+    return _dt_bound(_stage1_rows(half, slabs, params.cfl > 0.0), slabs)
 
 
-def _step_coeffs(coeffs: np.ndarray, dt: float, slabs: _Slabs) -> None:
-    """One Shu-Osher SSP-RK3 step of coeffs, whose first row pass
-    (_stage1_rows) has run; the step's half plane is left in slabs.du.
-
-    The stages run on the k2 >= 0 half plane, each as a row pass (the
-    synthesis of the stage field along x2 and the analysis of its products
-    along x2) and a column pass (their analysis along x1, the RHS, the stage
-    combination and the synthesis of the next stage field along x1).
-    """
+def _step_coeffs(half: np.ndarray, dt: float, slabs: _Slabs) -> None:
+    """One Shu-Osher SSP-RK3 step of the k2-major half plane half, whose
+    first row pass (_stage1_rows) has run, into slabs.du, its k2 = 0 column
+    made exactly Hermitian. Each stage is a row pass and a column pass
+    (module docstring)."""
     N = slabs.params.N
     work = slabs.work
-    half = coeffs[:, :, N:]
 
     # The stage combinations, one operation per line, of
     #   u1 = u0 + dt * du
     #   u2 = 0.75 * u0 + 0.25 * (u1 + dt * du),  in u1's slot
     #   (u0 + 2.0 * (u2 + dt * du)) / 3.0,  in du's slot
-    # u0 (coeffs' layout) is first copied into a k2-major slot: copyto
-    # reads it transposed without a buffer, where an operation mixing the
-    # two layouts would make one.
     def stage1(c):
         u0, u1, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
-        np.copyto(u1, u0)
-        _rhs_cols(slabs.u1, slabs, c)
+        _rhs_cols(half, slabs, c)
         np.multiply(dt, du, out=du)
-        np.add(u1, du, out=u1)
+        np.add(u0, du, out=u1)
         _synthesize_cols(slabs.u1, work, c)
 
     def stage2(c):
-        u0, u1, du, ab = half[..., c], slabs.u1[..., c], slabs.du[..., c], slabs.ab[..., c]
+        u0, u1, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
         _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u1, du, out=du)
         np.multiply(0.25, du, out=du)
-        np.copyto(ab, u0)
-        np.multiply(0.75, ab, out=u1)
+        np.multiply(0.75, u0, out=u1)
         np.add(u1, du, out=u1)
         _synthesize_cols(slabs.u1, work, c)
 
     def stage3(c):
-        u0, u2, du, ab = half[..., c], slabs.u1[..., c], slabs.du[..., c], slabs.ab[..., c]
+        u0, u2, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
         _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u2, du, out=du)
         np.multiply(2.0, du, out=du)
-        np.copyto(ab, u0)
-        np.add(ab, du, out=du)
+        np.add(u0, du, out=du)
         np.divide(du, 3.0, out=du)
         if c.start == 0:
             slabs.du[:, N, 0] = 0.0
+            _hermitian_column(slabs.du)
 
     slabs.run(stage1, slabs.cols)
     slabs.run(lambda r: _row_pass(slabs, r, False), slabs.rows)
@@ -501,21 +497,27 @@ def _step_coeffs(coeffs: np.ndarray, dt: float, slabs: _Slabs) -> None:
     slabs.run(stage3, slabs.cols)
 
 
-def _step_result(slabs: _Slabs) -> np.ndarray:
-    """The exactly Hermitian full plane of the half plane in slabs.du, in a
-    fresh array laid out as a snapshot record, (k1, k2, component)."""
+def _field(half: np.ndarray, slabs: _Slabs) -> SpectralField:
+    """The field of the half plane half, in a fresh array laid out as a record."""
     out = _record_layout(slabs.params.N)
-    slabs.run(lambda c: _full_plane(slabs.du, out, c), slabs.cols)
-    return out
+    slabs.run(lambda c: _full_plane(half, out, c), slabs.cols)
+    return SpectralField._wrap(slabs.params.N, out)
 
 
-def _ledger_terms(coeffs: np.ndarray, slabs: _Slabs) -> tuple[float, float]:
-    """(E, rate) of coeffs from one array of their squares in slabs.ledger:
-    E is modal_energy's sum of them; rate (NaN if E is not finite) has the
-    bits of 2.0 * np.sum(damping * (abs(c0) ** 2 + abs(c1) ** 2)), each
-    mode's two squares added into a C-ordered (2N+1)^2 scratch."""
-    K = coeffs.shape[-1]
-    sq = _record_squares(coeffs, slabs.ledger)
+def _ledger_terms(half: np.ndarray, slabs: _Slabs) -> tuple[float, float]:
+    """(E, rate) of the field with the k2 >= 0 half plane half, from its
+    squares in ab, copied into slabs.ledger in a snapshot record's order with
+    the k2 < 0 columns mirrored (|conj z| = |z|): E is modal_energy's sum;
+    rate (NaN if E is not finite) has the bits of 2.0 * np.sum(damping *
+    (abs(c0) ** 2 + abs(c1) ** 2)), each mode's two squares added first."""
+    K, N = half.shape[-2], half.shape[-1] - 1
+    h = np.swapaxes(slabs.ab, -1, -2).reshape(-1).view(np.float64)[: half.size]
+    h = h.reshape(2, N + 1, K).swapaxes(-1, -2)      # k2-major and contiguous, as ab
+    np.abs(half, out=h)
+    np.square(h, out=h)
+    sq, rec = slabs.ledger[: 2 * K * K].reshape(K, K, 2), h.transpose(1, 2, 0)
+    sq[:, N:] = rec
+    sq[:, :N] = rec[::-1, :0:-1]
     E = float(np.sum(sq))
     if not math.isfinite(E):
         return E, math.nan
@@ -531,17 +533,14 @@ def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
     This entry point is for one field (tests, the per-layer benchmark);
     runs on the calling thread.
     """
-    if u.N != params.N:
-        raise ValueError(f"field resolution {u.N} does not match params.N={params.N}")
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    slabs = _Slabs(params)
-    _stage1_rows(u.coeffs[:, :, params.N :], slabs, False)
-    _step_coeffs(u.coeffs, dt, slabs)
-    out = _step_result(slabs)
-    if not math.isfinite(_ledger_terms(out, slabs)[0]):
+    half, slabs = _k2_major(_half_plane(u, params)), _Slabs(params)
+    _stage1_rows(half, slabs, False)
+    _step_coeffs(half, dt, slabs)
+    if not math.isfinite(_ledger_terms(slabs.du, slabs)[0]):
         raise BlowUpError("non-finite energy after time step")
-    return SpectralField._wrap(params.N, out)
+    return _field(slabs.du, slabs)
 
 
 @dataclass
@@ -564,16 +563,17 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     """Integrate to t_end with adaptive steps; return (field, EnergyLedger).
 
     Steps are clipped so that every requested output time (and t_end) is hit
-    exactly. on_step(t, field, ledger), when given, is called at t = 0 and
-    after every accepted step; at an output time, t is that time exactly.
+    exactly. on_step(t, field, ledger), when given, is called at t = 0 with
+    u0 and after every accepted step, with a fresh field at an output time
+    (t is that time exactly) and at t_end (the field returned), else None.
     A step whose E is not finite (a non-finite coefficient, or squares that
     overflow) and steps past MAX_STEPS raise BlowUpError carrying the time.
 
-    Besides the arrays of its slabs (_Slabs), a step holds its input field
-    and then its output: the input is dropped before the output's array is
-    made, and no reference to u0 is kept past the first step, so while a
-    step runs one field of the trajectory is alive here (the caller may
-    still hold u0, and on_step may keep more).
+    Besides its slabs (_Slabs), evolve holds one k2-major half plane, copied
+    from u0 into du's place, and makes no full plane between output times;
+    an output's field takes the place of ab and u1, remade after it. No
+    reference to u0 is kept past the first step (the caller may still hold
+    it, on_step may keep more), and du is remade once u0 is gone.
 
     With threads > 1 and a padded grid of at least _SLAB_MIN_GRID points,
     each pass of a step is split into that many row or column slabs, run by
@@ -582,8 +582,7 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     thread. Every call holds its own arrays: calls from other threads, with
     equal params or not, leave its bits alone.
     """
-    if u0.N != params.N:
-        raise ValueError(f"field resolution {u0.N} does not match params.N={params.N}")
+    half = _half_plane(u0, params)
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if threads < 1:
@@ -592,27 +591,32 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     if targets and (targets[0] < 0 or targets[-1] > t_end):
         raise ValueError("output times must lie within [0, t_end]")
 
-    t = 0.0
-    u = u0
-    del u0                  # the first step drops u0 with the rest of its input
+    t, u = 0.0, u0
+    del u0                  # the first step drops u0
     pending = [s for s in targets if s > 0.0]
     with _slabs(params, threads) as slabs:
-        E0, g = _ledger_terms(u.coeffs, slabs)
+        E0, g = _ledger_terms(half, slabs)
         ledger = EnergyLedger(E0=E0, E=E0)
         if on_step is not None:
             on_step(t, u, ledger)
+        np.copyto(slabs.du, half)
+        half, slabs.du = slabs.du, None     # u0's half plane, k2-major, in du's place
         steps = 0
         while t < t_end:
+            u = None            # u0, or the field of the last output time
+            if slabs.du is None:
+                (slabs.du,) = _halves(1, params.N)
+            if slabs.ab is None:
+                slabs.ab, slabs.u1 = _halves(2, params.N)
             if (steps := steps + 1) > MAX_STEPS:
                 raise BlowUpError(f"{MAX_STEPS} steps spent at t={t:.6g} of {t_end:g}", time=t)
             # One synthesis per stage: the first one's velocity also bounds dt.
-            speed_sq = _stage1_rows(u.coeffs[:, :, params.N :], slabs, params.cfl > 0.0)
+            speed_sq = _stage1_rows(half, slabs, params.cfl > 0.0)
             horizon = pending[0] if pending else t_end
             dt = min(_dt_bound(speed_sq, slabs), horizon - t)
-            _step_coeffs(u.coeffs, dt, slabs)
-            del u               # the input goes before the output is made
-            u = SpectralField._wrap(params.N, _step_result(slabs))
-            E, g_after = _ledger_terms(u.coeffs, slabs)
+            _step_coeffs(half, dt, slabs)
+            half, slabs.du = slabs.du, half
+            E, g_after = _ledger_terms(half, slabs)
             if not math.isfinite(E):
                 raise BlowUpError(
                     f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
@@ -622,8 +626,11 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
             g = g_after
             ledger.E = E
             t = t + dt
-            if pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
+            if output := pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
                 t = pending.pop(0)
+            if output or t >= t_end:
+                slabs.ab = slabs.u1 = None      # the field takes their place
+                u = _field(half, slabs)
             if on_step is not None:
                 on_step(t, u, ledger)
     return u, ledger

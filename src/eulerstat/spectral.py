@@ -18,10 +18,10 @@ Conventions used throughout the package:
 Transforms between modes and grids use one real-FFT path (numpy.fft with
 norm="forward") on the half plane k2 >= 0: _synthesize places the k2 >= 0
 modes at k1 mod M and applies a complex inverse FFT along x1 and a real
-one along x2; _analyze_half is the reverse, and _full_plane rebuilds the
-k2 < 0 half (and the k1 < 0 half of the k2 = 0 column) by conjugate
-symmetry, so analyzed coefficients are exactly Hermitian. Both accept any
-grid size M >= 2N+1; sample_at_grid (also behind to_physical) takes any M.
+one along x2; _analyze_half is the reverse. By conjugate symmetry
+_hermitian_column rebuilds the k1 < 0 half of the k2 = 0 column and
+_full_plane the k2 < 0 half, so analyzed coefficients are exactly
+Hermitian. Both take any M >= 2N+1, sample_at_grid (to_physical) any M.
 Each is its two 1-D passes, a column pass over k2 columns
 (_synthesize_cols, _analyze_cols) and a row pass over x1 rows
 (_synthesize_rows, _analyze_rows), over one slab that holds everything,
@@ -253,24 +253,24 @@ def _analyze_half(grid: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
+def _hermitian_column(half: np.ndarray) -> None:
+    """Make the k2 = 0 column of a (..., 2N+1, N+1) half plane exactly Hermitian,
+    in place: k1 < 0 the conjugates of k1 > 0, and the mean mode real."""
+    N = half.shape[-1] - 1
+    col = half[..., 0]
+    np.conj(col[..., :N:-1], out=col[..., :N])
+    col[..., N] = col[..., N].real
+
+
 def _full_plane(half: np.ndarray, out: np.ndarray | None = None,
                 cols: slice = slice(None)) -> np.ndarray:
-    """The exactly Hermitian (..., 2N+1, 2N+1) array with the given k2 >= 0 half.
-
-    The k1 < 0 part of the k2 = 0 column is rebuilt (in half, in place)
-    from its k1 > 0 part and the mean mode made real; the k2 < 0 half
-    follows from coeff(-k) = conj(coeff(k)). out, when given, is filled
-    and returned; with cols, only its columns k2 and -k2 for the k2 in cols
-    are.
-    """
+    """The (..., 2N+1, 2N+1) mirror of the k2 >= 0 half plane half (only
+    read), coeff(-k) = conj(coeff(k)), in out (filled and returned) or a
+    fresh array; with cols, only the columns k2 and -k2 for k2 in cols."""
     N = half.shape[-1] - 1
     if out is None:
         out = np.empty_like(half, shape=(*half.shape[:-1], 2 * N + 1))
     c0, c1, _ = cols.indices(N + 1)
-    if c0 == 0:
-        col = half[..., 0]
-        np.conj(col[..., :N:-1], out=col[..., :N])
-        col[..., N] = col[..., N].real
     lo = max(c0, 1)
     out[..., N + c0 : N + c1] = half[..., c0:c1]
     np.conj(half[..., ::-1, lo:c1][..., ::-1], out=out[..., N + 1 - c1 : N + 1 - lo])
@@ -323,7 +323,9 @@ def _analyze(grid: np.ndarray, N: int) -> np.ndarray:
         raise ShapeError(f"grid must be square, got {grid.shape}")
     if M < 2 * N + 1:
         raise ResolutionError(f"grid size {M} cannot resolve modes up to N={N}")
-    return _full_plane(_analyze_half(grid, N))
+    half = _analyze_half(grid, N)
+    _hermitian_column(half)
+    return _full_plane(half)
 
 
 def from_physical(grid: np.ndarray, N: int) -> SpectralField:
@@ -403,22 +405,13 @@ def l2_norm(field: SpectralField) -> float:
     return sobolev_norm(field, 0.0)
 
 
-def _record_squares(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|c(k)|^2 of (2, 2N+1, 2N+1) coefficients in a C-ordered (2N+1, 2N+1, 2)
-    array: a snapshot record's order, (k1, k2, component), whatever the
-    layout of coeffs. out, a flat float64 scratch of at least 2(2N+1)^2
-    elements, takes them if given; else a fresh array does."""
-    c = coeffs.transpose(1, 2, 0)
-    sq = np.empty(c.shape) if out is None else out[: c.size].reshape(c.shape)
-    np.abs(c, out=sq)
-    np.square(sq, out=sq)
-    return sq
-
-
 def modal_energy(field: SpectralField) -> float:
-    """sum_k |coeff(k)|^2 over both components (modal normalization), added
-    in a snapshot record's order whatever the layout (_record_squares)."""
-    return float(np.sum(_record_squares(field.coeffs)))
+    """sum_k |coeff(k)|^2 over both components (modal normalization), the
+    squares added from a C-ordered (2N+1, 2N+1, 2) array: a snapshot record's
+    order, (k1, k2, component), whatever the layout of the coefficients."""
+    c = field.coeffs.transpose(1, 2, 0)
+    sq = np.abs(c, out=np.empty(c.shape))
+    return float(np.sum(np.square(sq, out=sq)))
 
 
 def truncate_to(field: SpectralField, N_coarse: int) -> SpectralField:

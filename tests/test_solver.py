@@ -14,10 +14,10 @@ from eulerstat.initial import InitialMeasureSpec, generate_sample, taylor_green_
 from eulerstat.solver import (
     SolverParams,
     _dt_bound,
+    _k2_major,
     _ledger_terms,
     _stage1_rows,
     _step_coeffs,
-    _step_result,
     adaptive_dt,
     damping_rates,
     evolve,
@@ -27,6 +27,7 @@ from eulerstat.solver import (
 )
 from eulerstat.spectral import (
     SpectralField,
+    _full_plane,
     l2_norm,
     max_divergence,
     modal_energy,
@@ -291,7 +292,9 @@ def test_evolve_stops_at_the_step_budget(monkeypatch):
 
 
 def test_evolve_hits_output_times_exactly(monkeypatch):
-    # on_step runs at t = 0 and after every accepted step, at output times exactly
+    # on_step runs at t = 0 and after every accepted step, at output times
+    # exactly; it gets a field at t = 0 (u0), at output times and at t_end
+    # (the one returned), and None between them
     rng = np.random.default_rng(6)
     u0 = band_limited_random_field(12, 4, rng)
     steps, calls = [], []
@@ -305,6 +308,7 @@ def test_evolve_hits_output_times_exactly(monkeypatch):
     assert times[-1] == 0.5 and calls[-1][1] is u
     assert calls[-1][2:] == (ledger.E, ledger.D)
     assert len(calls) == 1 + len(steps)
+    assert [t for t, f, *_ in calls if f is not None] == [0.0, 0.123, 0.5]
 
 
 def test_evolve_energy_monotone_and_divergence_free():
@@ -438,28 +442,29 @@ def test_returned_results_survive_later_calls():
 
 @pytest.mark.parametrize("N, patched_M", [(32, None), (16, 192)])
 def test_rk_step_allocates_no_padded_grid_array(monkeypatch, N, patched_M):
-    # After the first step on the slabs of a call, one step (its first row
-    # pass, _dt_bound, _step_coeffs and _step_result) holds at most five
-    # modal arrays at a time (about four are used: the output, the stage
-    # fields and the RHS terms). On a padded grid of M = 12N points one
+    # After the first step on the slabs of a call, one step of a half plane
+    # (its first row pass, _dt_bound and _step_coeffs) allocates less than
+    # five full-plane modal arrays. On a padded grid of M = 12N points one
     # M x M grid alone is larger than that.
     if patched_M is not None:
         monkeypatch.setattr(SolverParams, "padded_grid", patched_M)
     p = SolverParams(N=N)
     M = p.padded_grid
 
-    def one_step(coeffs):
-        speed_sq = _stage1_rows(coeffs[:, :, N:], slabs, True)
-        _step_coeffs(coeffs, _dt_bound(speed_sq, slabs), slabs)
-        return _step_result(slabs)
+    def one_step(half):
+        speed_sq = _stage1_rows(half, slabs, True)
+        _step_coeffs(half, _dt_bound(speed_sq, slabs), slabs)
+        half, slabs.du = slabs.du, half
+        return half
 
+    coeffs = hermitian_random_field(N, np.random.default_rng(4)).coeffs
+    bound = 5 * coeffs.nbytes
     with solver._slabs(p, 1) as slabs:
-        coeffs = one_step(hermitian_random_field(N, np.random.default_rng(4)).coeffs)
-        bound = 5 * coeffs.nbytes
+        half = one_step(_k2_major(coeffs[:, :, N:]))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            one_step(coeffs)
+            one_step(half)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -497,25 +502,54 @@ def test_slabs_hold_no_padded_grid(threads):
     assert sum(a.nbytes for a in arrays) < 3.25 * grid
 
 
-def test_an_evolve_step_holds_u0_and_one_other_field(monkeypatch):
-    # A step drops its input before it makes its output, so while it runs
-    # at most two full-plane coefficient arrays are alive: u0 and the
-    # input or the output. Each earlier step's output is gone by the time
-    # the next one is built (_full_plane fills it).
+def test_evolve_builds_no_full_plane_between_output_times():
+    # Between output times evolve carries the half plane alone: from one
+    # call of on_step with no field to the next, a step allocates less than
+    # one (2, 2N+1, 2N+1) coefficient array. on_step keeps what it gets, so
+    # a field made there could not be freed before the next call.
     N = 64
     u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
-    outputs, alive = [], []
-    real = solver._full_plane
+    calls, mark = [], [0]
 
-    def full_plane(*args):
-        alive.append([ref() is not None for ref in outputs])
-        return real(*args)
+    def on_step(t, u, ledger):
+        calls.append((u, tracemalloc.get_traced_memory()[1] - mark[0]))
+        tracemalloc.reset_peak()
+        mark[0] = tracemalloc.get_traced_memory()[0]
 
-    monkeypatch.setattr(solver, "_full_plane", full_plane)
-    evolve(u0, 0.1, SolverParams(N=N),
-           on_step=lambda t, u, ledger: u is u0 or outputs.append(weakref.ref(u)))
-    assert len(alive) > 3
-    assert alive == [[False] * len(a) for a in alive]
+    tracemalloc.start()
+    try:
+        evolve(u0, 0.3, SolverParams(N=N), output_times=(0.0, 0.3), on_step=on_step)
+    finally:
+        tracemalloc.stop()
+    between = calls[2:-1]           # after the first step's call, before t_end's
+    assert len(between) > 3
+    plane = u0.coeffs.nbytes
+    assert max(rise for _, rise in between) < plane
+    assert all(u is None for u, _ in calls[1:-1])
+
+
+def test_evolve_holds_its_slabs_and_at_most_one_full_plane():
+    # Beside its slabs evolve holds one half plane, and it makes the field
+    # of an output time in place of the slabs' ab and u1, which it drops
+    # first: with u0 held by the caller, it never holds as much as its slabs
+    # and one more full plane.
+    N = 128
+    p = SolverParams(N=N)
+    u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        slabs = solver._Slabs(p)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del slabs
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        evolve(u0, 0.02, p, output_times=(0.0, 0.01, 0.02))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    plane = u0.coeffs.nbytes
+    assert peak < held + plane
 
 
 def test_evolve_keeps_no_reference_to_u0():
@@ -536,21 +570,26 @@ def test_evolve_keeps_no_reference_to_u0():
     assert alive == [True] + [False] * (len(alive) - 1)
 
 
-@pytest.mark.parametrize("layout", ["generated", "C", "F"])
-def test_ledger_terms_keep_the_bits_of_fresh_temporaries(layout):
-    # evolve computes E and the dissipation rate from one array of squares
-    # in the slabs' memory; the bits are those of modal_energy with a fresh
-    # array and of the expression with numpy's own temporaries, for every
-    # memory layout of the coefficients.
-    N = 32
-    u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
-    c = {"generated": u.coeffs, "C": np.ascontiguousarray(u.coeffs),
-         "F": np.asfortranarray(u.coeffs)}[layout]
+@pytest.mark.parametrize("t", [0.0, 0.05])
+@pytest.mark.parametrize("N", [8, 16, 32])
+@pytest.mark.parametrize("family", ["flat_sheet", "sinusoidal_sheet", "fbm", "taylor_green"])
+def test_ledger_terms_keep_the_bits_of_fresh_temporaries(family, N, t):
+    # evolve computes E and the dissipation rate of its half plane (at t = 0
+    # a view of u0, in any layout) from one array of squares in the slabs'
+    # memory; the bits are those of modal_energy of the full plane and of
+    # the rate expression with numpy's own temporaries. Initial and evolved
+    # fields are that full plane, bit for bit.
+    u = generate_sample(golden_spec(family, N), 2)
+    if t > 0:
+        u, _ = evolve(u, t, SolverParams(N=N))
     slabs = solver._Slabs(SolverParams(N=N))
+    half = _k2_major(u.coeffs[:, :, N:])
+    c = _full_plane(half)
     rate = float(2.0 * np.sum(slabs.damping * (np.abs(c[0]) ** 2 + np.abs(c[1]) ** 2)))
-    field = SpectralField(N, c)
-    assert field.coeffs.strides == c.strides
-    assert _ledger_terms(c, slabs) == (modal_energy(field), rate)
+    E = modal_energy(SpectralField(N, c))
+    assert _ledger_terms(half, slabs) == (E, rate)
+    assert {_ledger_terms(f.coeffs[:, :, N:], slabs) for f in layouts(u)} == {(E, rate)}
+    assert modal_energy(u) == E
 
 
 def test_evolve_blows_up_at_the_step_whose_squares_overflow(monkeypatch):
@@ -559,16 +598,15 @@ def test_evolve_blows_up_at_the_step_whose_squares_overflow(monkeypatch):
     # reports no ledger for it.
     N = 8
     u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
-    real, made = solver._step_result, []
+    real, made = solver._step_coeffs, []
 
-    def step_result(slabs):
-        out = real(slabs)
-        made.append(out)
+    def step_coeffs(half, dt, slabs):
+        real(half, dt, slabs)
+        made.append(slabs.du)
         if len(made) == 2:
-            out[0, N + 1, N] = out[0, N - 1, N] = 1e155
-        return out
+            slabs.du[0, N + 1, 0] = slabs.du[0, N - 1, 0] = 1e155
 
-    monkeypatch.setattr(solver, "_step_result", step_result)
+    monkeypatch.setattr(solver, "_step_coeffs", step_coeffs)
     times = []
     with np.errstate(over="ignore"), pytest.raises(BlowUpError, match="blow-up at t=") as info:
         evolve(u0, 1.0, SolverParams(N=N), on_step=lambda t, u, ledger: times.append((t, ledger.E)))
@@ -577,26 +615,53 @@ def test_evolve_blows_up_at_the_step_whose_squares_overflow(monkeypatch):
     assert all(np.isfinite(E) for _, E in times) and 0.0 < times[1][0] < info.value.time < 1.0
 
 
-def record_strides(N):
-    """Strides of (2, 2N+1, 2N+1) coefficients laid out as a snapshot record."""
-    return np.empty((2 * N + 1, 2 * N + 1, 2), dtype=complex).transpose(2, 0, 1).strides
+def test_step_takes_evolves_step_path():
+    # step and evolve share one step path: step(u, dt) is, byte for byte,
+    # the field evolve gives at its one output time dt = adaptive_dt(u).
+    N = 16
+    p = SolverParams(N=N)
+    u = generate_sample(golden_spec("flat_sheet", N), 2)
+    dt = adaptive_dt(u, p)
+    times = []
+    v, _ = evolve(u, dt, p, output_times=(dt,), on_step=lambda t, f, ledger: times.append(t))
+    assert times == [0.0, dt]
+    w = step(u, dt, p)
+    assert (w.coeffs.tobytes(), w.coeffs.strides) == (v.coeffs.tobytes(), v.coeffs.strides)
 
 
-def trajectory(u0, params, t_end, threads):
-    """(fnv1a64 of the coefficients, their strides, t, E, D) after every step of evolve."""
-    rows = []
-    evolve(u0, t_end, params, threads=threads,
-           on_step=lambda t, u, ledger: rows.append(
-               (fnv1a64(u.coeffs.tobytes()), u.coeffs.strides, t, ledger.E, ledger.D)))
-    return rows
+def half_strides(N):
+    """Strides of a k2-major (2, 2N+1, N+1) half plane, the state evolve carries."""
+    return _k2_major(np.empty((2, 2 * N + 1, N + 1), dtype=complex)).strides
+
+
+@pytest.fixture
+def trajectory(monkeypatch):
+    """trajectory(u0, params, t_end, threads): (fnv1a64 of the half plane,
+    its strides, t, E, D) at t = 0 (a view of u0) and after every step of
+    evolve, the half plane as _ledger_terms reads it on the calling thread."""
+    real, seen = solver._ledger_terms, threading.local()
+
+    def ledger_terms(half, slabs):
+        seen.half = fnv1a64(half.tobytes()), half.strides
+        return real(half, slabs)
+
+    monkeypatch.setattr(solver, "_ledger_terms", ledger_terms)
+
+    def run(u0, params, t_end, threads):
+        rows = []
+        evolve(u0, t_end, params, threads=threads,
+               on_step=lambda t, u, ledger: rows.append((*seen.half, t, ledger.E, ledger.D)))
+        return rows
+
+    return run
 
 
 @pytest.mark.parametrize("family", ["flat_sheet", "sinusoidal_sheet"])
 @pytest.mark.parametrize("N, M", [(8, 25), (16, 50), (24, 75), (32, 100)])  # odd and even padded grids
-def test_slab_split_step_keeps_bytes(monkeypatch, family, N, M):
-    # Two slabs on every grid: each step, its energy ledger and its memory
-    # layout are the bits of one slab, for the generated coefficients and
-    # for a C-contiguous copy of them.
+def test_slab_split_step_keeps_bytes(monkeypatch, trajectory, family, N, M):
+    # Two slabs on every grid: each step's half plane, its energy ledger and
+    # its memory layout are the bits of one slab, for the generated
+    # coefficients and for a C-contiguous copy of them.
     monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0)
     p = SolverParams(N=N)
     assert p.padded_grid == M
@@ -604,7 +669,7 @@ def test_slab_split_step_keeps_bytes(monkeypatch, family, N, M):
     for u in (u0, SpectralField(N, np.ascontiguousarray(u0.coeffs))):
         one = trajectory(u, p, 0.25, threads=1)
         assert len(one) > 2
-        assert {row[1] for row in one[1:]} == {record_strides(N)}
+        assert {row[1] for row in one[1:]} == {half_strides(N)}
         assert trajectory(u, p, 0.25, threads=2) == one
 
 
@@ -622,20 +687,21 @@ def test_energy_bits_do_not_depend_on_coefficient_layout():
     assert [modal_energy(f) for f in layouts(u0)] == [0.5983335716741534] * 3
 
 
-def test_evolve_bits_do_not_depend_on_the_layout_of_u0():
-    # (digest, t, E, D) after every step are the same from each layout of
-    # u0, and every evolved field is laid out as a snapshot record
+def test_evolve_bits_do_not_depend_on_the_layout_of_u0(trajectory):
+    # (digest of the half plane, t, E, D) at t = 0 and after every step are
+    # the same from each layout of u0, and after every step the half plane
+    # is k2-major
     N = 32
     u0 = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
     runs = [trajectory(u, SolverParams(N=N), 0.1, threads=1) for u in layouts(u0)]
     assert len(runs[0]) > 2
     for rows in runs:
-        assert {row[1] for row in rows[1:]} == {record_strides(N)}
+        assert {row[1] for row in rows[1:]} == {half_strides(N)}
     assert [[(d, t, E, D) for d, _, t, E, D in rows] for rows in runs[1:]] == \
         [[(d, t, E, D) for d, _, t, E, D in runs[0]]] * 2
 
 
-def test_slab_split_at_the_real_threshold():
+def test_slab_split_at_the_real_threshold(trajectory):
     # N = 128 (M = 400) is above _SLAB_MIN_GRID; N = 64 (M = 200) is below,
     # and threads = 2 then runs one slab.
     with solver._slabs(SolverParams(N=64), 2) as slabs:
@@ -650,7 +716,7 @@ def test_slab_split_at_the_real_threshold():
     assert trajectory(u0, p, 0.01, threads=2) == one
 
 
-def test_slab_split_under_thread_switching_stress(monkeypatch):
+def test_slab_split_under_thread_switching_stress(monkeypatch, trajectory):
     # More threads than CPUs, switching as often as the interpreter allows:
     # a slab that read or wrote outside its rows or columns would change bits.
     monkeypatch.setattr(solver, "_SLAB_MIN_GRID", 0)
@@ -665,7 +731,7 @@ def test_slab_split_under_thread_switching_stress(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_solver_calls_from_two_threads_keep_bytes():
+def test_solver_calls_from_two_threads_keep_bytes(trajectory):
     # Every call holds its own arrays: two threads that evolve, differentiate
     # and step different fields with equal params, switching as often as the
     # interpreter allows, give the bytes of serial calls.

@@ -10,6 +10,8 @@ from eulerstat.spectral import (
     ScalarSpectralField,
     SpectralField,
     _fold,
+    _full_plane,
+    _hermitian_column,
     _synthesize_cols,
     from_physical,
     l2_norm,
@@ -232,6 +234,25 @@ def test_scalar_from_physical_is_exactly_hermitian():
     w = scalar_from_physical(grid, 8).coeffs
     assert np.array_equal(w, np.conj(w[::-1, ::-1]))
     assert w[8, 8].imag == 0.0
+
+
+def test_full_plane_only_mirrors_and_one_helper_fixes_the_k2_zero_column():
+    # _full_plane reads its half plane and mirrors it; _hermitian_column alone
+    # rebuilds the k1 < 0 part of the k2 = 0 column and makes the mean real,
+    # after which the mirror is exactly Hermitian.
+    N = 6
+    rng = np.random.default_rng(3)
+    shape = (2, 2 * N + 1, N + 1)
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    before = half.copy()
+    full = _full_plane(half)
+    assert np.array_equal(half, before) and np.array_equal(full[..., N:], half)
+    assert not np.array_equal(full, np.conj(full[:, ::-1, ::-1]))
+    _hermitian_column(half)
+    assert np.array_equal(half[..., 1:], before[..., 1:])
+    assert np.array_equal(half[:, N + 1 :], before[:, N + 1 :])
+    full = _full_plane(half)
+    assert np.array_equal(full, np.conj(full[:, ::-1, ::-1])) and np.all(full[:, N, N].imag == 0.0)
 
 
 @pytest.mark.parametrize("M", [1, 2, 4, 9, 16, 17, 24, 25])  # M < 2N+1 = 17 folds modes
