@@ -19,27 +19,31 @@ Two multiplier profiles are provided:
 Time stepping is the three-stage Shu-Osher SSP-RK3 with an adaptive step
 from a CFL bound on the padded grid plus an explicit-diffusion bound.
 
-The stages work on the k2 >= 0 half plane of the coefficients: each RHS
-synthesizes the velocity on the padded grid with real inverse FFTs, forms
-a = (u1^2 - u2^2)/2 and b = u1 u2 there and analyzes them with real
-forward FFTs (see spectral). u x u is [[a, b], [b, -a]] plus |u|^2/2 I, a
-gradient that the Leray projection removes (Basdevant 1983, J. Comput.
-Phys. 50). Every stage reads the k2-major half plane (_k2_major), and the
-last makes its k2 = 0 column exactly Hermitian, with no re-projection.
-evolve carries the trajectory as one such half plane, takes max|u| for
-the step bound from the first stage's synthesis and reports through one
-hook, on_step, after every step; E, the dissipation rate and the blow-up
-test of a step share one array of squares.
+The solver evolves the curl of that system, the vorticity w(k) =
+i (k1 u2(k) - k2 u1(k)), which fixes u(k) = (i k2, -i k1) w(k)/|k|^2:
+
+    dw(k)/dt = (k1^2 - k2^2) b(k) - k1 k2 a(k) - lam(k) w(k),
+
+a = u1^2 - u2^2, b = u1 u2. u x u is [[a/2, b], [b, -a/2]] plus a gradient,
+|u|^2/2 I, which the curl removes: no stage projects. The state is the
+k2 >= 0 half plane of w, one scalar k2-major (_half) array. Each RHS builds
+the velocity from w by one multiply (divergence-free by construction),
+synthesizes it on the padded grid with real inverse FFTs, forms a and b
+there and analyzes them with real forward FFTs (see spectral). evolve
+bounds the step by max|u| on the first stage's grid and reports through
+one hook, on_step, after every step; E, the dissipation rate and the
+blow-up test of a step share one array of the velocity's squares.
 
 Each synthesis and analysis is a pass of 1-D transforms along x1 (the
 k2 columns of the half plane) and a pass along x2 (the x1 rows of the
 padded grid). A stage is a row pass (synthesis along x2, the products,
-their analysis along x2) and a column pass (analysis along x1, the Leray
-and damping terms, the stage combination, the next synthesis along x1),
-and no operation reads outside its row or column. evolve(..., threads=n)
-splits each pass into n row or column slabs on padded grids of at least
-_SLAB_MIN_GRID points (below it, one slab) and runs them on its own
-threads; every operation is the same, so the bits are those of one slab.
+their analysis along x2) and a column pass (analysis along x1, the curl
+and damping terms, the stage combination, the velocity and the next
+synthesis along x1), and no operation reads outside its row or column.
+evolve(..., threads=n) splits each pass into n row or column slabs on
+padded grids of at least _SLAB_MIN_GRID points (below it, one slab) and
+runs them on its own threads; every operation is the same, so the bits
+are those of one slab.
 
 An RK step allocates no padded-grid-sized array, and no array holds the
 padded grid. Each evolve, rhs, step or adaptive_dt call makes one set of
@@ -48,9 +52,9 @@ returns; a row pass takes the velocity, its products and their spectrum
 a chunk of x1 rows at a time. At N = 128 the arrays take 6.9 MiB (7.7
 MiB on two slabs), at N = 512 100.4 MiB (103.5 MiB). No two calls share
 an array, so calls from several threads, with equal params or not, give
-the bits of serial calls. rhs, step and evolve return a field (du/dt,
-the next step, the field at t_end) in a fresh, exactly Hermitian array
-laid out as a snapshot record, (k1, k2, component).
+the bits of serial calls. rhs, step and evolve return a velocity (of
+dw/dt, the next step, the field at t_end) in a fresh, exactly Hermitian
+array laid out as a snapshot record, (k1, k2, component).
 
 The padded grid has M points per axis, the smallest 5-smooth M >= 3N+1
 (padded_grid; 50, 100, 200, 400 for N = 16, 32, 64, 128): products reach
@@ -108,7 +112,7 @@ _SLAB_MIN_GRID = 225
 _CHUNK_ROWS = 64
 
 # Recorded in every manifest; bumped when equal parameters start to give other bits.
-SCHEME_VERSION = 2
+SCHEME_VERSION = 3
 
 # The most steps one evolve call takes; run's desk-scale estimate also uses it.
 MAX_STEPS = 10**6
@@ -217,16 +221,11 @@ def viscous_dt(params: SolverParams, lam_max: float | None = None) -> float:
     return params.visc_safety * _RK3_REAL_STABILITY / lam_max if lam_max > 0.0 else math.inf
 
 
-def _k2_major(a: np.ndarray) -> np.ndarray:
-    """A copy of a (..., 2N+1, N+1) modal array whose k2 columns are contiguous:
-    the column passes cut it into ranges of k2, and numpy is fast on
-    contiguous blocks, slow on narrow strided ones."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
-
-
-def _halves(n: int, N: int) -> np.ndarray:
-    """n uninitialized k2-major half planes (2, 2N+1, N+1), in one block."""
-    return np.empty((n, 2, N + 1, 2 * N + 1), dtype=np.complex128).swapaxes(-1, -2)
+def _half(N: int, *lead: int) -> np.ndarray:
+    """An uninitialized k2-major half plane (*lead, 2N+1, N+1), its k2 columns
+    contiguous: the column passes cut it into ranges of k2, and numpy is
+    fast on contiguous blocks, slow on narrow strided ones."""
+    return np.empty((*lead, N + 1, 2 * N + 1), dtype=np.complex128).swapaxes(-1, -2)
 
 
 def _half_plane(u: SpectralField, params: SolverParams) -> np.ndarray:
@@ -258,23 +257,21 @@ def _chunks(r: slice, M: int) -> list:
 class _Slabs:
     """The arrays, slabs and threads of the RK steps of one solver call.
 
-    Read-only: damping, the real damping rates of the whole modal square
-    (for the energy ledger), and lam_max, their largest; the k2 >= 0 halves
-    of the damping and 1/|k|^2 arrays, and k1 and k2 as a column and a row
-    that broadcast to them, all complex128 with zero imaginary parts (what
-    numpy casts real ones to in the RHS products) and k2-major (see
-    _k2_major). Buffers, overwritten by every step: work, complex (2, M,
-    N+1) and k2-major, holds the k2 = 0..N columns of a synthesis along x1;
-    the row pass (_row_pass) replaces each x1 row of it by the same columns
-    of the products' real FFT along x2, and the FFT along x1 runs in place
-    in it. No array holds the padded grid: each row slab goes through its
-    rows _CHUNK_ROWS at a time in two scratches of its own (chunks), one for
-    the chunk's velocity and then its products, one for their real spectrum
-    or the terms u1 - u2 and u1 + u2 of a product or |u|^2. The modal arrays
-    of the column passes (k2-major): ab the analyzed products (then scratch
-    terms), u1 the stage field (u1, then u2) and du the RHS (the step's half
-    plane at the end, which evolve swaps with its state). Between steps ab
-    and ledger (work's memory) take the ledger's squares (_ledger_terms).
+    Read-only, complex128 (numpy would cast real factors in every product,
+    through a buffer) and k2-major (_half) k2 >= 0 halves of the modal
+    square: damping, the damping rates lam(k), lam_max their largest; curl,
+    -k1 k2 and k1^2 - k2^2, the factors of a and b in dw/dt; to_u, i k2/|k|^2
+    and -i k1/|k|^2, which make u of w. Buffers, overwritten by every step:
+    work, complex (2, M, N+1) and k2-major, holds the k2 = 0..N columns of a
+    synthesis along x1; the row pass (_row_pass) replaces each x1 row of it
+    by the same columns of the products' real FFT along x2, and the FFT
+    along x1 runs in place in it; between steps, as ledger, the ledger's
+    squares (_ledger_terms). No array holds the padded grid: each row slab
+    goes through its rows _CHUNK_ROWS at a time in two scratches of its own
+    (chunks, _chunks). The k2-major modal arrays of the column passes, one
+    block (buffers): ab the analyzed products, then the velocity of the
+    next synthesis (between steps, the state's); the scalar u1, the stage
+    field, and du, dw/dt.
 
     The n row slabs and n column slabs split each pass (module docstring)
     into contiguous ranges; run calls fn on the first slab on the calling
@@ -285,24 +282,29 @@ class _Slabs:
     def __init__(self, params: SolverParams, pool=None, n: int = 1):
         N, M = params.N, params.padded_grid
         self.params = params
-        k1, k2, ksq = wavenumbers(N)
-        self.damping = damping_rates(params)
-        self.lam_max = float(np.max(self.damping))
-        halves = (k1[:, N : N + 1], k2[:1, N:],
-                  np.where(ksq == 0, 0.0, 1.0 / np.where(ksq == 0, 1, ksq))[:, N:], self.damping[:, N:])
-        self.k1, self.k2, self.inv_ksq, self.damping_half = (
-            _k2_major(a.astype(np.complex128)) for a in halves)
-        for a in (self.k1, self.k2, self.inv_ksq, self.damping_half):
+        k1, k2, ksq = (a[:, N:] for a in wavenumbers(N))
+        ksq = np.where(ksq == 0, 1, ksq)        # k = 0: every numerator below is 0
+        self.damping, self.curl, self.to_u = _half(N), _half(N, 2), _half(N, 2)
+        self.damping[...] = damping_rates(params)[:, N:]
+        self.lam_max = float(np.max(self.damping.real))
+        self.curl[0], self.curl[1] = -k1 * k2, k1 * k1 - k2 * k2
+        np.multiply(1j, k2 / ksq, out=self.to_u[0])
+        np.multiply(-1j, k1 / ksq, out=self.to_u[1])
+        for a in (self.damping, self.curl, self.to_u):
             a.flags.writeable = False
         memory = np.empty(2 * (N + 1) * M, dtype=np.complex128)
         self.work = memory.reshape(2, N + 1, M).swapaxes(-1, -2)
         self.ledger = memory.view(np.float64)
-        (self.du,) = _halves(1, N)
-        self.ab, self.u1 = _halves(2, N)        # one block: evolve drops and remakes both
+        self.buffers()
         self.rows = tuple(slice(M * i // n, M * (i + 1) // n) for i in range(n))
         self.chunks = {r.start: _chunks(r, M) for r in self.rows}
         self.cols = tuple(slice((N + 1) * i // n, (N + 1) * (i + 1) // n) for i in range(n))
         self.pool = pool
+
+    def buffers(self) -> None:
+        """Make ab, u1 and du, views of one block: evolve drops and remakes it."""
+        block = _half(self.params.N, 4)
+        self.ab, self.u1, self.du = block[:2], block[2], block[3]
 
     def run(self, fn, slabs) -> list:
         # A copied context carries the caller's numpy error state into the pool.
@@ -332,10 +334,10 @@ def _slabs(params: SolverParams, threads: int):
 def _row_pass(slabs: _Slabs, r: slice, bound: bool):
     """Row pass of an RHS on the x1 rows r, a chunk of rows at a time: the
     real inverse FFT along x2 of work's rows into the chunk's velocity
-    scratch, the products a and b (module docstring; a not yet halved) of
-    the velocity in its place, and their real FFT along x2, whose columns
-    k2 = 0..N go back into the same rows of work. With bound, also the
-    largest |u|^2 on these rows of the padded grid (else None)."""
+    scratch, the products a and b (module docstring) of the velocity in its
+    place, and their real FFT along x2, whose columns k2 = 0..N go back
+    into the same rows of work. With bound, also the largest |u|^2 on these
+    rows of the padded grid (else None)."""
     N = slabs.params.N
     maxima = []
     for x, vel, spec, d, s in slabs.chunks[r.start]:
@@ -356,64 +358,58 @@ def _row_pass(slabs: _Slabs, r: slice, bound: bool):
     return np.max(maxima) if bound else None
 
 
-def _stage1_rows(half: np.ndarray, slabs: _Slabs, bound: bool):
-    """The first stage's synthesis of the k2-major half plane half along x1
-    into work and its row pass (_row_pass). With bound, returns max |u|^2 on
-    the padded grid: the max of the row slabs' maxima (NaN if one is NaN),
-    the same double as over the whole grid at once; else None."""
-    slabs.run(lambda c: _synthesize_cols(half, slabs.work, c), slabs.cols)
+def _velocity(w: np.ndarray, u: np.ndarray, slabs: _Slabs, c: slice) -> None:
+    """u = (i k2, -i k1) w/|k|^2 on the k2 columns c of the half planes w and
+    u, a component at a time: numpy buffers a broadcast w on small grids."""
+    for to_u, ui in zip(slabs.to_u, u):
+        np.multiply(to_u[:, c], w[:, c], out=ui[:, c])
+
+
+def _vorticity(u: SpectralField, slabs: _Slabs) -> np.ndarray:
+    """w = i (k1 u2 - k2 u1) on the k2 >= 0 half plane of u, in a fresh
+    k2-major array, and its velocity in ab unless evolve dropped ab: how
+    every entry point turns its field into the state."""
+    N, half = slabs.params.N, _half_plane(u, slabs.params)
+    k1, k2, _ = wavenumbers(N)
+    w = _half(N)
+    np.multiply(k1[:, N:], half[1], out=w)
+    np.subtract(w, k2[:, N:] * half[0], out=w)
+    np.multiply(1j, w, out=w)
+    if slabs.ab is not None:
+        slabs.run(lambda c: _velocity(w, slabs.ab, slabs, c), slabs.cols)
+    return w
+
+
+def _stage1_rows(slabs: _Slabs, bound: bool):
+    """The first stage's synthesis of ab along x1 and row pass (_row_pass). With
+    bound, returns max |u|^2 on the padded grid, the max of the row slabs'
+    maxima (NaN if one is NaN): the same double as over the whole grid."""
+    slabs.run(lambda c: _synthesize_cols(slabs.ab, slabs.work, c), slabs.cols)
     maxima = slabs.run(lambda r: _row_pass(slabs, r, bound), slabs.rows)
     return np.max(maxima) if bound else None
 
 
-def _rhs_cols(half: np.ndarray, slabs: _Slabs, c: slice) -> None:
-    """Column pass of an RHS on the k2 columns c, after _row_pass: du/dt of
-    half on the k2 >= 0 half plane, into slabs.du.
-
-    One operation per line of
-        a *= 0.5
-        div0 = 1j * (k1 * a + k2 * b);  div1 = 1j * (k1 * b - k2 * a)
-        kdot = (k1 * div0 + k2 * div1) * inv_ksq
-        du = -(div - k kdot) - damping * half,  du(0) = 0
-    with the terms in the slots of du, a and b.
-    """
-    N = half.shape[-1] - 1
-    ab, du = slabs.ab[..., c], slabs.du[..., c]
+def _rhs_cols(w: np.ndarray, slabs: _Slabs, c: slice) -> None:
+    """Column pass of an RHS on the k2 columns c, after _row_pass: dw/dt of
+    the vorticity half plane w into slabs.du, one operation per line of
+        du = -k1 k2 a + (k1^2 - k2^2) b - damping * w,  du(0) = 0,
+    in ab's slots. No operand is cast or broadcast, so numpy buffers none."""
+    ab, du = slabs.ab[..., c], slabs.du[:, c]
     _analyze_cols(slabs.work, slabs.ab, c)
-    a, b, div0, div1 = ab[0], ab[1], du[0], du[1]
-    k1, k2 = slabs.k1, slabs.k2[:, c]
-    a *= 0.5
-    np.multiply(k1, a, out=div0)
-    np.multiply(k2, b, out=div1)
-    np.add(div0, div1, out=div0)
-    np.multiply(1j, div0, out=div0)
-    np.multiply(k1, b, out=div1)
-    np.multiply(k2, a, out=a)
-    np.subtract(div1, a, out=div1)
-    np.multiply(1j, div1, out=div1)
-    kdot = a
-    np.multiply(k1, div0, out=a)
-    np.multiply(k2, div1, out=b)
-    np.add(a, b, out=a)
-    np.multiply(a, slabs.inv_ksq[:, c], out=kdot)
-    for k, d in ((k1, div0), (k2, div1)):
-        np.multiply(k, kdot, out=b)
-        np.subtract(d, b, out=b)
-        np.negative(b, out=d)
-    np.multiply(slabs.damping_half[:, c], half[..., c], out=ab)
-    np.subtract(du, ab, out=du)
+    np.multiply(slabs.curl[..., c], ab, out=ab)
+    np.add(ab[0], ab[1], out=du)
+    np.multiply(slabs.damping[:, c], w[:, c], out=ab[0])
+    np.subtract(du, ab[0], out=du)
     if c.start == 0:
-        du[:, N, 0] = 0.0
+        du[slabs.params.N, 0] = 0.0
 
 
 def rhs(u: SpectralField, params: SolverParams) -> SpectralField:
-    """Time derivative of the modal coefficients under the scheme.
-
-    Runs on the calling thread and returns a fresh field.
-    """
-    half, slabs = _k2_major(_half_plane(u, params)), _Slabs(params)
-    _stage1_rows(half, slabs, False)
-    _rhs_cols(half, slabs, slabs.cols[0])
+    """The velocity of dw/dt under the scheme, in a fresh field; runs on the calling thread."""
+    slabs = _Slabs(params)
+    w = _vorticity(u, slabs)
+    _stage1_rows(slabs, False)
+    _rhs_cols(w, slabs, slabs.cols[0])
     _hermitian_column(slabs.du)
     return _field(slabs.du, slabs)
 
@@ -438,57 +434,57 @@ def _dt_bound(speed_sq, slabs: _Slabs) -> float:
 def adaptive_dt(u: SpectralField, params: SolverParams) -> float:
     """Step size: min of CFL-advective and explicit-diffusion bounds.
 
-    dt_adv = cfl * h / max|u| with h = 2pi/(2N) and max|u| the largest
-    velocity magnitude on the padded synthesis grid; dt_visc =
+    dt_adv = cfl * h / max|u| with h = 2pi/(2N) and max|u| the largest speed
+    on the padded grid of the velocity of u's vorticity; dt_visc =
     viscous_dt(params). A zero field (or cfl = 0) leaves only the viscous
-    bound. evolve takes max|u| from the first RK stage's synthesis; this
-    entry point is for one field (tests, the per-layer benchmark). Runs on
-    the calling thread.
+    bound. For one field (tests, the per-layer benchmark; evolve bounds its
+    first stage's synthesis); runs on the calling thread.
     """
-    half, slabs = _k2_major(_half_plane(u, params)), _Slabs(params)
-    return _dt_bound(_stage1_rows(half, slabs, params.cfl > 0.0), slabs)
+    slabs = _Slabs(params)
+    _vorticity(u, slabs)
+    return _dt_bound(_stage1_rows(slabs, params.cfl > 0.0), slabs)
 
 
-def _step_coeffs(half: np.ndarray, dt: float, slabs: _Slabs) -> None:
-    """One Shu-Osher SSP-RK3 step of the k2-major half plane half, whose
-    first row pass (_stage1_rows) has run, into slabs.du, its k2 = 0 column
-    made exactly Hermitian. Each stage is a row pass and a column pass
-    (module docstring)."""
+def _step_coeffs(w: np.ndarray, dt: float, slabs: _Slabs) -> None:
+    """One Shu-Osher SSP-RK3 step of the vorticity half plane w, in place, after
+    its first row pass (_stage1_rows); its k2 = 0 column is made exactly
+    Hermitian and its velocity put in ab. A stage is a row and a column pass."""
     N = slabs.params.N
-    work = slabs.work
 
-    # The stage combinations, one operation per line, of
-    #   u1 = u0 + dt * du
-    #   u2 = 0.75 * u0 + 0.25 * (u1 + dt * du),  in u1's slot
-    #   (u0 + 2.0 * (u2 + dt * du)) / 3.0,  in du's slot
+    # The stage combinations, one operation per line: u1 = w + dt * du;
+    # u2 = 0.75 * w + 0.25 * (u1 + dt * du), in u1's slot; the next
+    # w = (w + 2.0 * (u2 + dt * du)) / 3.0, in du's slot and then in w's
     def stage1(c):
-        u0, u1, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
-        _rhs_cols(half, slabs, c)
+        w0, u1, du = w[:, c], slabs.u1[:, c], slabs.du[:, c]
+        _rhs_cols(w, slabs, c)
         np.multiply(dt, du, out=du)
-        np.add(u0, du, out=u1)
-        _synthesize_cols(slabs.u1, work, c)
+        np.add(w0, du, out=u1)
+        _velocity(slabs.u1, slabs.ab, slabs, c)
+        _synthesize_cols(slabs.ab, slabs.work, c)
 
     def stage2(c):
-        u0, u1, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
+        w0, u1, du = w[:, c], slabs.u1[:, c], slabs.du[:, c]
         _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u1, du, out=du)
         np.multiply(0.25, du, out=du)
-        np.multiply(0.75, u0, out=u1)
+        np.multiply(0.75, w0, out=u1)
         np.add(u1, du, out=u1)
-        _synthesize_cols(slabs.u1, work, c)
+        _velocity(slabs.u1, slabs.ab, slabs, c)
+        _synthesize_cols(slabs.ab, slabs.work, c)
 
     def stage3(c):
-        u0, u2, du = half[..., c], slabs.u1[..., c], slabs.du[..., c]
+        w0, u2, du = w[:, c], slabs.u1[:, c], slabs.du[:, c]
         _rhs_cols(slabs.u1, slabs, c)
         np.multiply(dt, du, out=du)
         np.add(u2, du, out=du)
         np.multiply(2.0, du, out=du)
-        np.add(u0, du, out=du)
-        np.divide(du, 3.0, out=du)
+        np.add(w0, du, out=du)
+        np.divide(du, 3.0, out=w0)
         if c.start == 0:
-            slabs.du[:, N, 0] = 0.0
-            _hermitian_column(slabs.du)
+            w[N, 0] = 0.0
+            _hermitian_column(w)
+        _velocity(w, slabs.ab, slabs, c)
 
     slabs.run(stage1, slabs.cols)
     slabs.run(lambda r: _row_pass(slabs, r, False), slabs.rows)
@@ -497,50 +493,56 @@ def _step_coeffs(half: np.ndarray, dt: float, slabs: _Slabs) -> None:
     slabs.run(stage3, slabs.cols)
 
 
-def _field(half: np.ndarray, slabs: _Slabs) -> SpectralField:
-    """The field of the half plane half, in a fresh array laid out as a record."""
-    out = _record_layout(slabs.params.N)
-    slabs.run(lambda c: _full_plane(half, out, c), slabs.cols)
-    return SpectralField._wrap(slabs.params.N, out)
+def _field(w: np.ndarray, slabs: _Slabs) -> SpectralField:
+    """The velocity of w (_velocity), mirrored into a fresh record-layout field, on this thread."""
+    N = slabs.params.N
+    out = _record_layout(N)
+    _velocity(w, out[..., N:], slabs, slice(None))
+    _full_plane(out[..., N:], out)
+    return SpectralField._wrap(N, out)
 
 
 def _ledger_terms(half: np.ndarray, slabs: _Slabs) -> tuple[float, float]:
-    """(E, rate) of the field with the k2 >= 0 half plane half, from its
-    squares in ab, copied into slabs.ledger in a snapshot record's order with
-    the k2 < 0 columns mirrored (|conj z| = |z|): E is modal_energy's sum;
-    rate (NaN if E is not finite) has the bits of 2.0 * np.sum(damping *
-    (abs(c0) ** 2 + abs(c1) ** 2)), each mode's two squares added first."""
+    """(E, rate) of the field with the k2 >= 0 velocity half plane half (ab,
+    an output's field or u0, in any layout), from its squares mirrored into
+    a record's order in slabs.ledger (|conj z| = |z|, lam(-k) = lam(k)): E is
+    modal_energy's sum; rate (NaN if E is not finite) has the bits of
+    2.0 * np.sum(damping_rates(params) * (abs(c0) ** 2 + abs(c1) ** 2))."""
     K, N = half.shape[-2], half.shape[-1] - 1
-    h = np.swapaxes(slabs.ab, -1, -2).reshape(-1).view(np.float64)[: half.size]
-    h = h.reshape(2, N + 1, K).swapaxes(-1, -2)      # k2-major and contiguous, as ab
+    sq = slabs.ledger[: 2 * K * K].reshape(K, K, 2)
+    h = slabs.ledger[2 * K * K : 2 * K * (K + N + 1)].reshape(2, N + 1, K).swapaxes(-1, -2)
     np.abs(half, out=h)
     np.square(h, out=h)
-    sq, rec = slabs.ledger[: 2 * K * K].reshape(K, K, 2), h.transpose(1, 2, 0)
+    rec = h.transpose(1, 2, 0)
     sq[:, N:] = rec
     sq[:, :N] = rec[::-1, :0:-1]
     E = float(np.sum(sq))
     if not math.isfinite(E):
         return E, math.nan
-    w = slabs.ledger[2 * K * K : 3 * K * K].reshape(K, K)
-    np.add(sq[..., 0], sq[..., 1], out=w)
-    np.multiply(slabs.damping, w, out=w)
+    # weighted in the half plane's layout (numpy buffers a product of two)
+    r, w = h[0], slabs.ledger[: K * K].reshape(K, K)
+    np.add(h[0], h[1], out=r)
+    np.multiply(slabs.damping.real, r, out=r)
+    w[:, N:] = r
+    w[:, :N] = r[::-1, :0:-1]
     return E, float(2.0 * np.sum(w))
 
 
 def step(u: SpectralField, dt: float, params: SolverParams) -> SpectralField:
     """One SSP-RK3 step of size dt. Raises BlowUpError if its E is not finite.
 
-    This entry point is for one field (tests, the per-layer benchmark);
-    runs on the calling thread.
+    For one field (tests, the per-layer benchmark); runs on the calling thread.
     """
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    half, slabs = _k2_major(_half_plane(u, params)), _Slabs(params)
-    _stage1_rows(half, slabs, False)
-    _step_coeffs(half, dt, slabs)
-    if not math.isfinite(_ledger_terms(slabs.du, slabs)[0]):
+    slabs = _Slabs(params)
+    w = _vorticity(u, slabs)
+    _stage1_rows(slabs, False)
+    _step_coeffs(w, dt, slabs)
+    u = _field(w, slabs)
+    if not math.isfinite(_ledger_terms(_half_plane(u, params), slabs)[0]):
         raise BlowUpError("non-finite energy after time step")
-    return _field(slabs.du, slabs)
+    return u
 
 
 @dataclass
@@ -569,11 +571,11 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     A step whose E is not finite (a non-finite coefficient, or squares that
     overflow) and steps past MAX_STEPS raise BlowUpError carrying the time.
 
-    Besides its slabs (_Slabs), evolve holds one k2-major half plane, copied
-    from u0 into du's place, and makes no full plane between output times;
-    an output's field takes the place of ab and u1, remade after it. No
-    reference to u0 is kept past the first step (the caller may still hold
-    it, on_step may keep more), and du is remade once u0 is gone.
+    Besides its slabs (_Slabs) evolve holds one scalar half plane, w made of
+    u0 after the call at t = 0, and no full plane between output times: u0
+    and w, then an output's field, built from w, take the place of ab, u1
+    and du, remade after them; an output step's ledger squares its field. No reference to u0 is kept
+    past the first step (the caller may still hold it, on_step may keep more).
 
     With threads > 1 and a padded grid of at least _SLAB_MIN_GRID points,
     each pass of a step is split into that many row or column slabs, run by
@@ -582,7 +584,7 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     thread. Every call holds its own arrays: calls from other threads, with
     equal params or not, leave its bits alone.
     """
-    half = _half_plane(u0, params)
+    _half_plane(u0, params)         # checks u0.N before any array is made
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     if threads < 1:
@@ -595,42 +597,38 @@ def evolve(u0: SpectralField, t_end: float, params: SolverParams, output_times=(
     del u0                  # the first step drops u0
     pending = [s for s in targets if s > 0.0]
     with _slabs(params, threads) as slabs:
-        E0, g = _ledger_terms(half, slabs)
+        E0, g = _ledger_terms(_half_plane(u, params), slabs)
         ledger = EnergyLedger(E0=E0, E=E0)
         if on_step is not None:
             on_step(t, u, ledger)
-        np.copyto(slabs.du, half)
-        half, slabs.du = slabs.du, None     # u0's half plane, k2-major, in du's place
+        slabs.ab = slabs.u1 = slabs.du = None      # u0 and w take their place
+        w = _vorticity(u, slabs)
         steps = 0
         while t < t_end:
             u = None            # u0, or the field of the last output time
-            if slabs.du is None:
-                (slabs.du,) = _halves(1, params.N)
             if slabs.ab is None:
-                slabs.ab, slabs.u1 = _halves(2, params.N)
+                slabs.buffers()
+                slabs.run(lambda c: _velocity(w, slabs.ab, slabs, c), slabs.cols)
             if (steps := steps + 1) > MAX_STEPS:
                 raise BlowUpError(f"{MAX_STEPS} steps spent at t={t:.6g} of {t_end:g}", time=t)
             # One synthesis per stage: the first one's velocity also bounds dt.
-            speed_sq = _stage1_rows(half, slabs, params.cfl > 0.0)
+            speed_sq = _stage1_rows(slabs, params.cfl > 0.0)
             horizon = pending[0] if pending else t_end
             dt = min(_dt_bound(speed_sq, slabs), horizon - t)
-            _step_coeffs(half, dt, slabs)
-            half, slabs.du = slabs.du, half
-            E, g_after = _ledger_terms(half, slabs)
-            if not math.isfinite(E):
-                raise BlowUpError(
-                    f"blow-up at t={t + dt:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
-                    time=t + dt,
-                )
-            ledger.D += 0.5 * dt * (g + g_after)
-            g = g_after
-            ledger.E = E
+            _step_coeffs(w, dt, slabs)
             t = t + dt
             if output := pending and t >= pending[0] - 1e-14 * max(1.0, t_end):
                 t = pending.pop(0)
             if output or t >= t_end:
-                slabs.ab = slabs.u1 = None      # the field takes their place
-                u = _field(half, slabs)
+                slabs.ab = slabs.u1 = slabs.du = None      # the field takes their place
+                u = _field(w, slabs)
+            E, g_after = _ledger_terms(slabs.ab if u is None else _half_plane(u, params), slabs)
+            if not math.isfinite(E):
+                raise BlowUpError(f"blow-up at t={t:.6g} (E0={ledger.E0:.6g}, last E={ledger.E:.6g})",
+                                  time=t)
+            ledger.D += 0.5 * dt * (g + g_after)
+            g = g_after
+            ledger.E = E
             if on_step is not None:
                 on_step(t, u, ledger)
     return u, ledger

@@ -166,28 +166,28 @@ def test_presets_parse_and_match_quoted_parameters():
     assert sweep.initial_spec(64).delta == 0.05 / 8
 
 
-# fnv1a64 of every preset's manifest text under scheme 2 (the manifest's
+# fnv1a64 of every preset's manifest text under scheme 3 (the manifest's
 # [provenance] scheme line); the hash goes into every .euss header.
 GOLDEN_MANIFEST_HASHES = {
-    ("fbm_h015", 64): 0x4bec9ab079205342,
-    ("fbm_h015", 128): 0x43493474b37265e8,
-    ("fbm_h05", 64): 0x05c2074027b5cf24,
-    ("fbm_h05", 128): 0x6b217e194e13ecca,
-    ("fbm_h075", 64): 0xda14d35bfa0a6e9c,
-    ("fbm_h075", 128): 0x2752520824392f42,
-    ("flat_sheet_delta_sweep0", 64): 0x82e9fe75e9375939,
-    ("flat_sheet_delta_sweep1", 64): 0xb38a9d329cdcc922,
-    ("flat_sheet_delta_sweep2", 64): 0xe2886b9d3e1623e6,
-    ("flat_sheet_delta_sweep3", 64): 0x5281abf0ad58afa2,
-    ("flat_sheet_delta_sweep4", 64): 0x2838f34614dd2282,
-    ("flat_sheet_delta_sweep5", 64): 0x0ba6a8362154e4f0,
-    ("flat_sheet_discontinuous", 64): 0x974f96377edb4757,
-    ("flat_sheet_discontinuous", 128): 0x720a0f7abd4a5e85,
-    ("flat_sheet_smooth", 64): 0x2b966c5c1b006634,
-    ("flat_sheet_smooth", 128): 0x37577c30a567ee9a,
-    ("sinusoidal_sheet", 64): 0xbc7550a84127e49d,
-    ("sinusoidal_sheet", 128): 0x904eb5a1aaebb1b7,
-    ("taylor_green_check", 32): 0x8e7c545078bd2c05,
+    ("fbm_h015", 64): 0x4beffcb079232f9f,
+    ("fbm_h015", 128): 0x434c9e74b3754fdd,
+    ("fbm_h05", 64): 0x05c5614027b89de9,
+    ("fbm_h05", 128): 0x6b24e0194e16c927,
+    ("fbm_h075", 64): 0xda184d5bfa0d73c1,
+    ("fbm_h075", 128): 0x2755b408243c0b9f,
+    ("flat_sheet_delta_sweep0", 64): 0x82e6a475e9348a74,
+    ("flat_sheet_delta_sweep1", 64): 0xb38dff329cdfa57f,
+    ("flat_sheet_delta_sweep2", 64): 0xe28bcd9d3e190043,
+    ("flat_sheet_delta_sweep3", 64): 0x52850df0ad5b8bff,
+    ("flat_sheet_delta_sweep4", 64): 0x283c554614dffedf,
+    ("flat_sheet_delta_sweep5", 64): 0x0baa12362157cee5,
+    ("flat_sheet_discontinuous", 64): 0x974c34377ed86afa,
+    ("flat_sheet_discontinuous", 128): 0x7206a57abd477490,
+    ("flat_sheet_smooth", 64): 0x2b99c65c1b0334f9,
+    ("flat_sheet_smooth", 128): 0x375ade30a56acaf7,
+    ("sinusoidal_sheet", 64): 0xbc71e6a84124faa8,
+    ("sinusoidal_sheet", 128): 0x904b53a1aae8d55a,
+    ("taylor_green_check", 32): 0x8e78ea5078ba4210,
 }
 
 
@@ -512,12 +512,13 @@ FAMILY_INITIAL = {
 }
 
 # fnv1a64 of the energy CSV of `run` on family_config(family), each recorded
-# in a fresh process; 3 to 10 steps per run. The CSV carries E to its last bit.
+# in a fresh process under scheme 3; 3 to 10 steps per run. The CSV carries
+# E to its last bit.
 ENERGY_CSV_DIGESTS = {
-    "flat_sheet": "f702ae4ac784b9ce",
-    "sinusoidal_sheet": "21444a61c3d8b3e9",
-    "fbm": "f347fbb5268a186a",
-    "taylor_green": "4d7004bdb3a939dd",
+    "flat_sheet": "85ea0de4888bdcee",
+    "sinusoidal_sheet": "0605ec159ef0b7fd",
+    "fbm": "916eec0f50b93f6a",
+    "taylor_green": "7a65e4bc7928653a",
 }
 
 

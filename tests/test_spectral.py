@@ -5,7 +5,6 @@ import pytest
 
 from eulerstat.errors import InconsistencyError, ResolutionError, ShapeError
 from eulerstat.initial import InitialMeasureSpec, generate_sample
-from eulerstat.solver import _k2_major
 from eulerstat.spectral import (
     ScalarSpectralField,
     SpectralField,
@@ -278,6 +277,11 @@ def test_wavenumber_grids():
     assert ksq[2, 2] == 0 and ksq[4, 4] == 8
 
 
+def k2_major(a):
+    """A copy of a whose last axis, the k2 columns, is contiguous, as the solver lays out its arrays."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+
+
 @pytest.mark.parametrize("layout", ["generated", "k2-major"])
 def test_column_synthesis_makes_no_buffer_and_adds_to_zeros(layout):
     # The solver's column pass of a synthesis at N = 128 (M = 400), from a
@@ -289,9 +293,9 @@ def test_column_synthesis_makes_no_buffer_and_adds_to_zeros(layout):
     u = generate_sample(InitialMeasureSpec("flat_sheet", N, rho=0.1, delta=0.025, base_seed=7), 1)
     c = np.copy(u.coeffs, order="K")
     c[np.random.default_rng(5).random(c.shape) < 0.25] = complex(-0.0, -0.0)
-    half = c[..., N:] if layout == "generated" else _k2_major(c[..., N:])
+    half = c[..., N:] if layout == "generated" else k2_major(c[..., N:])
     assert np.signbit(half[half == 0].real).any()
-    work = _k2_major(np.empty((2, M, N + 1), dtype=np.complex128))
+    work = k2_major(np.empty((2, M, N + 1), dtype=np.complex128))
     zeros = np.zeros((2, M, N + 1), dtype=np.complex128)
     zeros[:, : N + 1] += half[:, N:]
     zeros[:, M - N :] += half[:, :N]
